@@ -1,16 +1,15 @@
 //! Seeded inputs of the four workloads and the engine specs they run on.
 //!
 //! Everything the program sees is generated here from `--seed`: the
-//! same seed gives the same systems, points and requests. Targets are
-//! pre-screened through typed APIs and on the CPU reference, which is
-//! also the correctness oracle: mixed-cell construction must succeed,
-//! no polynomial may have degree 0 (`SolveRequest::new` panics on one),
-//! and only start paths that converge on the CPU reference are tracked.
-//! A path that later fails on a device backend is then a solver
-//! regression, not an unlucky draw. Requests are further kept to a band
-//! of corrector work around the typical one, so that the few requests a
-//! run affords cost about the same from seed to seed.
+//! same seed gives the same systems, points and requests. Solver
+//! targets come from the frozen pool in [`crate::pool`]: each entry is a
+//! sub-seed, from which its target and gamma are generated, and the
+//! start paths to track. The seed picks which entries a run uses. The
+//! pool is data, so the work a run carries does not depend on the code
+//! under test: a change that makes paths cheaper shows in full, and one
+//! that makes a pooled path fail counts as a failure.
 
+use crate::pool;
 use polygpu::complex::C64;
 use polygpu::core::engine::Engine as CoreEngine;
 use polygpu::core::EncodingKind;
@@ -19,15 +18,14 @@ use polygpu::engine::{
 };
 use polygpu::gpusim::prelude::{DeviceSpec, LaunchOptions};
 use polygpu::homotopy::solve::{
-    PathEndpoint, PrecisionPolicy, SolveReport, SolveRequest, Solver, StartKind, StartSelection,
+    PathEndpoint, PrecisionPolicy, SolveRequest, Solver, StartKind, StartSelection,
 };
-use polygpu::homotopy::{CorrectorMode, QueueStats, TrackParams, UsedPrecision};
+use polygpu::homotopy::{CorrectorMode, TrackParams, UsedPrecision};
 use polygpu::polyhedral::mixed_cell_starts;
 use polygpu::polysys::{
     random_points, random_sparse_system, random_system, BenchmarkParams, SparseBenchmarkParams,
     System,
 };
-use std::ops::RangeInclusive;
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
 pub const WORKLOADS: [&str; 4] = ["eval-table1", "solve-small", "solve-dim32", "serve-mix"];
@@ -51,10 +49,18 @@ pub const JOBS_PER_TENANT: usize = 2;
 pub const TENANT_WEIGHTS: [u32; 3] = [1, 2, 4];
 /// Hot targets `serve-mix` jobs repeat.
 const HOT_TARGETS: usize = 4;
-/// One `serve-mix` job in this many carries a target never seen before.
+/// One `serve-mix` job in this many carries a target not seen before.
 pub const NEW_EVERY: u64 = 4;
 /// Paths per `serve-mix` job.
 pub const SERVE_PATHS: usize = 4;
+
+/// One entry of the frozen pool: the sub-seed its target and gamma are
+/// generated from, and the start paths it tracks.
+#[derive(Debug, Clone, Copy)]
+pub struct Pick {
+    pub seed: u64,
+    pub starts: &'static [u16],
+}
 
 /// SplitMix64 of `(seed, tag, i)`: independent sub-seeds per input.
 pub fn mix(seed: u64, tag: u64, i: u64) -> u64 {
@@ -68,6 +74,23 @@ pub fn mix(seed: u64, tag: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Entry `k` of the seed's ordering of `list`: a Fisher-Yates shuffle
+/// keyed by `(seed, tag)`, so a run draws distinct entries for
+/// `k = 0, 1, ...` up to the list's length.
+fn draw(list: &'static [Pick], seed: u64, tag: u64, k: usize) -> Pick {
+    assert!(
+        k < list.len(),
+        "the frozen pool holds {} entries, entry {k} was asked for",
+        list.len()
+    );
+    let mut order: Vec<usize> = (0..list.len()).collect();
+    for i in 0..=k {
+        let j = i + (mix(seed, tag, i as u64) % (list.len() - i) as u64) as usize;
+        order.swap(i, j);
+    }
+    list[order[k]]
+}
+
 // ---------------------------------------------------------------------
 // Engine specs
 // ---------------------------------------------------------------------
@@ -79,26 +102,12 @@ pub fn eval_spec() -> EngineBuilder<polygpu::engine::Sharded> {
     })
 }
 
-/// Launches simulated on the calling thread, for the workloads of many
-/// small launches. There the default parallel path spawns host threads
-/// per launch: on a shared two-core machine the same run then varied by
-/// up to half between repetitions, and `serve-mix` ran 2.6x slower.
-/// Modeled results do not depend on it. `eval-table1` and `solve-dim32`,
-/// whose launches are large enough to gain from host threads, keep the
-/// default.
-fn serial<P: ClusterProvider>(spec: EngineBuilder<P>) -> EngineBuilder<P> {
-    spec.launch(LaunchOptions {
-        parallel_host: false,
-        ..LaunchOptions::default()
-    })
-}
-
-/// `solve-small`: one C2050 batch engine, direct encoding for dense
-/// targets and packed keys for ragged ones.
+/// `solve-small`: one C2050 batch engine with default launch options,
+/// direct encoding for dense targets and packed keys for ragged ones.
 pub fn small_spec(packed: bool) -> EngineBuilder<polygpu::engine::Sharded> {
-    let spec = serial(Engine::builder().backend(Backend::GpuBatch {
+    let spec = Engine::builder().backend(Backend::GpuBatch {
         capacity: SMALL_PATHS,
-    }));
+    });
     if packed {
         spec.encoding(EncodingKind::Packed)
     } else {
@@ -120,14 +129,22 @@ pub fn dim32_spec<P: ClusterProvider>(provider: P) -> EngineBuilder<P> {
 pub const SERVE_CONSTANT_BYTES: usize = 192;
 
 /// `serve-mix`: a two-device row-sharded fleet of C2050s whose constant
-/// memory is partitioned down to [`SERVE_CONSTANT_BYTES`].
+/// memory is partitioned down to [`SERVE_CONSTANT_BYTES`]. Launches are
+/// simulated on the calling thread: the default spawns host threads per
+/// launch, which made a wave 2.6x slower on a two-core machine and left
+/// too few waves for a run. Modeled results do not depend on it;
+/// `solve-small` measures the default's per-launch cost.
 pub fn serve_spec<P: ClusterProvider>(provider: P) -> EngineBuilder<P> {
     let device = DeviceSpec {
         constant_mem: SERVE_CONSTANT_BYTES,
         constant_reserved: 0,
         ..DeviceSpec::tesla_c2050()
     };
-    serial(CoreEngine::builder_with(provider))
+    CoreEngine::builder_with(provider)
+        .launch(LaunchOptions {
+            parallel_host: false,
+            ..LaunchOptions::default()
+        })
         .backend(Backend::Cluster {
             devices: vec![device; 2],
             shard: SystemShardPolicy::Contiguous.into(),
@@ -157,6 +174,83 @@ pub fn eval_batches(seed: u64) -> Vec<Vec<Vec<C64>>> {
 }
 
 // ---------------------------------------------------------------------
+// Requests, as functions of a sub-seed
+// ---------------------------------------------------------------------
+
+/// A dense total-degree `solve-small` request: n = m, k = 2, d = 2,
+/// direct encoding, failing paths escalated to double-double.
+pub fn dense_request(n: usize, s: u64) -> SolveRequest {
+    let target = random_system::<f64>(&BenchmarkParams {
+        n,
+        m: n,
+        k: 2,
+        d: 2,
+        seed: s,
+    });
+    SolveRequest::new(target)
+        .with_gamma_seed(s)
+        .with_precision(PrecisionPolicy::escalating_with(TrackParams::default()))
+}
+
+/// A ragged sparse `solve-small` request solved from mixed cells, with
+/// escalation. `None` when the target fails the structural screens: a
+/// polynomial of total degree 0 (`SolveRequest::new` panics on one), or
+/// mixed cells that do not build.
+pub fn sparse_request(n: usize, s: u64) -> Option<SolveRequest> {
+    let target = random_sparse_system::<f64>(&SparseBenchmarkParams {
+        n,
+        m_min: 2,
+        m_max: 4,
+        k_min: 0,
+        k_max: 2,
+        d: 2,
+        seed: s,
+    });
+    let lift_seed = s >> 8;
+    if target.polys().iter().any(|p| p.total_degree() == 0)
+        || mixed_cell_starts(&target, lift_seed).is_err()
+    {
+        return None;
+    }
+    Some(
+        SolveRequest::new(target)
+            .with_start_kind(StartKind::MixedCells { lift_seed })
+            .with_gamma_seed(s)
+            .with_precision(PrecisionPolicy::escalating_with(TrackParams::default())),
+    )
+}
+
+/// A `solve-dim32` request at dimension `n` (32 in the benchmark; tests
+/// shrink it): 22 monomials per equation, each one variable to the first
+/// or second power (k = 1, d = 2), in fixed double-double with the fused
+/// device-resident corrector.
+pub fn dim32_request(n: usize, s: u64) -> SolveRequest {
+    let target = random_system::<f64>(&BenchmarkParams {
+        n,
+        m: 22,
+        k: 1,
+        d: 2,
+        seed: s,
+    });
+    SolveRequest::new(target)
+        .with_gamma_seed(s)
+        .with_corrector(CorrectorMode::DeviceResident)
+        .with_precision(PrecisionPolicy::Fixed(UsedPrecision::DoubleDouble))
+}
+
+/// A small dense `serve-mix` target (n = 3), fixed double precision.
+pub fn serve_request(s: u64) -> SolveRequest {
+    let target = random_system::<f64>(&BenchmarkParams {
+        n: 3,
+        m: 3,
+        k: 2,
+        d: 2,
+        seed: s,
+    });
+    SolveRequest::new(target).with_gamma_seed(s)
+}
+
+// ---------------------------------------------------------------------
 // Solver workloads
 // ---------------------------------------------------------------------
 
@@ -166,203 +260,59 @@ pub struct SolveCase {
     pub request: SolveRequest,
     /// Whether the request runs on the packed-encoding spec.
     pub packed: bool,
-    /// The CPU reference's endpoint per tracked path (every one
-    /// converged there).
+    /// The CPU reference's endpoint per tracked path.
     pub reference: Vec<PathEndpoint>,
     /// Short description for the report.
     pub shape: String,
 }
 
-/// Whether some polynomial has total degree 0 (it has no total-degree
-/// start system, and `SolveRequest::new` panics on it).
-fn has_degree_zero(system: &System<f64>) -> bool {
-    system.polys().iter().any(|p| p.total_degree() == 0)
-}
-
-/// Step cap of the double-double pass of screening solves. A path that
-/// converges within it converges identically without it; a diverging
-/// candidate stops early instead of running the default 10,000 steps.
-const SCREEN_STEPS: usize = 120;
-
-/// Track the first `candidates` start paths of `request` on the CPU
-/// reference (double-double retries capped at [`SCREEN_STEPS`]) and
-/// keep the first `want` that converge: the same request restricted to
-/// their start indices, with its uncapped CPU-reference solve. `None`
-/// when fewer converge.
-fn screen(
-    request: SolveRequest,
-    candidates: u128,
-    want: usize,
-    packed: bool,
-    shape: String,
-) -> Option<(SolveCase, SolveReport)> {
-    let cpu = cpu_solver();
-    let mut probe = request
-        .clone()
-        .with_starts(StartSelection::FirstN(candidates));
-    if let PrecisionPolicy::Escalating { dd_params } = &mut probe.precision {
-        dd_params.max_steps = SCREEN_STEPS;
-    }
-    let probed = cpu.solve(&probe).ok()?;
-    let keep: Vec<u128> = (0..probed.paths.len())
-        .filter(|&i| probed.paths[i].success())
-        .take(want)
-        .map(|i| i as u128)
-        .collect();
-    if keep.len() < want {
-        return None;
-    }
-    let request = request.with_starts(StartSelection::Indices(keep));
-    let report = cpu.solve(&request).ok()?;
-    if !report.paths.iter().all(|p| p.success()) {
-        return None;
-    }
-    let reference = report.paths.iter().map(|p| p.endpoint.clone()).collect();
-    let case = SolveCase {
+/// `request` restricted to the start paths of `pick`, with the CPU
+/// reference solve of it (untimed). A reference path that does not
+/// converge makes the device's path fail the check too.
+fn pooled(request: SolveRequest, pick: Pick, packed: bool, shape: String) -> SolveCase {
+    let starts = pick.starts.iter().map(|&j| u128::from(j)).collect();
+    let request = request.with_starts(StartSelection::Indices(starts));
+    let report = cpu_solver()
+        .solve(&request)
+        .expect("the CPU reference solves every pooled request");
+    SolveCase {
         request,
         packed,
-        reference,
+        reference: report.paths.iter().map(|p| p.endpoint.clone()).collect(),
         shape,
-    };
-    Some((case, report))
+    }
 }
 
-/// Corrector work (predictor-corrector steps plus Newton iterations,
-/// both precision passes) of one whole `solve-small` request on the CPU
-/// reference, for dense and for sparse targets. Request work varies
-/// severalfold between random targets; keeping each kind in a band
-/// keeps a run's sample of requests alike from seed to seed.
-const SMALL_DENSE_WORK: RangeInclusive<usize> = 500..=800;
-const SMALL_SPARSE_WORK: RangeInclusive<usize> = 100..=160;
-
-/// Corrector work of a solve, both passes.
-fn solve_work(report: &SolveReport) -> usize {
-    let work = |s: &QueueStats| s.steps_accepted + s.steps_rejected + s.corrector_iterations;
-    work(&report.stats) + report.escalation.as_ref().map_or(0, |e| work(&e.stats))
-}
-
-/// `solve-small` request `i`: two dense total-degree targets (n = 3..6,
-/// direct encoding) to one ragged sparse target solved from mixed cells
-/// (n = 2..5, packed keys). All escalate failing paths to double-double.
-/// Dense requests cost several sparse ones, so the 2:1 mix keeps the
-/// median request inside the dense group instead of in the gap between
-/// the two.
+/// `solve-small` request `i`: two dense total-degree targets (n = 3..6)
+/// to one ragged sparse target (n = 2..5), the dimension cycling every
+/// three requests. Dense requests cost several sparse ones, so the 2:1
+/// mix keeps the median request inside the dense group instead of in
+/// the gap between the two.
 pub fn small_case(seed: u64, i: usize) -> SolveCase {
-    let escalate = PrecisionPolicy::escalating_with(TrackParams::default());
-    let dense = i % 3 != 2;
-    for attempt in 0u64.. {
-        let s = mix(seed, 10 + i as u64, attempt);
-        let case = if dense {
-            let n = 3 + (i / 3) % 4;
-            let target = random_system::<f64>(&BenchmarkParams {
-                n,
-                m: n,
-                k: 2,
-                d: 2,
-                seed: s,
-            });
-            let request = SolveRequest::new(target)
-                .with_gamma_seed(s)
-                .with_precision(escalate);
-            let shape = format!("dense n={n} m={n} k=2 d=2");
-            screen(request, 16, SMALL_PATHS, false, shape)
-        } else {
-            let n = 2 + (i / 3) % 4;
-            let target = random_sparse_system::<f64>(&SparseBenchmarkParams {
-                n,
-                m_min: 2,
-                m_max: 4,
-                k_min: 0,
-                k_max: 2,
-                d: 2,
-                seed: s,
-            });
-            let lift_seed = s >> 8;
-            if has_degree_zero(&target) || mixed_cell_starts(&target, lift_seed).is_err() {
-                continue;
-            }
-            let request = SolveRequest::new(target)
-                .with_start_kind(StartKind::MixedCells { lift_seed })
-                .with_gamma_seed(s)
-                .with_precision(escalate);
-            let shape = format!("sparse n={n} mixed cells");
-            screen(request, 16, SMALL_PATHS, true, shape)
-        };
-        let band = if dense {
-            &SMALL_DENSE_WORK
-        } else {
-            &SMALL_SPARSE_WORK
-        };
-        if let Some((case, report)) = case {
-            if band.contains(&solve_work(&report)) {
-                return case;
-            }
-        }
+    let (group, class) = (i / 3, (i / 3) % 4);
+    if i % 3 != 2 {
+        let n = 3 + class;
+        let pick = draw(
+            pool::DENSE[class],
+            seed,
+            10 + n as u64,
+            2 * (group / 4) + i % 3,
+        );
+        let shape = format!("dense n={n} m={n} k=2 d=2");
+        pooled(dense_request(n, pick.seed), pick, false, shape)
+    } else {
+        let n = 2 + class;
+        let pick = draw(pool::SPARSE[class], seed, 20 + n as u64, group / 4);
+        let request = sparse_request(n, pick.seed).expect("pooled sparse targets pass the screens");
+        pooled(request, pick, true, format!("sparse n={n} mixed cells"))
     }
-    unreachable!("the attempt counter is unbounded")
 }
 
-/// Corrector work (predictor-corrector steps plus Newton iterations)
-/// every `solve-dim32` path takes on the CPU reference: a band around the
-/// typical path. Path work varies twofold between random targets and a
-/// run affords only a few n = 32 paths, so uniform paths are what lets
-/// those few stand for the rest.
-pub const DIM32_WORK: RangeInclusive<usize> = 345..=375;
-
-/// Start paths of one target tried against [`DIM32_WORK`].
-const DIM32_CANDIDATES: u128 = 16;
-
-/// `solve-dim32` request `i` at dimension `n` (32 in the benchmark;
-/// tests shrink it): 22 monomials per equation, each one variable to the
-/// first or second power (k = 1, d = 2), in fixed double-double with the
-/// fused device-resident corrector. Each of its paths takes `work`
-/// corrector work on the CPU reference.
-pub fn dim32_case(seed: u64, i: usize, n: usize, work: &RangeInclusive<usize>) -> SolveCase {
-    let cpu = cpu_solver();
-    for attempt in 0u64.. {
-        let s = mix(seed, 20 + i as u64, attempt);
-        let target = random_system::<f64>(&BenchmarkParams {
-            n,
-            m: 22,
-            k: 1,
-            d: 2,
-            seed: s,
-        });
-        let request = SolveRequest::new(target)
-            .with_gamma_seed(s)
-            .with_corrector(CorrectorMode::DeviceResident)
-            .with_precision(PrecisionPolicy::Fixed(UsedPrecision::DoubleDouble));
-        // Screen in hardware doubles: the step control takes the same
-        // steps as in double-double here at a tenth of the cost, and the
-        // double-double reference solve below confirms every path.
-        let picked: Vec<u128> = (0..DIM32_CANDIDATES)
-            .filter(|&j| {
-                let mut one = request
-                    .clone()
-                    .with_starts(StartSelection::Indices(vec![j]));
-                one.precision = PrecisionPolicy::Fixed(UsedPrecision::Double);
-                cpu.solve(&one)
-                    .is_ok_and(|r| r.paths[0].success() && work.contains(&solve_work(&r)))
-            })
-            .take(DIM32_PATHS)
-            .collect();
-        if picked.len() < DIM32_PATHS {
-            continue;
-        }
-        let request = request.with_starts(StartSelection::Indices(picked));
-        let Ok(report) = cpu.solve(&request) else {
-            continue;
-        };
-        if report.paths.iter().all(|p| p.success()) {
-            return SolveCase {
-                request,
-                packed: false,
-                reference: report.paths.iter().map(|p| p.endpoint.clone()).collect(),
-                shape: format!("n={n} m=22 k=1 d=2 ({} monomials)", 22 * n),
-            };
-        }
-    }
-    unreachable!("the attempt counter is unbounded")
+/// `solve-dim32` request `i`.
+pub fn dim32_case(seed: u64, i: usize) -> SolveCase {
+    let pick = draw(pool::DIM32, seed, 30, i);
+    let shape = format!("n=32 m=22 k=1 d=2 ({} monomials)", 22 * 32);
+    pooled(dim32_request(32, pick.seed), pick, false, shape)
 }
 
 // ---------------------------------------------------------------------
@@ -376,41 +326,24 @@ pub struct ServeJob {
     pub case: SolveCase,
 }
 
-/// Scheduler rounds of one `serve-mix` job on the CPU reference, where
-/// the queue scheduler runs the same four slots as on the fleet. A job's
-/// modeled time is about its rounds times a launch-bound round trip, so
-/// the band plays the part [`SMALL_DENSE_WORK`] plays for the solver:
-/// total work alone left rounds varying by a third.
-const SERVE_ROUNDS: RangeInclusive<usize> = 265..=300;
-
-/// A small dense target for the service (n = 3, four converging
-/// total-degree paths), screened like the solver workloads.
-fn serve_case(s: u64) -> SolveCase {
-    for attempt in 0u64.. {
-        let t = mix(s, 30, attempt);
-        let target = random_system::<f64>(&BenchmarkParams {
-            n: 3,
-            m: 3,
-            k: 2,
-            d: 2,
-            seed: t,
-        });
-        let request = SolveRequest::new(target).with_gamma_seed(t);
-        let shape = "dense n=3 m=3 k=2 d=2".to_string();
-        if let Some((case, report)) = screen(request, 12, SERVE_PATHS, false, shape) {
-            if SERVE_ROUNDS.contains(&report.stats.rounds) {
-                return case;
-            }
-        }
-    }
-    unreachable!("the attempt counter is unbounded")
+/// `serve-mix` target `k` of the seed: the first [`HOT_TARGETS`] are the
+/// hot set, the rest are brought by new jobs in turn (wrapping around
+/// the pool once it is used up).
+fn serve_case(seed: u64, k: usize) -> SolveCase {
+    let hot = HOT_TARGETS;
+    let k = if k < hot {
+        k
+    } else {
+        hot + (k - hot) % (pool::SERVE.len() - hot)
+    };
+    let pick = draw(pool::SERVE, seed, 40, k);
+    let shape = "dense n=3 m=3 k=2 d=2".to_string();
+    pooled(serve_request(pick.seed), pick, false, shape)
 }
 
 /// The hot targets of `serve-mix`.
 pub fn hot_set(seed: u64) -> Vec<SolveCase> {
-    (0..HOT_TARGETS as u64)
-        .map(|h| serve_case(mix(seed, 31, h)))
-        .collect()
+    (0..HOT_TARGETS).map(|k| serve_case(seed, k)).collect()
 }
 
 /// Wave `w` of `serve-mix`: every tenant submits [`JOBS_PER_TENANT`]
@@ -425,7 +358,7 @@ pub fn serve_wave(seed: u64, w: u64, hot: &[SolveCase]) -> Vec<ServeJob> {
             // The hit/miss pattern is the same for every seed, so every
             // run sees the same cache pressure; the seed picks the systems.
             let case = if job % NEW_EVERY == NEW_EVERY - 1 {
-                serve_case(mix(seed, 32, job))
+                serve_case(seed, HOT_TARGETS + (job / NEW_EVERY) as usize)
             } else {
                 // Hot targets in turn, counting hot jobs only.
                 hot[((job - job / NEW_EVERY) % hot.len() as u64) as usize].clone()
@@ -444,7 +377,7 @@ pub fn serve_wave(seed: u64, w: u64, hot: &[SolveCase]) -> Vec<ServeJob> {
 pub fn endpoint_checksum(reference: &[PathEndpoint]) -> f64 {
     let mut checksum = 0.0;
     for endpoint in reference {
-        // t = 1: every reference path converged.
+        // t = 1: a job passes only when every path converged.
         checksum += 1.0;
         for c in endpoint.to_f64() {
             checksum += c.re + c.im;

@@ -3,6 +3,9 @@
 
 pub mod account;
 pub mod inputs;
+// Written by `examples/freeze.rs`, one entry a line.
+#[rustfmt::skip]
+pub mod pool;
 pub mod probe;
 pub mod replay;
 pub mod run;

@@ -251,7 +251,7 @@ fn run_small(o: &Options) -> Outcome {
 
 fn run_dim32(o: &Options) -> Outcome {
     let cases: Vec<SolveCase> = (0..inputs::DIM32_POOL)
-        .map(|i| inputs::dim32_case(o.seed, i, 32, &inputs::DIM32_WORK))
+        .map(|i| inputs::dim32_case(o.seed, i))
         .collect();
     let plain = inputs::dim32_spec(Sharded);
     let mut setup = || {
@@ -384,8 +384,9 @@ fn add_report(model: &mut Modeled, report: &SolveReport, fleets: &[probe::FleetV
 // serve-mix
 // ---------------------------------------------------------------------
 
-/// Waves in the modeled sample of `serve-mix`.
-const SERVE_POOL: u64 = 12;
+/// Waves in the modeled sample of `serve-mix`: 102 jobs, enough for the
+/// p90s of job latency and wait.
+const SERVE_POOL: u64 = 17;
 
 fn open_service() -> (SolveService, Vec<TenantId>) {
     let mut svc =
@@ -423,13 +424,15 @@ fn run_serve(o: &Options) -> Outcome {
     let replayer = Solver::from_builder(inputs::serve_spec(Observed));
     out.notes.push(format!(
         "fleet: 2 row-sharded C2050s, {} constant bytes each; tenants weighted {:?}; \
-         wave = {} jobs ({} paths each), 1 in {} with a new target; modeled sample = {} waves",
+         wave = {} jobs ({} paths each), 1 in {} with a new target; modeled sample = {} waves \
+         ({} jobs, the sample of the job latency and wait percentiles)",
         inputs::SERVE_CONSTANT_BYTES,
         inputs::TENANT_WEIGHTS,
         inputs::JOBS_PER_TENANT * tenants.len(),
         inputs::SERVE_PATHS,
         inputs::NEW_EVERY,
-        SERVE_POOL
+        SERVE_POOL,
+        SERVE_POOL as usize * inputs::JOBS_PER_TENANT * tenants.len()
     ));
     let mut solve_gap = 0.0f64;
 
