@@ -2,6 +2,7 @@
 //! line and `BENCHMARK.json` at the repository root for the workloads.
 
 pub mod account;
+pub mod clock;
 pub mod inputs;
 // Written by `examples/freeze.rs`, one entry a line.
 #[rustfmt::skip]

@@ -7,6 +7,7 @@
 //! the per-layer split. Exits nonzero when any output is wrong.
 
 use perfbench::account::quantile;
+use perfbench::clock;
 use perfbench::inputs::WORKLOADS;
 use perfbench::probe::chrome_trace;
 use perfbench::run::{cpu_eval_us, run, Options, Outcome};
@@ -132,7 +133,8 @@ fn collect(path: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
 
 type Metric = (&'static str, f64, &'static str);
 
-/// The gated end-to-end metrics: set-up time, the modeled clock, memory.
+/// The gated end-to-end metrics: set-up time (on the set-up clock of
+/// `perfbench::clock`), the modeled clock, memory.
 fn end_to_end(out: &Outcome) -> Vec<Metric> {
     let mut setup = out.setup.clone();
     let mut modeled = out.modeled.clone();
@@ -248,6 +250,13 @@ fn main() -> ExitCode {
         quantile(&mut host, 1.0) * 1e3,
         out.setup.len(),
         out.modeled.len()
+    );
+    let (mut cpu, mut reference) = (out.setup_cpu.clone(), out.reference.clone());
+    println!(
+        "# set-up clock: p50 {:.6} s process CPU per set-up; reference kernel p50 {:.1} us here, {:.1} us on the reference core; setup_s = CPU x reference core / here",
+        quantile(&mut cpu, 0.5),
+        quantile(&mut reference, 0.5) * 1e6,
+        clock::REFERENCE_SECONDS * 1e6
     );
     let metrics = if opts.trace {
         let mut m = out.model.metrics();

@@ -12,6 +12,7 @@
 //! the timing decorator, and the two must agree bit for bit.
 
 use crate::account::{quantile, Host, Modeled, SERVE_RUN, SUBMIT};
+use crate::clock;
 use crate::inputs::{self, SolveCase};
 use crate::probe::{self, span, take_fleets, take_spans, Observed, Span, Timed};
 use crate::replay::solve_traced;
@@ -38,8 +39,13 @@ pub struct Options {
 /// What one run measured.
 #[derive(Default)]
 pub struct Outcome {
-    /// Host seconds of each set-up repetition.
+    /// Each set-up repetition on the set-up clock: seconds on the
+    /// reference core (see [`crate::clock`]).
     pub setup: Vec<f64>,
+    /// The same repetitions in process CPU seconds, unscaled.
+    pub setup_cpu: Vec<f64>,
+    /// CPU seconds of the reference kernel next to each repetition.
+    pub reference: Vec<f64>,
     /// Host seconds of each timed (untraced) request.
     pub host: Vec<f64>,
     /// Ops completed by the timed requests.
@@ -71,20 +77,24 @@ impl Outcome {
     }
 }
 
-/// Seconds between set-up repetitions taken during the loop.
-const SETUP_EVERY: f64 = 2.0;
+/// Share of a run's wall time spent on set-up repetitions.
+const SETUP_SHARE: f64 = 0.1;
 
 /// Decides when a closed loop stops, and samples set-up time: three
-/// repetitions before the first request, then one every
-/// [`SETUP_EVERY`] seconds between requests. On a shared machine the
-/// speed of a core swings by half over seconds, so a run's median
-/// set-up time should span the run, not its first moment.
+/// repetitions before the first request, then, between requests, as
+/// many as keep set-up at [`SETUP_SHARE`] of the run's wall time so far.
+/// On a shared machine the speed of a core swings by half over seconds,
+/// so a run's median set-up time should rest on many samples spread over
+/// the run, not on its first moment.
 struct Pacer {
     start: Instant,
     seconds: f64,
     measured: f64,
+    /// Wall seconds spent in set-up repetitions and their reference bursts.
+    setup_wall: f64,
     setup: Vec<f64>,
-    last_setup: Instant,
+    setup_cpu: Vec<f64>,
+    reference: Vec<f64>,
 }
 
 impl Pacer {
@@ -93,9 +103,18 @@ impl Pacer {
             start: Instant::now(),
             seconds,
             measured: 0.0,
+            setup_wall: 0.0,
             setup: Vec::new(),
-            last_setup: Instant::now(),
+            setup_cpu: Vec::new(),
+            reference: Vec::new(),
         }
+    }
+
+    /// Hands the set-up samples to `out`.
+    fn finish(self, out: &mut Outcome) {
+        out.setup = self.setup;
+        out.setup_cpu = self.setup_cpu;
+        out.reference = self.reference;
     }
 
     /// Whether to send request `i` of a workload whose first pass is
@@ -111,28 +130,25 @@ impl Pacer {
         self.rep(f)
     }
 
-    /// One set-up repetition between requests, when one is due.
+    /// The set-up repetitions due between two requests.
     fn resample<T>(&mut self, f: &mut impl FnMut() -> T) {
-        if self.last_setup.elapsed().as_secs_f64() >= SETUP_EVERY {
+        while self.setup_wall < SETUP_SHARE * self.start.elapsed().as_secs_f64() {
             self.rep(f);
         }
     }
 
-    /// One set-up repetition, recorded as its mean seconds per call. A
-    /// call under 20 ms repeats until 20 ms have passed, so microsecond
-    /// set-ups are not read off a single timer tick.
+    /// One set-up repetition on the set-up clock (see [`crate::clock`]):
+    /// a 10 ms burst of the reference kernel, then the set-up, repeated
+    /// until 20 ms have passed so that microsecond set-ups are not read
+    /// off a single clock tick.
     fn rep<T>(&mut self, f: &mut impl FnMut() -> T) -> T {
-        let t0 = Instant::now();
-        let mut calls = 0u32;
-        let mut last = None;
-        while calls == 0 || t0.elapsed().as_secs_f64() < 0.02 {
-            last = Some(std::hint::black_box(f()));
-            calls += 1;
-        }
-        self.setup
-            .push(t0.elapsed().as_secs_f64() / f64::from(calls));
-        self.last_setup = Instant::now();
-        last.expect("the call ran at least once")
+        let (reference, ref_wall, _) = clock::burst(0.01, &mut clock::reference_work);
+        let (cpu, wall, last) = clock::burst(0.02, f);
+        self.setup.push(cpu / reference * clock::REFERENCE_SECONDS);
+        self.setup_cpu.push(cpu);
+        self.reference.push(reference);
+        self.setup_wall += ref_wall + wall;
+        last
     }
 }
 
@@ -223,7 +239,7 @@ fn run_eval(o: &Options) -> Outcome {
         }
         i += 1;
     }
-    out.setup = pacer.setup;
+    pacer.finish(&mut out);
     out
 }
 
@@ -346,7 +362,7 @@ fn run_solver<P: ClusterProvider>(
         }
         i += 1;
     }
-    out.setup = pacer.setup;
+    pacer.finish(&mut out);
     out
 }
 
@@ -548,7 +564,7 @@ fn run_serve(o: &Options) -> Outcome {
             "service solve seconds vs direct-solver replays of the same jobs: gap {solve_gap:.3e} s"
         ));
     }
-    out.setup = pacer.setup;
+    pacer.finish(&mut out);
     out
 }
 
