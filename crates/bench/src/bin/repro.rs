@@ -12,7 +12,7 @@
 //! repro cluster             C1: multi-device scaling over D in {1,2,4,8} at P = 256
 //! repro session             S1: multi-system residency table and setup amortization
 //! repro solve               Solver: scheduler x backend table (paths/s, occupancy, escalation)
-//! repro newton              N1: device-resident Newton — corrector mode table, flag-only D2H audit
+//! repro newton              N1: device-resident Newton — corrector mode table, flag-only D2H + launch audit
 //! repro syshard             R1: system (row) sharding — over-budget build + D-sweep
 //! repro chaos               F1: fault injection — solves under device loss/corruption
 //! repro trace               T1: deterministic tracing — span replay, stat reconciliation
@@ -243,13 +243,17 @@ fn newton(model_ok: &mut bool) {
     }
     println!(
         "model: DeviceResident fuses the corrector — evaluate, LU-factor,\n\
-         back-substitute, update — against iterates that stay on the engine,\n\
-         so each Newton iteration downloads only the O(P) convergence-flag\n\
-         vector (FLAG_BYTES per live point) instead of every value and\n\
-         Jacobian. The arithmetic is the shared host driver's either way, so\n\
-         endpoints stay bit-identical to CorrectorMode::Host on every\n\
-         scheduler and backend; the probe reconciles the engine's modeled\n\
-         D2H counter byte-for-byte against the driver's charge log.\n"
+         back-substitute, update — against iterates that stay on the engine:\n\
+         per Newton iteration three evaluation launches, one factor-and-solve\n\
+         launch and one download of the O(P) convergence-flag vector\n\
+         (FLAG_BYTES per live point) instead of every value and Jacobian.\n\
+         The arithmetic is the shared host driver's either way, so endpoints\n\
+         stay bit-identical to CorrectorMode::Host on every scheduler and\n\
+         backend; the probe reconciles the engine's modeled D2H counter\n\
+         byte-for-byte, and its launch count exactly, against the driver's\n\
+         charge log. `wall vs host` is a diagnostic, not a gate: the modeled\n\
+         clock charges nothing for the Host corrector's host-side LU, so at\n\
+         dim 2 Host still finishes first.\n"
     );
 }
 
@@ -308,9 +312,11 @@ fn trace(model_ok: &mut bool) {
          scheduler clocks, never the host's, so the same seed replays the exact\n\
          same Chrome-trace JSON byte-for-byte — chaos runs included. The span\n\
          tree is audited against the stats structs it narrates (root solve span\n\
-         == modeled wall clock, cluster batch spans tile the engine wall), and\n\
-         a no-op tracer is asserted free: endpoints, modeled timings, and the\n\
-         telemetry snapshot stay bit-identical to the untraced solve.\n"
+         == modeled wall clock, cluster batch spans tile the engine wall, and on\n\
+         a device-resident solve factor + backsub tile each fused launch and a\n\
+         correct span's children sum to it), and a no-op tracer is asserted\n\
+         free: endpoints, modeled timings, and the telemetry snapshot stay\n\
+         bit-identical to the untraced solve.\n"
     );
 }
 

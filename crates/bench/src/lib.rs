@@ -948,6 +948,10 @@ pub struct NewtonRow {
     pub paths: usize,
     /// Modeled engine wall seconds of the solve.
     pub wall_seconds: f64,
+    /// On `resident` rows, `wall_seconds` over the `host` row's of the
+    /// same scheduler and backend (a diagnostic, not a gate); `None`
+    /// on `host` rows.
+    pub wall_vs_host: Option<f64>,
     /// Modeled host-to-device traffic.
     pub h2d_bytes: u64,
     /// Modeled device-to-host traffic.
@@ -981,15 +985,22 @@ pub struct NewtonSweep {
     pub expected_flag_bytes: u64,
     /// … the one-time endpoint upload/download size (`P·n` elements),
     pub endpoint_bytes: u64,
-    /// … and what the host loop downloads for the *same* correction
-    /// (values + Jacobians, every iteration).
+    /// … what the host loop downloads for the *same* correction
+    /// (values + Jacobians, every iteration),
     pub host_loop_d2h: u64,
+    /// … the launches the fused engine paid, read off its modeled
+    /// launch overhead,
+    pub launches: f64,
+    /// … and the launches the driver's charge log implies: three
+    /// evaluation launches per round plus one factor-and-solve launch
+    /// per round that factors.
+    pub expected_launches: u64,
 }
 
 impl NewtonSweep {
     /// All model-side acceptance bars of `repro newton`, with the
     /// strings the binary prints.
-    pub fn checks(&self) -> [(&'static str, bool); 4] {
+    pub fn checks(&self) -> [(&'static str, bool); 5] {
         [
             (
                 "identity check (DeviceResident endpoints bit-identical to Host, every scheduler x backend)",
@@ -1007,6 +1018,11 @@ impl NewtonSweep {
                 "loop check (fused total download undercuts the host loop's per-iteration traffic)",
                 self.endpoint_bytes + self.flag_bytes < self.host_loop_d2h,
             ),
+            (
+                "launch check (3 evaluation launches per round + 1 factor-and-solve launch per factoring round)",
+                self.expected_launches > 0
+                    && (self.launches - self.expected_launches as f64).abs() < 1e-6,
+            ),
         ]
     }
 
@@ -1023,8 +1039,8 @@ impl NewtonSweep {
 /// [`polygpu_core::CorrectorMode::DeviceResident`], plus a micro-audit
 /// of one fused
 /// `try_correct_batch` call that reconciles its modeled download
-/// byte-for-byte against the driver's reported flag charges. Fully
-/// modeled, hence deterministic.
+/// byte-for-byte, and its launch count exactly, against the charges
+/// the driver reports. Fully modeled, hence deterministic.
 pub fn newton_sweep() -> NewtonSweep {
     use polygpu_cluster::Sharded;
     use polygpu_core::engine::{AnyEvaluator, EngineBuilder};
@@ -1079,7 +1095,7 @@ pub fn newton_sweep() -> NewtonSweep {
     let mut d2h_reduced = true;
     for (name, builder) in &backends {
         for scheduler in schedulers {
-            let mut pair: Vec<(Vec<PathEndpoint>, u64)> = Vec::new();
+            let mut pair: Vec<(Vec<PathEndpoint>, u64, f64)> = Vec::new();
             for (mode, label) in [
                 (CorrectorMode::Host, "host"),
                 (CorrectorMode::DeviceResident, "resident"),
@@ -1094,6 +1110,9 @@ pub fn newton_sweep() -> NewtonSweep {
                     successes: report.successes(),
                     paths: report.paths.len(),
                     wall_seconds: report.engine.wall_clock_seconds(),
+                    wall_vs_host: pair
+                        .first()
+                        .map(|host| report.engine.wall_clock_seconds() / host.2),
                     h2d_bytes: report.engine.h2d_bytes,
                     d2h_bytes: report.engine.d2h_bytes,
                     corrector_iterations: report.engine.corrector_iterations,
@@ -1103,6 +1122,7 @@ pub fn newton_sweep() -> NewtonSweep {
                 pair.push((
                     report.paths.iter().map(|p| p.endpoint.clone()).collect(),
                     report.engine.d2h_bytes,
+                    report.engine.wall_clock_seconds(),
                 ));
             }
             endpoints_identical &= pair[0].0 == pair[1].0;
@@ -1111,14 +1131,20 @@ pub fn newton_sweep() -> NewtonSweep {
     }
 
     // Micro-audit: one fused correction of P points, reconciled
-    // byte-for-byte against the charges the shared driver reports.
-    // The fused call uploads the iterates once and downloads them
-    // once (the same `P·n` elements each way), so everything the
-    // engine downloaded beyond its upload size is per-iteration
-    // traffic — which must equal the flag words the driver charged.
+    // against the charges the shared driver reports. The fused call
+    // uploads the iterates once and downloads them once (the same
+    // `P·n` elements each way), so everything the engine downloaded
+    // beyond its upload size is per-iteration traffic — which must
+    // equal the flag words the driver charged, byte for byte. Every
+    // launch pays the same fixed overhead, so the engine's launch count
+    // is its overhead over one launch's, which must equal three
+    // evaluation launches per round plus one factor-and-solve launch
+    // per round that factors.
     struct ChargeRecorder<'a> {
         engine: &'a mut dyn AnyEvaluator<f64>,
         flag_bytes: u64,
+        rounds: u64,
+        factor_rounds: u64,
     }
     impl CorrectOps<f64> for ChargeRecorder<'_> {
         fn eval(
@@ -1126,11 +1152,13 @@ pub fn newton_sweep() -> NewtonSweep {
             points: &[Vec<C64>],
             _indices: &[usize],
         ) -> Result<Vec<SystemEval<f64>>, BatchError> {
+            self.rounds += 1;
             self.engine.try_evaluate_batch(points)
         }
         fn charge(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
-            if let CorrectCharge::Flags { count } = ev {
-                self.flag_bytes += (count * FLAG_BYTES) as u64;
+            match ev {
+                CorrectCharge::Flags { count } => self.flag_bytes += (count * FLAG_BYTES) as u64,
+                CorrectCharge::FactorSolve { .. } => self.factor_rounds += 1,
             }
             Ok(())
         }
@@ -1158,11 +1186,14 @@ pub fn newton_sweep() -> NewtonSweep {
     let mut recorder = ChargeRecorder {
         engine: cpu.as_mut(),
         flag_bytes: 0,
+        rounds: 0,
+        factor_rounds: 0,
     };
     let mut ref_pts = probe_points.clone();
     drive_correct(&mut recorder, &mut IdentityCombine, &mut ref_pts, &cparams)
         .expect("host replay of the probe correction succeeds");
     let expected_flag_bytes = recorder.flag_bytes;
+    let expected_launches = 3 * recorder.rounds + recorder.factor_rounds;
 
     let mut fused = backends[0].1.clone().build(&sys).expect("probe fits");
     fused.reset_engine_stats();
@@ -1173,6 +1204,7 @@ pub fn newton_sweep() -> NewtonSweep {
     let fused_stats = fused.engine_stats();
     let endpoint_bytes = fused_stats.h2d_bytes;
     let flag_bytes = fused_stats.d2h_bytes.saturating_sub(endpoint_bytes);
+    let launches = fused_stats.overhead_seconds / DeviceSpec::tesla_c2050().launch_overhead;
 
     let mut host = backends[0].1.clone().build(&sys).expect("probe fits");
     host.reset_engine_stats();
@@ -1196,6 +1228,8 @@ pub fn newton_sweep() -> NewtonSweep {
         expected_flag_bytes,
         endpoint_bytes,
         host_loop_d2h,
+        launches,
+        expected_launches,
     }
 }
 
@@ -1206,10 +1240,10 @@ pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
         "### Device-resident Newton — corrector mode x scheduler x backend (36 paths, dim-2 system)\n\n",
     );
     s.push_str(
-        "| scheduler | backend | corrector | paths ok | modeled wall | H2D | D2H | fused iters | factor+backsub |\n",
+        "| scheduler | backend | corrector | paths ok | modeled wall | H2D | D2H | wall vs host | fused iters | factor+backsub |\n",
     );
     s.push_str(
-        "|-----------|---------|-----------|---------:|-------------:|----:|----:|------------:|---------------:|\n",
+        "|-----------|---------|-----------|---------:|-------------:|----:|----:|-------------:|------------:|---------------:|\n",
     );
     for r in &sweep.rows {
         let kernels = if r.factor_seconds > 0.0 {
@@ -1217,8 +1251,11 @@ pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
         } else {
             "-".to_string()
         };
+        let ratio = r
+            .wall_vs_host
+            .map_or("-".to_string(), |x| format!("{x:.3}"));
         s.push_str(&format!(
-            "| {} | {} | {} | {}/{} | {:.1} us | {} KiB | {} KiB | {} | {} |\n",
+            "| {} | {} | {} | {}/{} | {:.1} us | {} KiB | {} KiB | {} | {} | {} |\n",
             r.scheduler,
             r.backend,
             r.mode,
@@ -1227,18 +1264,22 @@ pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
             r.wall_seconds * 1e6,
             r.h2d_bytes / 1024,
             r.d2h_bytes / 1024,
+            ratio,
             r.corrector_iterations,
             kernels,
         ));
     }
     s.push_str(&format!(
         "\nfused probe ({} points): {} B endpoint upload+download, {} B flag downloads \
-         (driver charged {} B); the host loop moves {} B D2H for the same correction\n",
+         (driver charged {} B); the host loop moves {} B D2H for the same correction; \
+         {:.0} launches (driver log implies {})\n",
         sweep.points,
         sweep.endpoint_bytes,
         sweep.flag_bytes,
         sweep.expected_flag_bytes,
-        sweep.host_loop_d2h
+        sweep.host_loop_d2h,
+        sweep.launches,
+        sweep.expected_launches
     ));
     s
 }
@@ -1728,13 +1769,22 @@ pub struct TraceSweep {
     /// Rendered [`TelemetrySnapshot`](polygpu_obs::TelemetrySnapshot)
     /// of one clean traced run, for display.
     pub sample_telemetry: String,
+    /// The `DeviceResident` solve: fused factor-and-solve launches
+    /// traced, …
+    pub fused_launches: usize,
+    /// … each tiled by one `factor` and one `backsub` span,
+    pub fused_tiled: bool,
+    /// … `correct` spans traced, …
+    pub correct_spans: usize,
+    /// … and the children of each summing to its duration.
+    pub correct_reconciled: bool,
 }
 
 impl TraceSweep {
     /// The named acceptance bars of `repro trace` — the single source
     /// of truth behind both [`TraceSweep::passes`] and the PASS/FAIL
     /// lines the `repro` binary prints.
-    pub fn checks(&self) -> [(&'static str, bool); 4] {
+    pub fn checks(&self) -> [(&'static str, bool); 6] {
         [
             (
                 "determinism check (same seed ⇒ byte-identical Chrome trace)",
@@ -1751,6 +1801,14 @@ impl TraceSweep {
             (
                 "fault-span check (every recovered run shows fault-lifecycle spans)",
                 self.faulted_runs > 0 && self.fault_spans_present,
+            ),
+            (
+                "fused-launch check (factor + backsub spans tile every factor-and-solve launch)",
+                self.fused_launches > 0 && self.fused_tiled,
+            ),
+            (
+                "correct-span check (the children of every correct span sum to its duration)",
+                self.correct_spans > 0 && self.correct_reconciled,
             ),
         ]
     }
@@ -1772,8 +1830,12 @@ impl TraceSweep {
 /// as the solve itself. Finished runs additionally reconcile the span
 /// tree against the report (root `solve` span == modeled wall clock,
 /// cluster `batch` spans sum to the engine wall), and faulted runs must
-/// leave retry/backoff/detect spans behind. Fully modeled, hence
-/// deterministic — same seeds, same table, forever.
+/// leave retry/backoff/detect spans behind. One more solve, with the
+/// `DeviceResident` corrector on the batched GPU engine, checks the
+/// fused corrector's spans: a `factor` and a `backsub` span tile each
+/// factor-and-solve `launch`, and the children of each `correct` span
+/// sum to its duration. Fully modeled, hence deterministic — same
+/// seeds, same table, forever.
 pub fn trace_sweep() -> TraceSweep {
     use polygpu_cluster::Sharded;
     use polygpu_core::engine::{ClusterPolicy, EngineBuilder, SystemShardPolicy};
@@ -1921,6 +1983,51 @@ pub fn trace_sweep() -> TraceSweep {
         }
     }
 
+    // The fused corrector, traced on one device.
+    let tracer = Arc::new(CollectingTracer::new());
+    let resident = polygpu_cluster::engine_builder().backend(polygpu_core::Backend::GpuBatch {
+        capacity: 2 * per_device,
+    });
+    Solver::from_builder(resident)
+        .solve(
+            &req.clone()
+                .with_corrector(polygpu_core::CorrectorMode::DeviceResident)
+                .with_tracer(tracer.clone()),
+        )
+        .expect("the device-resident solve must finish");
+    let spans = tracer.spans();
+    let spans_of = |kind: SpanKind| spans.iter().filter(move |s| s.kind == kind);
+    let fused: Vec<&polygpu_obs::Span> = spans_of(SpanKind::Launch)
+        .filter(|s| s.meta.iter().any(|(k, _)| *k == "staging"))
+        .collect();
+    let fused_tiled = spans_of(SpanKind::Factor).count() == fused.len()
+        && spans_of(SpanKind::Backsub).count() == fused.len()
+        && fused.iter().all(|l| {
+            let factor =
+                spans_of(SpanKind::Factor).find(|f| f.track == l.track && f.start == l.start);
+            let backsub = factor.and_then(|f| {
+                spans_of(SpanKind::Backsub)
+                    .find(|b| b.track == l.track && rel_eq(b.start, f.start + f.dur))
+            });
+            matches!((factor, backsub), (Some(f), Some(b)) if rel_eq(f.dur + b.dur, l.dur))
+        });
+    let correct: Vec<&polygpu_obs::Span> = spans_of(SpanKind::Correct).collect();
+    let correct_reconciled = correct.iter().all(|c| {
+        let end = c.start + c.dur;
+        let slack = 1e-9 * end.abs().max(1e-30);
+        let children: f64 = spans
+            .iter()
+            .filter(|s| {
+                s.depth == c.depth + 1
+                    && s.track.pid() == c.track.pid()
+                    && s.start >= c.start - slack
+                    && s.start + s.dur <= end + slack
+            })
+            .map(|s| s.dur)
+            .sum();
+        rel_eq(children, c.dur)
+    });
+
     TraceSweep {
         rows,
         all_deterministic,
@@ -1929,6 +2036,10 @@ pub fn trace_sweep() -> TraceSweep {
         faulted_runs,
         fault_spans_present,
         sample_telemetry,
+        fused_launches: fused.len(),
+        fused_tiled,
+        correct_spans: correct.len(),
+        correct_reconciled,
     }
 }
 
@@ -1967,6 +2078,15 @@ pub fn format_trace_sweep(sweep: &TraceSweep) -> String {
         } else {
             "BROKEN"
         }
+    ));
+    let yes_no = |ok: bool| if ok { "yes" } else { "NO" };
+    s.push_str(&format!(
+        "device-resident solve (gpu-batch): {} factor-and-solve launches, tiled by factor + backsub: {}; \
+         {} correct spans, children sum to each: {}\n",
+        sweep.fused_launches,
+        yes_no(sweep.fused_tiled),
+        sweep.correct_spans,
+        yes_no(sweep.correct_reconciled)
     ));
     s
 }
@@ -2953,15 +3073,19 @@ mod tests {
         assert!(sweep.expected_flag_bytes > 0);
         assert_eq!(sweep.flag_bytes, sweep.expected_flag_bytes);
         assert!(sweep.endpoint_bytes + sweep.flag_bytes < sweep.host_loop_d2h);
+        assert!(sweep.expected_launches > 0);
+        assert!((sweep.launches - sweep.expected_launches as f64).abs() < 1e-6);
         assert!(sweep.passes());
         // The fused kernels are charged exactly on the resident rows.
         for r in &sweep.rows {
             if r.mode == "resident" {
                 assert!(r.corrector_iterations > 0, "{r:?}");
                 assert!(r.factor_seconds > 0.0 && r.backsub_seconds > 0.0, "{r:?}");
+                assert!(r.wall_vs_host.is_some_and(|x| x > 0.0), "{r:?}");
             } else {
                 assert_eq!(r.corrector_iterations, 0, "{r:?}");
                 assert_eq!(r.factor_seconds, 0.0, "{r:?}");
+                assert_eq!(r.wall_vs_host, None, "{r:?}");
             }
         }
         let s = format_newton_sweep(&sweep);

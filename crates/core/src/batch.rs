@@ -22,7 +22,7 @@
 //!   counters exactly.
 
 use crate::correct::{
-    drive_correct, CombineMap, CorrectCharge, CorrectOps, CorrectParams, CorrectStatus, FLAG_BYTES,
+    correct_resident, Charges, CombineMap, CorrectParams, CorrectStatus, FusedEngine,
 };
 use crate::kernels::batch::{
     BatchCommonFactorFromScratch, BatchCommonFactorKernel, BatchLayout, BatchSpeelpenningKernel,
@@ -551,104 +551,85 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// Fused device-resident Newton correction: upload the iterates
     /// once, then per iteration evaluate → factor → back-substitute →
     /// update entirely on the (simulated) device, downloading only the
-    /// `O(P)` convergence-flag vector ([`FLAG_BYTES`] per live point);
-    /// the corrected endpoints come back in one final transfer.
+    /// `O(P)` convergence-flag vector
+    /// ([`FLAG_BYTES`](crate::correct::FLAG_BYTES) per live point); the
+    /// corrected endpoints come back in one final transfer.
     ///
     /// Endpoints and statuses are **bit-identical** to the host
     /// corrector (the trait default of
     /// [`crate::engine::AnyEvaluator::try_correct_batch`]): both run
-    /// [`drive_correct`], which factors through the shared
-    /// [`polygpu_complex::lu`] routine — same pivoting order, same
-    /// arithmetic, different cost charges. The factor and
-    /// back-substitution launches are costed by
-    /// `polygpu_gpusim::linalg` ([`lu_factor_cost`]/[`backsub_cost`])
-    /// and are subject to fault injection like every other modeled
-    /// kernel; a fault aborts the call with `points` untouched, so a
-    /// retry replays bit-identically.
+    /// [`drive_correct`](crate::correct::drive_correct), which factors
+    /// through the shared [`polygpu_complex::lu`] routine — same
+    /// pivoting order, same arithmetic, different cost charges. Each
+    /// iteration's factor, back-substitution and update are one launch
+    /// costed by [`factor_solve_cost`] and subject to fault injection
+    /// like every other modeled kernel; a fault aborts the call with
+    /// `points` untouched, so a retry replays bit-identically. A system
+    /// too large for that launch's pivot panel surfaces
+    /// [`BatchError::Launch`], again with `points` untouched.
     pub fn try_correct_batch(
         &mut self,
         points: &mut [Vec<Complex<R>>],
         combine: &mut dyn CombineMap<R>,
         params: &CorrectParams,
     ) -> Result<Vec<CorrectStatus>, BatchError> {
-        let shape = self.shape;
-        let p = points.len();
-        if p == 0 {
-            return Err(BatchError::Empty);
-        }
-        if p > self.layout.capacity {
-            return Err(BatchError::CapacityExceeded {
-                points: p,
-                capacity: self.layout.capacity,
-            });
-        }
-        for (i, x) in points.iter().enumerate() {
-            if x.len() != shape.n {
-                return Err(BatchError::DimensionMismatch {
-                    point: i,
-                    got: x.len(),
-                    expected: shape.n,
-                });
-            }
-        }
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let wall0 = self.stats.wall_seconds;
-
-        // One upload makes the iterates device-resident.
-        let h2d = transfer_seconds(&self.device, p * shape.n * elem);
-        self.fault_check(OpClass::HostToDevice, h2d, 0.0)?;
-        self.stats.transfer_seconds += h2d;
-        self.stats.h2d_bytes += (p * shape.n * elem) as u64;
-        self.stats.wall_seconds += h2d;
-        if self.opts.trace.enabled() {
-            self.opts
-                .trace
-                .lane(Lane::H2D)
-                .emit(SpanKind::Upload, wall0, h2d, 4, &[]);
-        }
-
-        // The driver mutates scratch; the caller's points are only
-        // committed on full success, so a mid-call fault leaves them
-        // untouched and a retried call replays bit-identically.
-        let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
-        let statuses = drive_correct(&mut ResidentOps(self), combine, &mut scratch, params)?;
-
-        // One download brings the corrected endpoints home.
-        let d2h = transfer_seconds(&self.device, p * shape.n * elem);
-        self.fault_check(OpClass::DeviceToHost, d2h, 0.0)?;
-        self.stats.transfer_seconds += d2h;
-        self.stats.d2h_bytes += (p * shape.n * elem) as u64;
-        let dl0 = self.stats.wall_seconds;
-        self.stats.wall_seconds += d2h;
-        if self.opts.trace.enabled() {
-            self.opts
-                .trace
-                .lane(Lane::D2H)
-                .emit(SpanKind::Download, dl0, d2h, 4, &[]);
-        }
-
-        for (dst, src) in points.iter_mut().zip(scratch) {
-            *dst = src;
-        }
-        self.stats.corrections += p as u64;
-        self.stats.corrector_iterations +=
-            statuses.iter().map(|s| s.iterations as u64).sum::<u64>();
-        self.opts.trace.emit(
-            SpanKind::Correct,
-            wall0,
-            self.stats.wall_seconds - wall0,
-            3,
-            &[("points", MetaValue::U64(p as u64))],
-        );
-        Ok(statuses)
+        correct_resident(self, points, combine, params)
     }
 
+    /// Modeled kernel seconds of the most recent batch (the adaptive
+    /// chunk search input; exposed for tests and benches).
+    pub fn last_kernel_seconds(&self) -> f64 {
+        self.last_reports
+            .iter()
+            .map(|r| r.timing.kernel_seconds)
+            .sum()
+    }
+
+    /// Device bytes the batched buffers occupy (grows with capacity).
+    pub fn allocated_bytes(&self) -> usize {
+        self.global.allocated_bytes()
+    }
+
+    fn fault_check(
+        &mut self,
+        class: OpClass,
+        op_seconds: f64,
+        elapsed: f64,
+    ) -> Result<(), BatchError> {
+        inject(
+            &mut self.injector,
+            &mut self.stats,
+            &self.device,
+            class,
+            op_seconds,
+            elapsed,
+            &self.opts.trace,
+        )
+    }
+}
+
+/// Unwrap a batch result at the panicking trait boundary. The
+/// `SystemEvaluator`/`BatchSystemEvaluator` traits return values, not
+/// `Result`s, so a contract violation reaching them is a **caller
+/// bug** — but the typed error is always reachable first through
+/// `try_evaluate`/`try_evaluate_batch`, which propagate [`BatchError`]s
+/// without aborting (what the conformance suite exercises). Every
+/// evaluator in the workspace funnels its trait boundary through this
+/// one helper.
+pub fn expect_batch<T>(result: Result<T, BatchError>) -> T {
+    match result {
+        Ok(v) => v,
+        Err(e) => panic!("batch contract violated (use try_evaluate_batch to handle this): {e}"),
+    }
+}
+
+impl<R: Real> FusedEngine<R> for BatchGpuEvaluator<R> {
     /// One evaluation round of the fused corrector: the three batched
     /// kernels against the **resident** live iterates. Staging the
     /// compacted live subset into the pitched vars buffer models a
     /// device-side gather (no PCIe traffic); results are decoded from
-    /// the simulated global memory without a download — only
-    /// [`Self::charge_correct`]'s flag read crosses the bus.
+    /// the simulated global memory without a download — only the
+    /// round's flag read crosses the bus.
     fn eval_resident(
         &mut self,
         points: &[Vec<Complex<R>>],
@@ -750,129 +731,13 @@ impl<R: Real> BatchGpuEvaluator<R> {
         Ok(evals)
     }
 
-    /// Charge one modeled operation of the fused corrector loop: the
-    /// batched LU-factor + back-substitution launches, or the per-round
-    /// convergence-flag download.
-    fn charge_correct(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        match ev {
-            CorrectCharge::FactorSolve { count } => {
-                let n = self.shape.n;
-                let fac = lu_factor_cost(&self.device, n, count, elem);
-                let bs = backsub_cost(&self.device, n, count, elem);
-                let ft = fac.timing.total_seconds();
-                let bt = bs.timing.total_seconds();
-                self.fault_check(OpClass::Kernel, ft, 0.0)?;
-                let t0 = self.stats.wall_seconds;
-                self.stats.counters += fac.counters;
-                self.stats.kernel_seconds += fac.timing.kernel_seconds;
-                self.stats.overhead_seconds += fac.timing.overhead_seconds;
-                self.stats.factor_seconds += fac.timing.kernel_seconds;
-                self.stats.wall_seconds += ft;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::Compute)
-                        .emit(SpanKind::Factor, t0, ft, 4, &[]);
-                }
-                self.fault_check(OpClass::Kernel, bt, 0.0)?;
-                let t1 = self.stats.wall_seconds;
-                self.stats.counters += bs.counters;
-                self.stats.kernel_seconds += bs.timing.kernel_seconds;
-                self.stats.overhead_seconds += bs.timing.overhead_seconds;
-                self.stats.backsub_seconds += bs.timing.kernel_seconds;
-                self.stats.wall_seconds += bt;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::Compute)
-                        .emit(SpanKind::Backsub, t1, bt, 4, &[]);
-                }
-            }
-            CorrectCharge::Flags { count } => {
-                let bytes = count * FLAG_BYTES;
-                let d2h = transfer_seconds(&self.device, bytes);
-                self.fault_check(OpClass::DeviceToHost, d2h, 0.0)?;
-                let t0 = self.stats.wall_seconds;
-                self.stats.transfer_seconds += d2h;
-                self.stats.d2h_bytes += bytes as u64;
-                self.stats.wall_seconds += d2h;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::D2H)
-                        .emit(SpanKind::Download, t0, d2h, 4, &[]);
-                }
-            }
+    fn charges(&mut self) -> Charges<'_> {
+        Charges {
+            device: &self.device,
+            stats: &mut self.stats,
+            injector: &mut self.injector,
+            trace: &self.opts.trace,
         }
-        Ok(())
-    }
-
-    /// Modeled kernel seconds of the most recent batch (the adaptive
-    /// chunk search input; exposed for tests and benches).
-    pub fn last_kernel_seconds(&self) -> f64 {
-        self.last_reports
-            .iter()
-            .map(|r| r.timing.kernel_seconds)
-            .sum()
-    }
-
-    /// Device bytes the batched buffers occupy (grows with capacity).
-    pub fn allocated_bytes(&self) -> usize {
-        self.global.allocated_bytes()
-    }
-
-    fn fault_check(
-        &mut self,
-        class: OpClass,
-        op_seconds: f64,
-        elapsed: f64,
-    ) -> Result<(), BatchError> {
-        inject(
-            &mut self.injector,
-            &mut self.stats,
-            &self.device,
-            class,
-            op_seconds,
-            elapsed,
-            &self.opts.trace,
-        )
-    }
-}
-
-/// [`CorrectOps`] view of a [`BatchGpuEvaluator`] during a fused
-/// device-resident correction: evaluation rounds run against the
-/// resident iterates (no per-iteration transfers), and the
-/// factor/back-substitution/flag operations are charged through the
-/// engine's cost model and fault schedule.
-struct ResidentOps<'a, R: Real>(&'a mut BatchGpuEvaluator<R>);
-
-impl<R: Real> CorrectOps<R> for ResidentOps<'_, R> {
-    fn eval(
-        &mut self,
-        points: &[Vec<Complex<R>>],
-        _indices: &[usize],
-    ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        self.0.eval_resident(points)
-    }
-
-    fn charge(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
-        self.0.charge_correct(ev)
-    }
-}
-
-/// Unwrap a batch result at the panicking trait boundary. The
-/// `SystemEvaluator`/`BatchSystemEvaluator` traits return values, not
-/// `Result`s, so a contract violation reaching them is a **caller
-/// bug** — but the typed error is always reachable first through
-/// `try_evaluate`/`try_evaluate_batch`, which propagate [`BatchError`]s
-/// without aborting (what the conformance suite exercises). Every
-/// evaluator in the workspace funnels its trait boundary through this
-/// one helper.
-pub fn expect_batch<T>(result: Result<T, BatchError>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => panic!("batch contract violated (use try_evaluate_batch to handle this): {e}"),
     }
 }
 

@@ -17,14 +17,21 @@
 //! construction. What differs between the modes is only *where the
 //! cost model charges the work*: the host path charges full round
 //! trips through `try_evaluate_batch`; the device-resident path
-//! (`BatchGpuEvaluator::try_correct_batch` and its sparse sibling)
-//! charges the batched factor/back-substitution kernel entries of
-//! `polygpu_gpusim::linalg` and the flag download.
+//! (`BatchGpuEvaluator::try_correct_batch` and its sparse sibling, both
+//! one shared `correct_resident`) uploads the iterates once and charges per
+//! Newton iteration three evaluation launches, **one** fused
+//! factor-and-solve launch (`polygpu_gpusim::linalg::factor_solve_cost`)
+//! and one flag download.
 
 use crate::batch::BatchError;
+use crate::pipeline::{inject, PipelineStats};
 use polygpu_complex::lu::lu_decompose;
 use polygpu_complex::{Complex, Real};
-use polygpu_polysys::SystemEval;
+use polygpu_gpusim::prelude::{
+    factor_solve_cost, transfer_seconds, DeviceSpec, DeviceValue, FaultInjector, OpClass,
+};
+use polygpu_obs::{Lane, MetaValue, SpanKind, TraceSink};
+use polygpu_polysys::{BatchSystemEvaluator, SystemEval};
 
 /// Where the corrector's linear solves run — and, since the device is
 /// simulated, where their cost is charged.
@@ -152,8 +159,8 @@ impl<R: Real> CombineMap<R> for OffsetCombine<'_, R> {
 /// the cost model and fault schedule do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectCharge {
-    /// Batched LU factorization + back-substitution of `count` live
-    /// Jacobians.
+    /// One fused factor-and-solve launch over `count` live Jacobians:
+    /// LU factorization, back-substitution and the update.
     FactorSolve { count: usize },
     /// Download of `count` convergence-flag words
     /// ([`FLAG_BYTES`] each).
@@ -179,6 +186,192 @@ pub trait CorrectOps<R: Real> {
     fn charge(&mut self, _ev: CorrectCharge) -> Result<(), BatchError> {
         Ok(())
     }
+}
+
+/// The parts of a batched engine the fused corrector charges: its
+/// device, stats, fault schedule and trace.
+pub(crate) struct Charges<'a> {
+    pub device: &'a DeviceSpec,
+    pub stats: &'a mut PipelineStats,
+    pub injector: &'a mut Option<FaultInjector>,
+    pub trace: &'a TraceSink,
+}
+
+impl Charges<'_> {
+    /// One PCIe transfer of `bytes` in the direction of `class`
+    /// (`HostToDevice` or `DeviceToHost`).
+    fn transfer(&mut self, class: OpClass, bytes: usize) -> Result<(), BatchError> {
+        let secs = transfer_seconds(self.device, bytes);
+        inject(
+            self.injector,
+            self.stats,
+            self.device,
+            class,
+            secs,
+            0.0,
+            self.trace,
+        )?;
+        let t0 = self.stats.wall_seconds;
+        self.stats.transfer_seconds += secs;
+        let (lane, kind) = if class == OpClass::HostToDevice {
+            self.stats.h2d_bytes += bytes as u64;
+            (Lane::H2D, SpanKind::Upload)
+        } else {
+            self.stats.d2h_bytes += bytes as u64;
+            (Lane::D2H, SpanKind::Download)
+        };
+        self.stats.wall_seconds += secs;
+        if self.trace.enabled() {
+            self.trace.lane(lane).emit(kind, t0, secs, 4, &[]);
+        }
+        Ok(())
+    }
+}
+
+/// A batched engine that runs the fused corrector: evaluation rounds
+/// against device-resident iterates, plus the parts the corrector
+/// charges. The dense and sparse batched engines implement it, and
+/// their `try_correct_batch` is [`correct_resident`].
+pub(crate) trait FusedEngine<R: Real>: BatchSystemEvaluator<R> {
+    /// One evaluation round (three launches) against the resident live
+    /// iterates; no PCIe traffic.
+    fn eval_resident(
+        &mut self,
+        points: &[Vec<Complex<R>>],
+    ) -> Result<Vec<SystemEval<R>>, BatchError>;
+    /// The parts the corrector charges.
+    fn charges(&mut self) -> Charges<'_>;
+}
+
+/// Charge one modeled operation of the fused corrector loop: the one
+/// fused factor-and-solve launch ([`factor_solve_cost`]) whose kernel
+/// time splits into the `factor_seconds` and `backsub_seconds` phases,
+/// or the round's flag download. On the trace the launch is a `launch`
+/// span tiled by a `factor` and a `backsub` span, the launch overhead
+/// counted in the `factor` span. A system whose pivot panel does not
+/// fit one SM's shared memory fails here with [`BatchError::Launch`]
+/// before anything is charged.
+fn charge_correct<R: Real>(
+    c: &mut Charges<'_>,
+    n: usize,
+    ev: CorrectCharge,
+) -> Result<(), BatchError> {
+    match ev {
+        CorrectCharge::FactorSolve { count } => {
+            let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
+            let cost = factor_solve_cost(c.device, n, count, elem)?;
+            let timing = cost.launch.timing;
+            let total = timing.total_seconds();
+            inject(
+                c.injector,
+                c.stats,
+                c.device,
+                OpClass::Kernel,
+                total,
+                0.0,
+                c.trace,
+            )?;
+            let t0 = c.stats.wall_seconds;
+            c.stats.counters += cost.launch.counters;
+            c.stats.kernel_seconds += timing.kernel_seconds;
+            c.stats.overhead_seconds += timing.overhead_seconds;
+            c.stats.factor_seconds += cost.factor_seconds;
+            c.stats.backsub_seconds += cost.backsub_seconds;
+            c.stats.wall_seconds += total;
+            if c.trace.enabled() {
+                let lane = c.trace.lane(Lane::Compute);
+                let factor = timing.overhead_seconds + cost.factor_seconds;
+                lane.emit(
+                    SpanKind::Launch,
+                    t0,
+                    total,
+                    4,
+                    &[("staging", MetaValue::Str(cost.staging.name()))],
+                );
+                lane.emit(SpanKind::Factor, t0, factor, 5, &[]);
+                lane.emit(SpanKind::Backsub, t0 + factor, total - factor, 5, &[]);
+            }
+            Ok(())
+        }
+        CorrectCharge::Flags { count } => c.transfer(OpClass::DeviceToHost, count * FLAG_BYTES),
+    }
+}
+
+/// The [`CorrectOps`] view of a [`FusedEngine`] during a fused
+/// correction.
+struct ResidentOps<'a, R: Real>(&'a mut dyn FusedEngine<R>);
+
+impl<R: Real> CorrectOps<R> for ResidentOps<'_, R> {
+    fn eval(
+        &mut self,
+        points: &[Vec<Complex<R>>],
+        _indices: &[usize],
+    ) -> Result<Vec<SystemEval<R>>, BatchError> {
+        self.0.eval_resident(points)
+    }
+
+    fn charge(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
+        let n = self.0.dim();
+        charge_correct::<R>(&mut self.0.charges(), n, ev)
+    }
+}
+
+/// Fused device-resident Newton correction on one batched engine: upload
+/// the iterates once, run [`drive_correct`] against the resident state
+/// (per iteration three evaluation launches, one factor-and-solve
+/// launch and one flag download), download the endpoints once.
+///
+/// The driver mutates scratch; the caller's points are committed only
+/// on full success, so a fault or a [`BatchError::Launch`] leaves them
+/// untouched and a retried call replays bit-identically.
+pub(crate) fn correct_resident<R: Real>(
+    engine: &mut dyn FusedEngine<R>,
+    points: &mut [Vec<Complex<R>>],
+    combine: &mut dyn CombineMap<R>,
+    params: &CorrectParams,
+) -> Result<Vec<CorrectStatus>, BatchError> {
+    let n = engine.dim();
+    let p = points.len();
+    if p == 0 {
+        return Err(BatchError::Empty);
+    }
+    let capacity = engine.max_batch();
+    if p > capacity {
+        return Err(BatchError::CapacityExceeded {
+            points: p,
+            capacity,
+        });
+    }
+    for (i, x) in points.iter().enumerate() {
+        if x.len() != n {
+            return Err(BatchError::DimensionMismatch {
+                point: i,
+                got: x.len(),
+                expected: n,
+            });
+        }
+    }
+    let bytes = p * n * <Complex<R> as DeviceValue>::DEVICE_BYTES;
+    let wall0 = engine.charges().stats.wall_seconds;
+    engine.charges().transfer(OpClass::HostToDevice, bytes)?;
+    let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
+    let statuses = drive_correct(&mut ResidentOps(engine), combine, &mut scratch, params)?;
+    let mut c = engine.charges();
+    c.transfer(OpClass::DeviceToHost, bytes)?;
+
+    for (dst, src) in points.iter_mut().zip(scratch) {
+        *dst = src;
+    }
+    c.stats.corrections += p as u64;
+    c.stats.corrector_iterations += statuses.iter().map(|s| s.iterations as u64).sum::<u64>();
+    c.trace.emit(
+        SpanKind::Correct,
+        wall0,
+        c.stats.wall_seconds - wall0,
+        3,
+        &[("points", MetaValue::U64(p as u64))],
+    );
+    Ok(statuses)
 }
 
 /// Residual / step-size norm: `max_i |v_i|`, measured in `f64` like

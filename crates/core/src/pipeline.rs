@@ -140,10 +140,11 @@ pub struct PipelineStats {
     /// the per-iteration share of this is the `O(P)` convergence-flag
     /// download only.
     pub d2h_bytes: u64,
-    /// Modeled seconds in batched on-device LU factorization (the
-    /// device-resident corrector's `factor` spans).
+    /// Modeled kernel seconds of the elimination phase of the
+    /// device-resident corrector's factor-and-solve launches.
     pub factor_seconds: f64,
-    /// Modeled seconds in batched on-device back-substitution.
+    /// Modeled kernel seconds of their back-substitution and update
+    /// phase; with `factor_seconds`, the launches' kernel time.
     pub backsub_seconds: f64,
     /// Fused device-resident corrector calls, in points (a call over
     /// `P` points counts `P`).

@@ -17,7 +17,7 @@
 
 use crate::batch::{expect_batch, BatchError};
 use crate::correct::{
-    drive_correct, CombineMap, CorrectCharge, CorrectOps, CorrectParams, CorrectStatus, FLAG_BYTES,
+    correct_resident, Charges, CombineMap, CorrectParams, CorrectStatus, FusedEngine,
 };
 use crate::kernels::sparse::{
     SparseBatchLayout, SparseCommonFactorKernel, SparseSpeelpenningKernel, SparseSumKernel,
@@ -361,73 +361,28 @@ impl<R: Real> SparseBatchGpuEvaluator<R> {
         combine: &mut dyn CombineMap<R>,
         params: &CorrectParams,
     ) -> Result<Vec<CorrectStatus>, BatchError> {
-        let shape = self.shape;
-        let p = points.len();
-        if p == 0 {
-            return Err(BatchError::Empty);
-        }
-        if p > self.layout.capacity {
-            return Err(BatchError::CapacityExceeded {
-                points: p,
-                capacity: self.layout.capacity,
-            });
-        }
-        for (i, x) in points.iter().enumerate() {
-            if x.len() != shape.n {
-                return Err(BatchError::DimensionMismatch {
-                    point: i,
-                    got: x.len(),
-                    expected: shape.n,
-                });
-            }
-        }
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let wall0 = self.stats.wall_seconds;
-
-        let h2d = transfer_seconds(&self.device, p * shape.n * elem);
-        self.fault_check(OpClass::HostToDevice, h2d, 0.0)?;
-        self.stats.transfer_seconds += h2d;
-        self.stats.h2d_bytes += (p * shape.n * elem) as u64;
-        self.stats.wall_seconds += h2d;
-        if self.opts.trace.enabled() {
-            self.opts
-                .trace
-                .lane(Lane::H2D)
-                .emit(SpanKind::Upload, wall0, h2d, 4, &[]);
-        }
-
-        let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
-        let statuses = drive_correct(&mut SparseResidentOps(self), combine, &mut scratch, params)?;
-
-        let d2h = transfer_seconds(&self.device, p * shape.n * elem);
-        self.fault_check(OpClass::DeviceToHost, d2h, 0.0)?;
-        self.stats.transfer_seconds += d2h;
-        self.stats.d2h_bytes += (p * shape.n * elem) as u64;
-        let dl0 = self.stats.wall_seconds;
-        self.stats.wall_seconds += d2h;
-        if self.opts.trace.enabled() {
-            self.opts
-                .trace
-                .lane(Lane::D2H)
-                .emit(SpanKind::Download, dl0, d2h, 4, &[]);
-        }
-
-        for (dst, src) in points.iter_mut().zip(scratch) {
-            *dst = src;
-        }
-        self.stats.corrections += p as u64;
-        self.stats.corrector_iterations +=
-            statuses.iter().map(|s| s.iterations as u64).sum::<u64>();
-        self.opts.trace.emit(
-            SpanKind::Correct,
-            wall0,
-            self.stats.wall_seconds - wall0,
-            3,
-            &[("points", MetaValue::U64(p as u64))],
-        );
-        Ok(statuses)
+        correct_resident(self, points, combine, params)
     }
 
+    fn fault_check(
+        &mut self,
+        class: OpClass,
+        op_seconds: f64,
+        elapsed: f64,
+    ) -> Result<(), BatchError> {
+        inject(
+            &mut self.injector,
+            &mut self.stats,
+            &self.device,
+            class,
+            op_seconds,
+            elapsed,
+            &self.opts.trace,
+        )
+    }
+}
+
+impl<R: Real> FusedEngine<R> for SparseBatchGpuEvaluator<R> {
     /// One evaluation round of the fused corrector against the
     /// resident live iterates (staging models a device-side gather;
     /// no PCIe traffic).
@@ -521,78 +476,13 @@ impl<R: Real> SparseBatchGpuEvaluator<R> {
         Ok(evals)
     }
 
-    /// Charge one modeled operation of the fused corrector loop (see
-    /// the dense engine's `charge_correct`).
-    fn charge_correct(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        match ev {
-            CorrectCharge::FactorSolve { count } => {
-                let n = self.shape.n;
-                let fac = lu_factor_cost(&self.device, n, count, elem);
-                let bs = backsub_cost(&self.device, n, count, elem);
-                let ft = fac.timing.total_seconds();
-                let bt = bs.timing.total_seconds();
-                self.fault_check(OpClass::Kernel, ft, 0.0)?;
-                let t0 = self.stats.wall_seconds;
-                self.stats.counters += fac.counters;
-                self.stats.kernel_seconds += fac.timing.kernel_seconds;
-                self.stats.overhead_seconds += fac.timing.overhead_seconds;
-                self.stats.factor_seconds += fac.timing.kernel_seconds;
-                self.stats.wall_seconds += ft;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::Compute)
-                        .emit(SpanKind::Factor, t0, ft, 4, &[]);
-                }
-                self.fault_check(OpClass::Kernel, bt, 0.0)?;
-                let t1 = self.stats.wall_seconds;
-                self.stats.counters += bs.counters;
-                self.stats.kernel_seconds += bs.timing.kernel_seconds;
-                self.stats.overhead_seconds += bs.timing.overhead_seconds;
-                self.stats.backsub_seconds += bs.timing.kernel_seconds;
-                self.stats.wall_seconds += bt;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::Compute)
-                        .emit(SpanKind::Backsub, t1, bt, 4, &[]);
-                }
-            }
-            CorrectCharge::Flags { count } => {
-                let bytes = count * FLAG_BYTES;
-                let d2h = transfer_seconds(&self.device, bytes);
-                self.fault_check(OpClass::DeviceToHost, d2h, 0.0)?;
-                let t0 = self.stats.wall_seconds;
-                self.stats.transfer_seconds += d2h;
-                self.stats.d2h_bytes += bytes as u64;
-                self.stats.wall_seconds += d2h;
-                if self.opts.trace.enabled() {
-                    self.opts
-                        .trace
-                        .lane(Lane::D2H)
-                        .emit(SpanKind::Download, t0, d2h, 4, &[]);
-                }
-            }
+    fn charges(&mut self) -> Charges<'_> {
+        Charges {
+            device: &self.device,
+            stats: &mut self.stats,
+            injector: &mut self.injector,
+            trace: &self.opts.trace,
         }
-        Ok(())
-    }
-
-    fn fault_check(
-        &mut self,
-        class: OpClass,
-        op_seconds: f64,
-        elapsed: f64,
-    ) -> Result<(), BatchError> {
-        inject(
-            &mut self.injector,
-            &mut self.stats,
-            &self.device,
-            class,
-            op_seconds,
-            elapsed,
-            &self.opts.trace,
-        )
     }
 }
 
@@ -617,24 +507,6 @@ impl<R: Real> BatchSystemEvaluator<R> for SparseBatchGpuEvaluator<R> {
 
     fn evaluate_batch(&mut self, points: &[Vec<Complex<R>>]) -> Vec<SystemEval<R>> {
         expect_batch(self.try_evaluate_batch(points))
-    }
-}
-
-/// The [`CorrectOps`] view of a [`SparseBatchGpuEvaluator`] during a
-/// fused device-resident correction (see the dense `ResidentOps`).
-struct SparseResidentOps<'a, R: Real>(&'a mut SparseBatchGpuEvaluator<R>);
-
-impl<R: Real> CorrectOps<R> for SparseResidentOps<'_, R> {
-    fn eval(
-        &mut self,
-        points: &[Vec<Complex<R>>],
-        _indices: &[usize],
-    ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        self.0.eval_resident(points)
-    }
-
-    fn charge(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
-        self.0.charge_correct(ev)
     }
 }
 

@@ -80,7 +80,10 @@ pub mod prelude {
         FaultError, FaultInjector, FaultKind, FaultPlan, FaultStats, OpClass, RecoveryPolicy,
     };
     pub use crate::kernel::{BlockCtx, Kernel, LaunchConfig, ThreadCtx};
-    pub use crate::linalg::{backsub_cost, lu_factor_cost, mgs_factor_cost, LinalgCost};
+    pub use crate::linalg::{
+        backsub_cost, factor_solve_cost, lu_factor_cost, mgs_factor_cost, FactorSolveCost,
+        LinalgCost, Staging,
+    };
     pub use crate::mem::{BufferId, ConstId, ConstantMemory, ConstantOverflow, GlobalMem};
     pub use crate::obs::{emit_gather_timeline, emit_timeline};
     pub use crate::occupancy::{occupancy, Limiter, Occupancy};

@@ -56,10 +56,11 @@ pub enum SpanKind {
     /// One fused device-resident corrector call (evaluate → factor →
     /// solve → update without host round trips).
     Correct,
-    /// Batched on-device LU factorization of the live Jacobians.
+    /// Elimination phase (LU of the live Jacobians) of a fused
+    /// factor-and-solve launch, launch overhead included.
     Factor,
-    /// Batched on-device back-substitution (one rhs per factored
-    /// Jacobian).
+    /// Back-substitution and update phase of a fused factor-and-solve
+    /// launch; with `Factor` it tiles the launch.
     Backsub,
 }
 

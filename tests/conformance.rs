@@ -18,6 +18,7 @@
 //! A new backend added to the builder gets the whole contract for the
 //! price of one entry in [`backend_cases`].
 
+use polygpu::core::CorrectCharge;
 use polygpu::prelude::*;
 use polygpu::qd::Dd;
 
@@ -664,6 +665,180 @@ fn fused_corrector_downloads_less_than_the_host_loop() {
             host_stats.factor_seconds, 0.0,
             "{name}: the host loop factors on the host"
         );
+    }
+}
+
+/// The host replay of a correction on the CPU reference, logging the
+/// charges the shared driver reports: evaluation rounds and the live
+/// count of every factor-and-solve round.
+struct ChargeLog<'a, R: Real> {
+    engine: &'a mut dyn AnyEvaluator<R>,
+    rounds: u64,
+    factor_counts: Vec<usize>,
+}
+
+impl<R: Real> CorrectOps<R> for ChargeLog<'_, R> {
+    fn eval(
+        &mut self,
+        points: &[Vec<Complex<R>>],
+        _indices: &[usize],
+    ) -> Result<Vec<SystemEval<R>>, BatchError> {
+        self.rounds += 1;
+        self.engine.try_evaluate_batch(points)
+    }
+
+    fn charge(&mut self, ev: CorrectCharge) -> Result<(), BatchError> {
+        if let CorrectCharge::FactorSolve { count } = ev {
+            self.factor_counts.push(count);
+        }
+        Ok(())
+    }
+}
+
+/// Launch-budget contract of the fused corrector, on the dense batch
+/// engine (Direct keys) and the sparse batch engine (packed keys): a
+/// `try_correct_batch` pays exactly three evaluation launches per round
+/// plus **one** factor-and-solve launch per round that factors. The
+/// engine's launch count is read off its modeled overhead and
+/// reconciled against the driver's charge log replayed host-side; the
+/// `factor` and `backsub` phases sum to the fused launches' kernel time.
+#[test]
+fn fused_corrector_pays_one_factor_solve_launch_per_iteration() {
+    use polygpu::gpusim::linalg::factor_solve_cost;
+
+    let device = DeviceSpec::tesla_c2050();
+    let params = correct_params();
+    let points = test_points::<f64>(POINTS);
+    let cases = [
+        ("gpu-batch", test_system::<f64>(), EncodingKind::Direct),
+        (
+            "sparse-batch",
+            sparse_test_system::<f64>(),
+            EncodingKind::Packed,
+        ),
+    ];
+    for (name, sys, encoding) in cases {
+        let mut cpu = build::<f64>(&Backend::CpuReference, &sys);
+        let mut log = ChargeLog {
+            engine: cpu.as_mut(),
+            rounds: 0,
+            factor_counts: Vec::new(),
+        };
+        let mut want_pts = points.clone();
+        drive_correct(&mut log, &mut IdentityCombine, &mut want_pts, &params).unwrap();
+        assert!(
+            !log.factor_counts.is_empty(),
+            "{name}: the probe must factor"
+        );
+
+        let mut fused = Engine::builder()
+            .backend(Backend::GpuBatch {
+                capacity: BATCH_CAP,
+            })
+            .encoding(encoding)
+            .build(&sys)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        fused.reset_engine_stats();
+        let mut got_pts = points.clone();
+        fused
+            .try_correct_batch(&mut got_pts, &mut IdentityCombine, &params)
+            .unwrap();
+        assert_eq!(got_pts, want_pts, "{name}: endpoints bit-identical");
+        let stats = fused.engine_stats();
+
+        let launches = stats.overhead_seconds / device.launch_overhead;
+        let want = 3 * log.rounds + log.factor_counts.len() as u64;
+        assert!(
+            (launches - launches.round()).abs() < 1e-6,
+            "{name}: {launches} launches"
+        );
+        assert_eq!(
+            launches.round() as u64,
+            want,
+            "{name}: {} rounds, {} of them factoring",
+            log.rounds,
+            log.factor_counts.len()
+        );
+
+        let fused_kernel: f64 = log
+            .factor_counts
+            .iter()
+            .map(|&count| {
+                factor_solve_cost(&device, sys.dim(), count, 16)
+                    .unwrap()
+                    .launch
+                    .timing
+                    .kernel_seconds
+            })
+            .sum();
+        let phases = stats.factor_seconds + stats.backsub_seconds;
+        assert!(
+            (phases - fused_kernel).abs() <= 1e-9 * fused_kernel,
+            "{name}: factor + backsub {phases:e} vs fused kernels {fused_kernel:e}"
+        );
+        assert!(stats.factor_seconds > 0.0 && stats.backsub_seconds > 0.0);
+    }
+}
+
+/// A system whose pivot panel does not fit one SM's shared memory
+/// cannot take the fused corrector: `try_correct_batch` surfaces
+/// `BatchError::Launch(SharedOverflow)` typed, never panics, and leaves
+/// the caller's points untouched. The multilinear (`d = 1`) systems of
+/// single-variable monomials below stage `n + 32·2` elements per
+/// evaluation block, fewer than the panel's `2n` once `n > 64`, so an
+/// SM shrunk to 140 complex doubles evaluates them but cannot factor
+/// them.
+#[test]
+fn fused_corrector_rejects_an_oversized_pivot_panel_typed() {
+    use polygpu::gpusim::prelude::LaunchError;
+
+    const N: usize = 72;
+    const SHARED: usize = 140 * 16;
+    let device = DeviceSpec {
+        shared_mem_per_sm: SHARED,
+        ..DeviceSpec::tesla_c2050()
+    };
+    let dense = random_system::<f64>(&BenchmarkParams {
+        n: N,
+        m: 2,
+        k: 1,
+        d: 1,
+        seed: 3,
+    });
+    let sparse = random_sparse_system::<f64>(&SparseBenchmarkParams {
+        n: N,
+        m_min: 1,
+        m_max: 2,
+        k_min: 1,
+        k_max: 1,
+        d: 1,
+        seed: 3,
+    });
+    let points = random_points::<f64>(N, 2, 5);
+    for (name, sys, encoding) in [
+        ("gpu-batch", dense, EncodingKind::Direct),
+        ("sparse-batch", sparse, EncodingKind::Packed),
+    ] {
+        let mut engine = Engine::builder()
+            .backend(Backend::GpuBatch { capacity: 2 })
+            .device(device.clone())
+            .encoding(encoding)
+            .build(&sys)
+            .unwrap_or_else(|e| panic!("{name}: evaluation must fit the shrunken SM: {e}"));
+        engine.try_evaluate_batch(&points).unwrap();
+        let mut pts = points.clone();
+        let err = engine
+            .try_correct_batch(&mut pts, &mut IdentityCombine, &correct_params())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BatchError::Launch(LaunchError::SharedOverflow {
+                needed: 2 * N * 16,
+                capacity: SHARED,
+            }),
+            "{name}"
+        );
+        assert_eq!(pts, points, "{name}: the caller's points are untouched");
     }
 }
 
