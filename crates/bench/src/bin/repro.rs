@@ -225,10 +225,10 @@ fn solve(model_ok: &mut bool) {
     }
     println!(
         "model: one SolveRequest runs unchanged on every scheduler and backend;\n\
-         schedulers are performance choices (the lockstep front shares its step\n\
-         size, so only its cross-backend identity is asserted), SlotPolicy::Auto\n\
-         sizes the queue front to D x per-device capacity from EngineCaps, and\n\
-         escalation re-enters the same scheduler in double-double.\n"
+         both schedulers run the one path queue (per-path is a one-slot front),\n\
+         so they are performance choices with bit-identical endpoints,\n\
+         SlotPolicy::Auto sizes the queue front to D x per-device capacity from\n\
+         EngineCaps, and escalation re-enters the same scheduler in double-double.\n"
     );
 }
 

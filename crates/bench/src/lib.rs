@@ -834,7 +834,6 @@ pub fn solve_sweep() -> SolveSweep {
     ];
     let schedulers = [
         SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
         SchedulerKind::Queue {
             slots: SlotPolicy::Auto,
         },
@@ -863,17 +862,14 @@ pub fn solve_sweep() -> SolveSweep {
             });
             // The cross-scheduler × cross-backend identity bar: the
             // per-path and queue schedulers agree bit for bit
-            // everywhere (lockstep shares its front step size, so it
-            // is only checked against itself across backends).
-            if scheduler != SchedulerKind::Lockstep {
-                let endpoints: Vec<PathEndpoint> =
-                    report.paths.iter().map(|p| p.endpoint.clone()).collect();
-                match &reference {
-                    None => reference = Some(endpoints),
-                    Some(want) => endpoints_identical &= &endpoints == want,
-                }
+            // everywhere.
+            let endpoints: Vec<PathEndpoint> =
+                report.paths.iter().map(|p| p.endpoint.clone()).collect();
+            match &reference {
+                None => reference = Some(endpoints),
+                Some(want) => endpoints_identical &= &endpoints == want,
             }
-            if *name == "cluster" && scheduler == schedulers[2] {
+            if *name == "cluster" && scheduler == schedulers[1] {
                 queue_occupancy_d4 = report.occupancy();
             }
         }
@@ -1016,26 +1012,28 @@ pub struct NewtonSweep {
 impl NewtonSweep {
     /// All model-side acceptance bars of `repro newton`, with the
     /// strings the binary prints.
-    pub fn checks(&self) -> [(&'static str, bool); 5] {
+    pub fn checks(&self) -> [(String, bool); 5] {
         [
             (
-                "identity check (DeviceResident endpoints bit-identical to Host, every scheduler x backend)",
+                "identity check (DeviceResident endpoints bit-identical to Host, every scheduler x backend)".into(),
                 self.endpoints_identical,
             ),
             (
-                "transfer check (resident solve downloads fewer modeled bytes on every pair)",
+                "transfer check (resident solve downloads fewer modeled bytes on every pair)".into(),
                 self.d2h_reduced,
             ),
             (
-                "flag check (per-iteration download is exactly the O(P) convergence-flag vector)",
+                "flag check (per-iteration download is exactly the O(P) convergence-flag vector)".into(),
                 self.expected_flag_bytes > 0 && self.flag_bytes == self.expected_flag_bytes,
             ),
             (
-                "loop check (fused total download undercuts the host loop's per-iteration traffic)",
+                "loop check (fused total download undercuts the host loop's per-iteration traffic)".into(),
                 self.endpoint_bytes + self.flag_bytes < self.host_loop_d2h,
             ),
             (
-                "launch check (3 evaluation launches per round + 1 factor-and-solve launch per factoring round)",
+                format!(
+                    "launch check ({EVAL_LAUNCHES} evaluation launches per round + 1 factor-and-solve launch per factoring round)"
+                ),
                 self.expected_launches > 0
                     && (self.launches - self.expected_launches as f64).abs() < 1e-6,
             ),
@@ -1100,7 +1098,6 @@ pub fn newton_sweep() -> NewtonSweep {
     ];
     let schedulers = [
         SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
         SchedulerKind::Queue {
             slots: SlotPolicy::Auto,
         },
@@ -3062,7 +3059,7 @@ mod tests {
     #[test]
     fn solve_sweep_passes_its_gates() {
         let sweep = solve_sweep();
-        assert_eq!(sweep.rows.len(), 9, "3 schedulers x 3 backends");
+        assert_eq!(sweep.rows.len(), 6, "2 schedulers x 3 backends");
         assert!(sweep.endpoints_identical, "{sweep:?}");
         assert!(
             sweep.queue_occupancy_d4 > 0.8,
@@ -3092,7 +3089,7 @@ mod tests {
     #[test]
     fn newton_sweep_passes_its_gates() {
         let sweep = newton_sweep();
-        assert_eq!(sweep.rows.len(), 12, "3 schedulers x 2 backends x 2 modes");
+        assert_eq!(sweep.rows.len(), 8, "2 schedulers x 2 backends x 2 modes");
         assert!(sweep.endpoints_identical, "{sweep:?}");
         assert!(sweep.d2h_reduced, "{sweep:?}");
         assert!(sweep.expected_flag_bytes > 0);

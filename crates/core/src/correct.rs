@@ -539,6 +539,45 @@ pub fn drive_correct<R: Real>(
         .collect())
 }
 
+/// [`drive_correct`] over plain batched evaluation: the **host**
+/// corrector. Every round evaluates the live points through `eval`, in
+/// chunks of at most `capacity` points, and factors and solves on the
+/// host; nothing beyond those round trips is charged. The default of
+/// `AnyEvaluator::try_correct_batch` and of the homotopy layer's
+/// `TryBatchEvaluator::try_correct_fused`.
+pub fn host_correct<R: Real, F>(
+    eval: F,
+    capacity: usize,
+    combine: &mut dyn CombineMap<R>,
+    points: &mut [Vec<Complex<R>>],
+    params: &CorrectParams,
+) -> Result<Vec<CorrectStatus>, BatchError>
+where
+    F: FnMut(&[Vec<Complex<R>>]) -> Result<Vec<SystemEval<R>>, BatchError>,
+{
+    struct HostOps<F> {
+        eval: F,
+        capacity: usize,
+    }
+    impl<R: Real, F> CorrectOps<R> for HostOps<F>
+    where
+        F: FnMut(&[Vec<Complex<R>>]) -> Result<Vec<SystemEval<R>>, BatchError>,
+    {
+        fn eval(
+            &mut self,
+            points: &[Vec<Complex<R>>],
+            _indices: &[usize],
+        ) -> Result<Vec<SystemEval<R>>, BatchError> {
+            let mut out = Vec::with_capacity(points.len());
+            for chunk in points.chunks(self.capacity.max(1)) {
+                out.extend((self.eval)(chunk)?);
+            }
+            Ok(out)
+        }
+    }
+    drive_correct(&mut HostOps { eval, capacity }, combine, points, params)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,9 +49,7 @@
 //! ```
 
 use crate::batch::{BatchError, BatchGpuEvaluator};
-use crate::correct::{
-    drive_correct, CombineMap, CorrectOps, CorrectParams, CorrectStatus, OffsetCombine,
-};
+use crate::correct::{host_correct, CombineMap, CorrectParams, CorrectStatus, OffsetCombine};
 use crate::layout::encoding::{EncodedSupports, EncodingKind};
 use crate::layout::packed::sparse_packed_bytes;
 use crate::pipeline::{
@@ -67,7 +65,6 @@ use polygpu_polysys::{
     SystemError, SystemEval, SystemEvaluator, UniformShape,
 };
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -293,25 +290,14 @@ pub trait AnyEvaluator<R: Real>: BatchSystemEvaluator<R> {
         combine: &mut dyn CombineMap<R>,
         params: &CorrectParams,
     ) -> Result<Vec<CorrectStatus>, BatchError> {
-        struct HostOps<'a, R: Real, E: AnyEvaluator<R> + ?Sized>(&'a mut E, PhantomData<R>);
-        impl<R: Real, E: AnyEvaluator<R> + ?Sized> CorrectOps<R> for HostOps<'_, R, E> {
-            fn eval(
-                &mut self,
-                points: &[Vec<Complex<R>>],
-                _indices: &[usize],
-            ) -> Result<Vec<SystemEval<R>>, BatchError> {
-                let cap = self.0.caps().capacity.max(1);
-                if points.len() <= cap {
-                    return self.0.try_evaluate_batch(points);
-                }
-                let mut out = Vec::with_capacity(points.len());
-                for chunk in points.chunks(cap) {
-                    out.extend(self.0.try_evaluate_batch(chunk)?);
-                }
-                Ok(out)
-            }
-        }
-        drive_correct(&mut HostOps(self, PhantomData), combine, points, params)
+        let capacity = self.caps().capacity;
+        host_correct(
+            |chunk| self.try_evaluate_batch(chunk),
+            capacity,
+            combine,
+            points,
+            params,
+        )
     }
 
     /// Modeled-cost statistics accumulated so far (all zero for

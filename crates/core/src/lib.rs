@@ -62,8 +62,8 @@ pub mod sparse;
 
 pub use batch::{expect_batch, BatchError, BatchGpuEvaluator};
 pub use correct::{
-    drive_correct, CombineMap, CorrectCharge, CorrectOps, CorrectParams, CorrectStatus,
-    CorrectStop, CorrectorMode, IdentityCombine, OffsetCombine, FLAG_BYTES,
+    drive_correct, host_correct, CombineMap, CorrectCharge, CorrectOps, CorrectParams,
+    CorrectStatus, CorrectStop, CorrectorMode, IdentityCombine, OffsetCombine, FLAG_BYTES,
 };
 pub use engine::{
     AdmissionBudget, AnyEvaluator, Backend, BuildError, ClusterPolicy, ClusterProvider,

@@ -10,9 +10,9 @@
 //!
 //! For multi-path runs, prefer
 //! [`PrecisionPolicy::Escalating`](crate::solve::PrecisionPolicy):
-//! `solve()` applies the same retry as a *policy* over any scheduler
-//! (per-path, lockstep or queue) and replays [`track_escalating_engine`]
-//! bit for bit under the per-path scheduler.
+//! `solve()` applies the same retry as a *policy* over either scheduler
+//! (per-path or queue) and replays [`track_escalating_engine`] bit for
+//! bit.
 
 use crate::homotopy::Homotopy;
 use crate::start::StartSystem;

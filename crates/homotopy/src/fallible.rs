@@ -1,16 +1,16 @@
-//! Fault-aware batched evaluation for the schedulers.
+//! Fault-aware batched evaluation for the path queue.
 //!
-//! The batched drivers ([`crate::queue::track_queue`],
-//! [`crate::lockstep::track_lockstep`]) were written against
+//! The path queue ([`crate::queue::track_queue`]) was written against
 //! [`BatchSystemEvaluator`], whose `evaluate_batch` cannot fail — an
 //! engine with fault injection armed
 //! ([`polygpu_core::engine::EngineBuilder::fault_plan`]) would have to
 //! panic inside it. This module adds the typed-failure surface:
 //!
 //! * [`TryBatchEvaluator`] — a batch evaluator whose batches may fail
-//!   with a [`BatchError`] (injected faults, degraded fleets). Every
+//!   with a [`BatchError`] (injected faults, degraded fleets), plus the
+//!   fused corrector [`TryBatchEvaluator::try_correct_fused`]. Every
 //!   workspace evaluator implements it; pure-CPU evaluators are
-//!   infallible and use the default `Ok`-wrapping method.
+//!   infallible and use the default methods.
 //! * [`FaultReport`] — what a recovering scheduler saw and did:
 //!   faults, retried and recovered rounds, modeled backoff, plus the
 //!   engine's own [`FaultStats`].
@@ -20,16 +20,16 @@
 //!   so the live slots *are* the checkpoint and a retry replays only
 //!   the affected round, bit for bit.
 //!
-//! The recovering drivers themselves live next to their infallible
-//! siblings: [`crate::queue::track_queue_recovering`] and
-//! [`crate::lockstep::track_lockstep_recovering`].
+//! The recovering driver itself is
+//! [`crate::queue::track_queue_recovering`].
 
-use crate::lockstep::{BatchHomotopy, BatchHomotopyAt};
+use crate::lockstep::BatchHomotopy;
 use crate::start::StartSystem;
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{AnyEvaluator, CpuReferenceEngine};
 use polygpu_core::{
-    BatchError, BatchGpuEvaluator, FaultKind, FaultStats, GpuEvaluator, RecoveryPolicy,
+    host_correct, BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus,
+    FaultKind, FaultStats, GpuEvaluator, RecoveryPolicy,
 };
 use polygpu_obs::MetricsRegistry;
 use polygpu_polysys::{
@@ -56,6 +56,36 @@ pub trait TryBatchEvaluator<R: Real>: BatchSystemEvaluator<R> {
     /// which keeps their spans degenerate but still ordered.
     fn modeled_wall_seconds(&self) -> f64 {
         0.0
+    }
+
+    /// Fused Newton correction of `points` in place, each point's
+    /// evaluation combined through `combine` (see
+    /// [`polygpu_core::correct`]). The default is the **host** corrector
+    /// [`host_correct`] — the default of
+    /// [`AnyEvaluator::try_correct_batch`] too — over
+    /// [`TryBatchEvaluator::try_batch`], chunked by
+    /// [`BatchSystemEvaluator::max_batch`]. Engines with a
+    /// device-resident corrector forward to it; endpoints are
+    /// bit-identical either way, since both run
+    /// [`polygpu_core::drive_correct`].
+    ///
+    /// On `Err` the contents of `points` are unspecified (the host loop
+    /// may have applied updates) — retry from the caller's own copy, as
+    /// [`crate::resident::correct_resident`] does.
+    fn try_correct_fused(
+        &mut self,
+        points: &mut [Vec<Complex<R>>],
+        combine: &mut dyn CombineMap<R>,
+        params: &CorrectParams,
+    ) -> Result<Vec<CorrectStatus>, BatchError> {
+        let capacity = self.max_batch();
+        host_correct(
+            |chunk| self.try_batch(chunk),
+            capacity,
+            combine,
+            points,
+            params,
+        )
     }
 }
 
@@ -92,6 +122,15 @@ impl<R: Real> TryBatchEvaluator<R> for BatchGpuEvaluator<R> {
     fn modeled_wall_seconds(&self) -> f64 {
         self.stats().wall_seconds
     }
+
+    fn try_correct_fused(
+        &mut self,
+        points: &mut [Vec<Complex<R>>],
+        combine: &mut dyn CombineMap<R>,
+        params: &CorrectParams,
+    ) -> Result<Vec<CorrectStatus>, BatchError> {
+        BatchGpuEvaluator::try_correct_batch(self, points, combine, params)
+    }
 }
 
 impl<R: Real> TryBatchEvaluator<R> for Box<dyn AnyEvaluator<R>> {
@@ -101,6 +140,15 @@ impl<R: Real> TryBatchEvaluator<R> for Box<dyn AnyEvaluator<R>> {
 
     fn modeled_wall_seconds(&self) -> f64 {
         self.engine_stats().wall_seconds
+    }
+
+    fn try_correct_fused(
+        &mut self,
+        points: &mut [Vec<Complex<R>>],
+        combine: &mut dyn CombineMap<R>,
+        params: &CorrectParams,
+    ) -> Result<Vec<CorrectStatus>, BatchError> {
+        (**self).try_correct_batch(points, combine, params)
     }
 }
 
@@ -116,14 +164,24 @@ impl<R: Real> TryBatchEvaluator<R> for &mut dyn AnyEvaluator<R> {
     fn modeled_wall_seconds(&self) -> f64 {
         self.engine_stats().wall_seconds
     }
+
+    fn try_correct_fused(
+        &mut self,
+        points: &mut [Vec<Complex<R>>],
+        combine: &mut dyn CombineMap<R>,
+        params: &CorrectParams,
+    ) -> Result<Vec<CorrectStatus>, BatchError> {
+        (**self).try_correct_batch(points, combine, params)
+    }
 }
 
 /// Adapter giving any [`BatchSystemEvaluator`] the
 /// [`TryBatchEvaluator`] surface via the default (`Ok`-wrapping)
-/// method — how the infallible legacy drivers delegate to the
-/// recovering implementations. An engine with fault injection armed
-/// must not be wrapped in this (its `evaluate_batch` panics on a
-/// fault); hand it to the `*_recovering` drivers directly.
+/// methods — how the infallible [`crate::queue::track_queue`]
+/// delegates to the recovering driver. An engine with fault injection
+/// armed must not be wrapped in this (its `evaluate_batch` panics on a
+/// fault); hand it to [`crate::queue::track_queue_recovering`]
+/// directly.
 pub struct Infallible<E>(pub E);
 
 impl<R: Real, E: BatchSystemEvaluator<R>> SystemEvaluator<R> for Infallible<E> {
@@ -249,29 +307,6 @@ impl<R: Real, EG: TryBatchEvaluator<R>, EF: TryBatchEvaluator<R>> BatchHomotopy<
         let ges = self.g.try_batch(points)?;
         let fes = self.f.try_batch(points)?;
         Ok(self.combine(ges, fes, ts))
-    }
-
-    /// Fallible sibling of [`BatchHomotopy::eval_batch_at`].
-    pub fn try_eval_batch_at(
-        &mut self,
-        points: &[Vec<Complex<R>>],
-        t: R,
-    ) -> Result<Vec<HomotopyEval<R>>, BatchError> {
-        self.try_eval_batch_at_each(points, &vec![t; points.len()])
-    }
-}
-
-impl<'h, R: Real, EG: TryBatchEvaluator<R>, EF: TryBatchEvaluator<R>> TryBatchEvaluator<R>
-    for BatchHomotopyAt<'h, R, EG, EF>
-{
-    fn try_batch(&mut self, points: &[Vec<Complex<R>>]) -> Result<Vec<SystemEval<R>>, BatchError> {
-        let t = self.t;
-        Ok(self
-            .h
-            .try_eval_batch_at(points, t)?
-            .into_iter()
-            .map(|(eval, _)| eval)
-            .collect())
     }
 }
 

@@ -8,7 +8,7 @@ use polygpu_complex::{Complex, Real};
 use polygpu_polysys::{SystemEval, SystemEvaluator};
 
 /// The deterministic random gamma used by `with_random_gamma` (shared
-/// with the lockstep batch homotopy so the same seed describes the same
+/// with the batch homotopy so the same seed describes the same
 /// paths): any angle bounded away from 0 mod tau works; derive one from
 /// the seed with a splitmix step.
 pub fn random_gamma<R: Real>(seed: u64) -> Complex<R> {

@@ -10,13 +10,15 @@
 //! GPU pipeline of `polygpu-core`.
 //!
 //! The one entry point is [`solve::Solver::solve`]: a
-//! [`solve::SolveRequest`] picks the scheduler
-//! (per-path / lockstep / queue) and the precision policy (fixed or
-//! escalate-on-failure), the [`solve::Solver`] owns an engine spec and
-//! provisions backends per precision, and every combination returns
-//! the same [`solve::SolveReport`] shape. The underlying drivers
-//! (`newton`, `track`, `track_lockstep`, `track_queue`) remain public
-//! — `solve()` replays them bit for bit — and all accept the unified
+//! [`solve::SolveRequest`] picks the scheduler (per-path or queue),
+//! the corrector (host or device-resident) and the precision policy
+//! (fixed or escalate-on-failure), the [`solve::Solver`] owns an engine
+//! spec and provisions backends per precision, and every combination
+//! returns the same [`solve::SolveReport`] shape. Every scheduler runs
+//! one multi-path tracker, the path queue ([`queue::track_queue`]),
+//! with one slot per path or a sized front. The scalar references
+//! [`newton::newton`] and [`tracker::track`] stay public — the queue
+//! replays them bit for bit — and every driver accepts the unified
 //! engine surface as a trait object (`&mut dyn AnyEvaluator<R>` or
 //! `Box<dyn AnyEvaluator<R>>` from
 //! `polygpu_core::engine::Engine::builder()`).
@@ -57,19 +59,14 @@ pub mod prelude {
     };
     pub use crate::fallible::{FaultReport, TryBatchEvaluator};
     pub use crate::homotopy::{Homotopy, HomotopyAt, HomotopyEval};
-    pub use crate::lockstep::{
-        newton_batch, newton_batch_counted, newton_batch_recovering, track_lockstep,
-        track_lockstep_recovering, BatchHomotopy, BatchHomotopyAt, LockstepPath, LockstepResult,
-    };
+    pub use crate::lockstep::{BatchHomotopy, LockstepPath};
     pub use crate::lu::{lu_decompose, solve, LuError, LuFactors, SingularMatrix};
     pub use crate::newton::{newton, NewtonParams, NewtonResult, ShiftedEvaluator, StopReason};
     pub use crate::quality::{quality_up_ladder, Precision, QualityUp};
     pub use crate::queue::{
         track_queue, track_queue_recovering, PathQueue, QueueResult, QueueStats, SlotPolicy,
     };
-    pub use crate::resident::{
-        correct_resident, track_queue_resident, track_resident, HomotopyCombine, ResidentEngine,
-    };
+    pub use crate::resident::{correct_resident, HomotopyCombine};
     pub use crate::solve::{
         PathEndpoint, PathReport, PrecisionPolicy, Scheduler, SchedulerKind, SchedulerRun,
         SolveError, SolveReport, SolveRequest, Solver, StartGroup, StartKind, StartSelection,

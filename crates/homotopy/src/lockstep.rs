@@ -1,226 +1,27 @@
-//! Lockstep multi-path tracking over a batched evaluator.
+//! The batched homotopy the path queue drives, and its per-path
+//! endpoint.
 //!
-//! The classical tracker ([`crate::tracker::track`]) evaluates the
-//! homotopy **once per corrector iteration per path** — the
-//! per-evaluation launch overhead and PCIe latency of the single-point
-//! pipeline are paid thousands of times per path. This module drives
-//! `P` paths **in lockstep**: every predictor and every Newton
-//! corrector iteration gathers the points of all live paths into one
-//! [`BatchSystemEvaluator::evaluate_batch`] call, so a batched engine
-//! (e.g. `polygpu_core::BatchGpuEvaluator`) amortizes its fixed costs
-//! across the whole front of paths.
+//! [`BatchHomotopy`] evaluates `H(x, t) = γ(1−t)·G(x) + t·F(x)` at a
+//! whole batch of points with **one** batched evaluation of each
+//! endpoint system, so a batched engine (e.g.
+//! `polygpu_core::BatchGpuEvaluator`) amortizes its fixed costs across
+//! every path of the front; [`LockstepPath`] is one tracked path's
+//! verdict. The tracker that drives them is [`crate::queue`]. The
+//! module keeps its name from the shared-front lockstep tracker it once
+//! held.
 //!
-//! Batching is a performance transformation only: each path's
-//! arithmetic is identical to what the per-path corrector would do, so
-//! with a bit-exact batch evaluator the lockstep trajectories are
-//! **bit-for-bit** the trajectories of the same algorithm run against
-//! CPU references (which batch by looping).
+//! Batching is a performance transformation only: the per-point
+//! combination arithmetic is identical to
+//! [`crate::homotopy::Homotopy::eval_at`], so with a bit-exact batch
+//! evaluator every point's evaluation is **bit-for-bit** the
+//! single-point one.
 
-use crate::fallible::{retry_round, FaultReport, Infallible, TryBatchEvaluator};
 use crate::homotopy::random_gamma;
-use crate::lu::lu_decompose;
-use crate::newton::{NewtonParams, NewtonResult, StopReason};
-use crate::tracker::{TrackOutcome, TrackParams};
+use crate::tracker::TrackOutcome;
 use polygpu_complex::{Complex, Real};
-use polygpu_core::{BatchError, RecoveryPolicy};
-use polygpu_obs::{MetaValue, SpanKind, TraceSink};
-use polygpu_polysys::{BatchSystemEvaluator, SystemEval, SystemEvaluator};
+use polygpu_polysys::{BatchSystemEvaluator, SystemEval};
 
-fn max_norm<R: Real>(v: &[Complex<R>]) -> f64 {
-    v.iter().map(|z| z.abs().to_f64()).fold(0.0, f64::max)
-}
-
-/// Lockstep Newton's method: iterate all starting points together,
-/// feeding every iteration's live iterates into one batched
-/// evaluation (chunked by [`BatchSystemEvaluator::max_batch`]).
-///
-/// Per point, the control flow and arithmetic replicate
-/// [`crate::newton::newton`] exactly, so `newton_batch(eval, xs, p)[i]`
-/// equals `newton(eval_i, &xs[i], p)` bit for bit whenever the batch
-/// evaluator is point-wise bit-exact.
-pub fn newton_batch<R: Real, E: BatchSystemEvaluator<R> + ?Sized>(
-    eval: &mut E,
-    starts: &[Vec<Complex<R>>],
-    params: NewtonParams,
-) -> Vec<NewtonResult<R>> {
-    newton_batch_counted(eval, starts, params, &mut 0)
-}
-
-/// [`newton_batch`] that also counts the batched device round trips it
-/// issues into `batch_rounds` (one per `evaluate_batch` call,
-/// including `max_batch` chunking) — the quantity the lockstep tracker
-/// reports.
-pub fn newton_batch_counted<R: Real, E: BatchSystemEvaluator<R> + ?Sized>(
-    eval: &mut E,
-    starts: &[Vec<Complex<R>>],
-    params: NewtonParams,
-    batch_rounds: &mut usize,
-) -> Vec<NewtonResult<R>> {
-    newton_batch_recovering(
-        &mut Infallible(&mut *eval),
-        starts,
-        params,
-        batch_rounds,
-        &RecoveryPolicy::none(),
-        &mut FaultReport::default(),
-    )
-    .expect("infallible evaluators cannot fault; fault-injecting engines go through newton_batch_recovering")
-}
-
-/// [`newton_batch_counted`] over a fallible evaluator: each iteration
-/// round's batched evaluation retries under `recovery` (path state is
-/// committed only after a round's evaluations arrive, so a retry
-/// replays the affected round bit for bit), and an unrecoverable
-/// fault surfaces as a typed [`BatchError`] — never a panic.
-pub fn newton_batch_recovering<R: Real, E: TryBatchEvaluator<R> + ?Sized>(
-    eval: &mut E,
-    starts: &[Vec<Complex<R>>],
-    params: NewtonParams,
-    batch_rounds: &mut usize,
-    recovery: &RecoveryPolicy,
-    fault: &mut FaultReport,
-) -> Result<Vec<NewtonResult<R>>, BatchError> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Phase {
-        /// Needs a regular iteration evaluation.
-        Iterating,
-        /// Converged by step size; needs the final residual check.
-        FinalCheck,
-        /// Out of iterations; needs one last evaluation so the
-        /// reported residual describes the returned iterate.
-        MaxItersCheck,
-        Done,
-    }
-
-    struct PathState<R> {
-        x: Vec<Complex<R>>,
-        phase: Phase,
-        iterations: usize,
-        residuals: Vec<f64>,
-        last_step: f64,
-        stop: Option<(bool, StopReason)>,
-    }
-
-    let mut paths: Vec<PathState<R>> = starts
-        .iter()
-        .map(|x0| PathState {
-            x: x0.clone(),
-            phase: Phase::Iterating,
-            iterations: 0,
-            residuals: Vec::with_capacity(params.max_iters + 1),
-            last_step: f64::INFINITY,
-            stop: None,
-        })
-        .collect();
-
-    for iter in 0..=params.max_iters {
-        // `newton` performs exactly `max_iters` regular iterations; a
-        // path still iterating when they are exhausted gets one more
-        // evaluation (no update) so its reported residual describes
-        // the returned iterate — the same final evaluation `newton`
-        // performs on its MaxIters exit.
-        if iter == params.max_iters {
-            for path in paths.iter_mut() {
-                if path.phase == Phase::Iterating {
-                    path.phase = Phase::MaxItersCheck;
-                }
-            }
-        }
-        let live: Vec<usize> = (0..paths.len())
-            .filter(|&i| paths[i].phase != Phase::Done)
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        let evals = retry_round(recovery, fault, || {
-            try_evaluate_chunked(eval, &live, &paths, |p| &p.x, batch_rounds)
-        })?;
-        for (&i, e) in live.iter().zip(evals) {
-            let path = &mut paths[i];
-            let resid = max_norm(&e.values);
-            path.residuals.push(resid);
-            if path.phase == Phase::FinalCheck {
-                path.stop = Some((
-                    resid < params.residual_tol * params.step_tol_relax,
-                    StopReason::StepTol,
-                ));
-                path.phase = Phase::Done;
-                continue;
-            }
-            if path.phase == Phase::MaxItersCheck {
-                path.iterations = params.max_iters;
-                path.stop = Some((false, StopReason::MaxIters));
-                path.phase = Phase::Done;
-                continue;
-            }
-            if resid < params.residual_tol {
-                path.iterations = iter;
-                path.stop = Some((true, StopReason::ResidualTol));
-                path.phase = Phase::Done;
-                continue;
-            }
-            let rhs: Vec<Complex<R>> = e.values.iter().map(|v| -*v).collect();
-            let dx = match lu_decompose(e.jacobian).and_then(|lu| lu.solve(&rhs)) {
-                Ok(dx) => dx,
-                Err(_) => {
-                    path.iterations = iter;
-                    path.stop = Some((false, StopReason::SingularJacobian));
-                    path.phase = Phase::Done;
-                    continue;
-                }
-            };
-            for (xi, di) in path.x.iter_mut().zip(&dx) {
-                *xi += *di;
-            }
-            path.last_step = max_norm(&dx);
-            if path.last_step < params.step_tol {
-                path.iterations = iter + 1;
-                path.phase = Phase::FinalCheck;
-            }
-        }
-    }
-
-    Ok(paths
-        .into_iter()
-        .map(|p| {
-            let (converged, stop) = p.stop.unwrap_or((false, StopReason::MaxIters));
-            NewtonResult {
-                x: p.x,
-                converged,
-                iterations: p.iterations,
-                residuals: p.residuals,
-                last_step: p.last_step,
-                stop,
-            }
-        })
-        .collect())
-}
-
-/// Evaluate `live` paths' points through `eval`, splitting into chunks
-/// of at most `eval.max_batch()` points; faults surface as values.
-fn try_evaluate_chunked<R: Real, E, P, F>(
-    eval: &mut E,
-    live: &[usize],
-    paths: &[P],
-    point_of: F,
-    batch_rounds: &mut usize,
-) -> Result<Vec<SystemEval<R>>, BatchError>
-where
-    E: TryBatchEvaluator<R> + ?Sized,
-    F: Fn(&P) -> &Vec<Complex<R>>,
-{
-    let cap = eval.max_batch().max(1);
-    let mut out = Vec::with_capacity(live.len());
-    for chunk in live.chunks(cap) {
-        let points: Vec<Vec<Complex<R>>> =
-            chunk.iter().map(|&i| point_of(&paths[i]).clone()).collect();
-        *batch_rounds += 1;
-        out.extend(eval.try_batch(&points)?);
-    }
-    Ok(out)
-}
-
-/// A homotopy whose endpoints are batch evaluators, for lockstep
+/// A homotopy whose endpoints are batch evaluators, for multi-path
 /// tracking.
 pub struct BatchHomotopy<R: Real, EG, EF> {
     /// Start system `G` (solutions known at `t = 0`).
@@ -269,7 +70,7 @@ impl<R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchHom
     }
 
     /// Like [`BatchHomotopy::eval_batch_at`], but with a **per-point**
-    /// `t` — the evaluation the path-queue scheduler needs, where every
+    /// `t` — the evaluation the path queue needs, where every
     /// slot tracks its own front position. The device part (`G` and `F`
     /// evaluations) is `t`-independent, so mixed-`t` batches still cost
     /// one batched round trip per endpoint; only the host-side
@@ -319,57 +120,9 @@ impl<R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchHom
             })
             .collect()
     }
-
-    /// View the homotopy at fixed `t` as a batch evaluator (for the
-    /// lockstep Newton corrector).
-    pub fn at(&mut self, t: R) -> BatchHomotopyAt<'_, R, EG, EF> {
-        BatchHomotopyAt { h: self, t }
-    }
 }
 
-/// [`BatchSystemEvaluator`] adapter for `H(·, t)` at fixed `t`.
-pub struct BatchHomotopyAt<'h, R: Real, EG, EF> {
-    pub(crate) h: &'h mut BatchHomotopy<R, EG, EF>,
-    pub(crate) t: R,
-}
-
-impl<'h, R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> SystemEvaluator<R>
-    for BatchHomotopyAt<'h, R, EG, EF>
-{
-    fn dim(&self) -> usize {
-        self.h.dim()
-    }
-
-    fn evaluate(&mut self, x: &[Complex<R>]) -> SystemEval<R> {
-        self.h
-            .eval_batch_at(std::slice::from_ref(&x.to_vec()), self.t)
-            .pop()
-            .expect("batch of one returns one result")
-            .0
-    }
-
-    fn name(&self) -> &str {
-        "batch-homotopy-at-t"
-    }
-}
-
-impl<'h, R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchSystemEvaluator<R>
-    for BatchHomotopyAt<'h, R, EG, EF>
-{
-    fn max_batch(&self) -> usize {
-        self.h.max_batch()
-    }
-
-    fn evaluate_batch(&mut self, points: &[Vec<Complex<R>>]) -> Vec<SystemEval<R>> {
-        self.h
-            .eval_batch_at(points, self.t)
-            .into_iter()
-            .map(|(eval, _)| eval)
-            .collect()
-    }
-}
-
-/// Endpoint of one lockstep path.
+/// Endpoint of one tracked path.
 #[derive(Debug, Clone)]
 pub struct LockstepPath<R> {
     pub outcome: TrackOutcome,
@@ -385,495 +138,12 @@ impl<R> LockstepPath<R> {
     }
 }
 
-/// Result of a lockstep multi-path run.
-#[derive(Debug, Clone)]
-pub struct LockstepResult<R> {
-    /// Per-path endpoints, in start order.
-    pub paths: Vec<LockstepPath<R>>,
-    /// Predictor-corrector rounds taken (accepted + rejected).
-    pub rounds: usize,
-    pub steps_accepted: usize,
-    pub steps_rejected: usize,
-    /// Total corrector iterations summed over paths.
-    pub corrector_iterations: usize,
-    /// Batched device round trips issued (predictor + corrector); the
-    /// single-path tracker would have issued one per path per
-    /// evaluation instead.
-    pub batch_rounds: usize,
-    /// Sum over rounds of live paths — against `rounds × paths` this
-    /// exposes the shrinking-front occupancy decay the path queue
-    /// ([`crate::queue::track_queue`]) exists to fix.
-    pub point_rounds: usize,
-}
-
-impl<R: Real> LockstepResult<R> {
-    pub fn successes(&self) -> usize {
-        self.paths.iter().filter(|p| p.success()).count()
-    }
-
-    /// The run's scheduling statistics in the shared
-    /// [`QueueStats`](crate::queue::QueueStats) shape (the lockstep
-    /// front never refills; its slot count is the path count).
-    pub fn stats(&self) -> crate::queue::QueueStats {
-        crate::queue::QueueStats {
-            rounds: self.rounds,
-            batch_rounds: self.batch_rounds,
-            refills: 0,
-            point_rounds: self.point_rounds,
-            slots: self.paths.len(),
-            steps_accepted: self.steps_accepted,
-            steps_rejected: self.steps_rejected,
-            corrector_iterations: self.corrector_iterations,
-        }
-    }
-}
-
-/// Track all `starts` through `h` **in lockstep**: one shared `t`
-/// front, one shared adaptive step size, and every evaluation batched
-/// across the live paths.
-///
-/// Step control mirrors the single-path tracker, applied to the front
-/// as a whole: a round is accepted only when *every* live path's
-/// corrector converges (then `t` advances and the step may grow); on
-/// any failure the whole round is rejected and the step halves. When
-/// the step underflows `min_dt`, the paths whose correctors failed are
-/// retired with [`TrackOutcome::StepUnderflow`] and the survivors
-/// continue from the floor.
-pub fn track_lockstep<R: Real, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    starts: &[Vec<Complex<R>>],
-    params: TrackParams,
-) -> LockstepResult<R>
-where
-    EG: BatchSystemEvaluator<R>,
-    EF: BatchSystemEvaluator<R>,
-{
-    let mut fh = BatchHomotopy {
-        g: Infallible(&mut h.g),
-        f: Infallible(&mut h.f),
-        gamma: h.gamma,
-    };
-    let (r, _) = track_lockstep_recovering(&mut fh, starts, params, &RecoveryPolicy::none())
-        .expect("infallible evaluators cannot fault; fault-injecting engines go through track_lockstep_recovering");
-    r
-}
-
-/// [`track_lockstep`] over fallible evaluators: every batched round
-/// (predictor or corrector iteration) retries under `recovery` with
-/// modeled backoff. Path state is committed only after a round's
-/// evaluations return, so the live front *is* the checkpoint: a retry
-/// replays only the faulted round, and a recovered run's trajectories
-/// are **bit-identical** to the fault-free run (the engine's modeled
-/// wall clock alone pays for the recovery). An unrecoverable fault
-/// surfaces as a typed [`BatchError`] alongside what was spent
-/// ([`FaultReport`]) — never a panic.
-pub fn track_lockstep_recovering<R: Real, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    starts: &[Vec<Complex<R>>],
-    params: TrackParams,
-    recovery: &RecoveryPolicy,
-) -> Result<(LockstepResult<R>, FaultReport), BatchError>
-where
-    EG: TryBatchEvaluator<R>,
-    EF: TryBatchEvaluator<R>,
-{
-    track_lockstep_recovering_traced(h, starts, params, recovery, &TraceSink::noop())
-}
-
-/// [`track_lockstep_recovering`] with scheduler-round spans: each
-/// predictor-corrector round emits a [`SpanKind::Round`] on the sink's
-/// track, timestamped by the target evaluator's modeled wall clock plus
-/// the accumulated backoff, with retry/backoff spans when the round
-/// recovered from a fault. A no-op sink makes this exactly
-/// [`track_lockstep_recovering`].
-pub fn track_lockstep_recovering_traced<R: Real, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    starts: &[Vec<Complex<R>>],
-    params: TrackParams,
-    recovery: &RecoveryPolicy,
-    trace: &TraceSink,
-) -> Result<(LockstepResult<R>, FaultReport), BatchError>
-where
-    EG: TryBatchEvaluator<R>,
-    EF: TryBatchEvaluator<R>,
-{
-    let corrector = params.corrector;
-    track_lockstep_recovering_traced_with(
-        h,
-        starts,
-        params,
-        recovery,
-        trace,
-        &mut |h, pts, t_new, batch_rounds, fault| {
-            let mut at = h.at(t_new);
-            newton_batch_recovering(&mut at, pts, corrector, batch_rounds, recovery, fault)
-        },
-    )
-}
-
-/// [`track_lockstep_recovering_traced`] with the corrector abstracted
-/// out: `correct` runs one whole Newton corrector over the predicted
-/// points at `t_new` (counting batched calls into its `&mut usize` and
-/// faults into its [`FaultReport`]) and returns one [`NewtonResult`]
-/// per point, in order. The default corrector is the host lockstep
-/// Newton ([`newton_batch_recovering`]); the device-resident solve
-/// layer passes the engine's fused corrector instead — both produce
-/// bit-identical results, so the tracking control flow here never
-/// depends on which one runs.
-pub fn track_lockstep_recovering_traced_with<R: Real, EG, EF, C>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    starts: &[Vec<Complex<R>>],
-    params: TrackParams,
-    recovery: &RecoveryPolicy,
-    trace: &TraceSink,
-    correct: &mut C,
-) -> Result<(LockstepResult<R>, FaultReport), BatchError>
-where
-    EG: TryBatchEvaluator<R>,
-    EF: TryBatchEvaluator<R>,
-    C: FnMut(
-        &mut BatchHomotopy<R, EG, EF>,
-        &[Vec<Complex<R>>],
-        R,
-        &mut usize,
-        &mut FaultReport,
-    ) -> Result<Vec<NewtonResult<R>>, BatchError>,
-{
-    let mut fault = FaultReport::default();
-    let n_paths = starts.len();
-    let mut xs: Vec<Vec<Complex<R>>> = starts.to_vec();
-    let mut outcomes: Vec<Option<TrackOutcome>> = vec![None; n_paths];
-    let mut retired_t: Vec<f64> = vec![0.0; n_paths];
-    let mut live: Vec<usize> = (0..n_paths).collect();
-    let mut t = 0.0f64;
-    let mut dt = params.initial_dt;
-    let mut rounds = 0usize;
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut corrector_iters = 0usize;
-    let mut batch_rounds = 0usize;
-    let mut point_rounds = 0usize;
-
-    while !live.is_empty() && t < 1.0 && rounds < params.max_steps {
-        rounds += 1;
-        point_rounds += live.len();
-        let dt_clamped = dt.min(1.0 - t);
-        let t_new = t + dt_clamped;
-        // The scheduler's modeled clock: the target engine's wall plus
-        // every backoff second charged so far.
-        let wall0 = h.f.modeled_wall_seconds() + fault.backoff_seconds;
-        let retried0 = fault.retried_rounds;
-        let backoff0 = fault.backoff_seconds;
-
-        // Batched Euler predictor: J_H dx = -dH/dt at (x_i, t).
-        let live_points: Vec<Vec<Complex<R>>> = live.iter().map(|&i| xs[i].clone()).collect();
-        let cap = h.max_batch().max(1);
-        let hev = retry_round(recovery, &mut fault, || {
-            let mut hev = Vec::with_capacity(live_points.len());
-            for chunk in live_points.chunks(cap) {
-                batch_rounds += 1;
-                hev.extend(h.try_eval_batch_at(chunk, R::from_f64(t))?);
-            }
-            Ok(hev)
-        })?;
-        let mut preds: Vec<(usize, Vec<Complex<R>>)> = Vec::with_capacity(live.len());
-        let mut singular: Vec<usize> = Vec::new();
-        for (&i, (eval, dt_vec)) in live.iter().zip(hev) {
-            let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-            let dxdt = match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-                Ok(d) => d,
-                Err(_) => {
-                    singular.push(i);
-                    continue;
-                }
-            };
-            let x_pred: Vec<Complex<R>> = xs[i]
-                .iter()
-                .zip(&dxdt)
-                .map(|(xi, di)| *xi + di.scale(R::from_f64(dt_clamped)))
-                .collect();
-            preds.push((i, x_pred));
-        }
-        for i in singular {
-            outcomes[i] = Some(TrackOutcome::SingularJacobian {
-                at_t: format!("{t:.6}"),
-            });
-            retired_t[i] = t;
-            live.retain(|&j| j != i);
-        }
-        if preds.is_empty() {
-            break;
-        }
-
-        // Lockstep batched Newton corrector at t + dt. The predicted
-        // points move into the corrector's input instead of being
-        // cloned again.
-        let (pred_idx, pred_points): (Vec<usize>, Vec<Vec<Complex<R>>>) = preds.into_iter().unzip();
-        let results: Vec<NewtonResult<R>> = correct(
-            h,
-            &pred_points,
-            R::from_f64(t_new),
-            &mut batch_rounds,
-            &mut fault,
-        )?;
-        corrector_iters += results.iter().map(|r| r.iterations).sum::<usize>();
-        if trace.enabled() {
-            let retried = fault.retried_rounds - retried0;
-            let backoff = fault.backoff_seconds - backoff0;
-            if retried > 0 {
-                trace.emit(
-                    SpanKind::Retry,
-                    wall0,
-                    0.0,
-                    3,
-                    &[("attempts", MetaValue::U64(retried))],
-                );
-            }
-            if backoff > 0.0 {
-                trace.emit(SpanKind::Backoff, wall0, backoff, 3, &[]);
-            }
-            let wall1 = h.f.modeled_wall_seconds() + fault.backoff_seconds;
-            trace.emit(
-                SpanKind::Round,
-                wall0,
-                wall1 - wall0,
-                2,
-                &[
-                    ("round", MetaValue::U64(rounds as u64 - 1)),
-                    ("slots", MetaValue::U64(live.len() as u64)),
-                ],
-            );
-        }
-
-        if results.iter().all(|r| r.converged) {
-            for (&i, r) in pred_idx.iter().zip(&results) {
-                xs[i] = r.x.clone();
-            }
-            t = t_new;
-            accepted += 1;
-            if results.iter().all(|r| r.iterations <= params.easy_iters) {
-                dt = (dt * params.grow).min(params.max_dt);
-            }
-        } else {
-            rejected += 1;
-            dt *= 0.5;
-            if dt < params.min_dt {
-                // Retire the paths that failed; survivors continue at
-                // the step floor.
-                for (&i, r) in pred_idx.iter().zip(&results) {
-                    if !r.converged {
-                        outcomes[i] = Some(TrackOutcome::StepUnderflow {
-                            at_t: format!("{t:.6}"),
-                        });
-                        retired_t[i] = t;
-                        live.retain(|&j| j != i);
-                    }
-                }
-                dt = params.min_dt;
-            }
-        }
-    }
-
-    let paths = (0..n_paths)
-        .map(|i| {
-            let outcome = outcomes[i].clone().unwrap_or(if t >= 1.0 {
-                TrackOutcome::Success
-            } else {
-                TrackOutcome::StepLimit
-            });
-            let t_i = if outcomes[i].is_none() {
-                t
-            } else {
-                retired_t[i]
-            };
-            LockstepPath {
-                outcome,
-                x: xs[i].clone(),
-                t: t_i,
-            }
-        })
-        .collect();
-
-    Ok((
-        LockstepResult {
-            paths,
-            rounds,
-            steps_accepted: accepted,
-            steps_rejected: rejected,
-            corrector_iterations: corrector_iters,
-            batch_rounds,
-            point_rounds,
-        },
-        fault,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::homotopy::Homotopy;
-    use crate::newton::{newton, ShiftedEvaluator};
     use crate::start::StartSystem;
-    use crate::tracker::{track, TrackParams};
-    use polygpu_complex::C64;
-    use polygpu_polysys::{
-        random_point, random_points, random_system, AdEvaluator, BenchmarkParams, NaiveEvaluator,
-        SystemEvaluator,
-    };
-
-    #[test]
-    fn newton_batch_is_bitwise_identical_to_per_point_newton() {
-        let params = BenchmarkParams {
-            n: 6,
-            m: 4,
-            k: 3,
-            d: 3,
-            seed: 77,
-        };
-        let sys = random_system::<f64>(&params);
-        let root = random_point::<f64>(6, 5);
-        // Mix of easy starts (near the root) and hopeless ones, so the
-        // batch exercises ResidualTol, StepTol and MaxIters together.
-        let mut starts: Vec<Vec<C64>> = (0..4)
-            .map(|s| {
-                root.iter()
-                    .enumerate()
-                    .map(|(i, z)| *z + C64::from_f64(1e-3 * (i + s) as f64, -1e-3))
-                    .collect()
-            })
-            .collect();
-        starts.push(vec![C64::from_f64(50.0, 50.0); 6]);
-        let np = crate::newton::NewtonParams {
-            max_iters: 8,
-            ..Default::default()
-        };
-
-        let mut batch = ShiftedEvaluator::with_root(AdEvaluator::new(sys.clone()).unwrap(), &root);
-        let batched = newton_batch(&mut batch, &starts, np);
-
-        for (i, x0) in starts.iter().enumerate() {
-            let mut single =
-                ShiftedEvaluator::with_root(AdEvaluator::new(sys.clone()).unwrap(), &root);
-            let want = newton(&mut single, x0, np);
-            let got = &batched[i];
-            assert_eq!(got.x, want.x, "iterate, path {i}");
-            assert_eq!(got.converged, want.converged, "converged, path {i}");
-            assert_eq!(got.iterations, want.iterations, "iterations, path {i}");
-            assert_eq!(got.residuals, want.residuals, "residuals, path {i}");
-            assert_eq!(got.stop, want.stop, "stop reason, path {i}");
-        }
-    }
-
-    #[test]
-    fn lockstep_tracks_all_paths_of_a_small_system() {
-        let params = BenchmarkParams {
-            n: 2,
-            m: 2,
-            k: 2,
-            d: 2,
-            seed: 3,
-        };
-        let sys = random_system::<f64>(&params);
-        let start = StartSystem::uniform(2, 2);
-        let starts: Vec<Vec<C64>> = (0..4u128).map(|i| start.solution_by_index(i)).collect();
-        let mut h = BatchHomotopy::with_random_gamma(
-            start.clone(),
-            AdEvaluator::new(sys.clone()).unwrap(),
-            7,
-        );
-        let r = track_lockstep(&mut h, &starts, TrackParams::default());
-        assert_eq!(r.paths.len(), 4);
-        assert!(
-            r.successes() >= 2,
-            "only {}/4 lockstep paths finished",
-            r.successes()
-        );
-        assert!(r.steps_accepted > 0);
-        assert!(r.corrector_iterations >= r.steps_accepted);
-        assert!(r.batch_rounds > 0);
-        // Endpoints satisfy the target system.
-        let mut check = NaiveEvaluator::new(sys);
-        for (i, p) in r.paths.iter().enumerate() {
-            if p.success() {
-                assert!((p.t - 1.0).abs() < 1e-12);
-                let resid = check.evaluate(&p.x).residual_norm();
-                assert!(resid < 1e-8, "path {i}: endpoint residual {resid:e}");
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_batches_fewer_round_trips_than_per_path_tracking() {
-        // The point of the exercise: the number of batched device round
-        // trips must be far below the per-path evaluation count a
-        // single-point pipeline would pay.
-        let params = BenchmarkParams {
-            n: 2,
-            m: 2,
-            k: 2,
-            d: 2,
-            seed: 11,
-        };
-        let sys = random_system::<f64>(&params);
-        let start = StartSystem::uniform(2, 2);
-        let starts: Vec<Vec<C64>> = (0..4u128).map(|i| start.solution_by_index(i)).collect();
-        let mut h = BatchHomotopy::with_random_gamma(
-            start.clone(),
-            AdEvaluator::new(sys.clone()).unwrap(),
-            5,
-        );
-        let r = track_lockstep(&mut h, &starts, TrackParams::default());
-        // Per-path evaluations the classical tracker would have done on
-        // the device (predictor + corrector iterations), summed.
-        let mut per_path_evals = 0usize;
-        for x0 in &starts {
-            let f = AdEvaluator::new(sys.clone()).unwrap();
-            let mut h1 = Homotopy::with_random_gamma(start.clone(), f, 5);
-            let tr = track(&mut h1, x0, TrackParams::default());
-            per_path_evals += tr.corrector_iterations + tr.steps_accepted + tr.steps_rejected;
-        }
-        assert!(
-            r.batch_rounds < per_path_evals,
-            "lockstep issued {} round trips vs {} per-path evaluations",
-            r.batch_rounds,
-            per_path_evals
-        );
-    }
-
-    #[test]
-    fn impossible_tolerance_underflows_and_retires_paths() {
-        let params = BenchmarkParams {
-            n: 2,
-            m: 2,
-            k: 2,
-            d: 2,
-            seed: 3,
-        };
-        let sys = random_system::<f64>(&params);
-        let start = StartSystem::uniform(2, 2);
-        let starts: Vec<Vec<C64>> = (0..2u128).map(|i| start.solution_by_index(i)).collect();
-        let mut h =
-            BatchHomotopy::with_random_gamma(start.clone(), AdEvaluator::new(sys).unwrap(), 11);
-        let r = track_lockstep(
-            &mut h,
-            &starts,
-            TrackParams {
-                corrector: crate::newton::NewtonParams {
-                    residual_tol: 1e-300,
-                    step_tol: 1e-300,
-                    max_iters: 2,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.successes(), 0);
-        assert!(r.steps_rejected > 0);
-        assert!(r.paths.iter().all(|p| matches!(
-            p.outcome,
-            TrackOutcome::StepUnderflow { .. } | TrackOutcome::StepLimit
-        )));
-    }
+    use polygpu_polysys::{random_points, random_system, AdEvaluator, BenchmarkParams};
 
     #[test]
     fn batch_homotopy_matches_single_homotopy_pointwise() {

@@ -8,6 +8,7 @@
 
 use crate::lu::lu_decompose;
 use polygpu_complex::{Complex, Real};
+use polygpu_core::correct::max_norm;
 use polygpu_polysys::{SystemEval, SystemEvaluator};
 
 /// Convergence controls.
@@ -62,10 +63,6 @@ pub enum StopReason {
     StepTol,
     MaxIters,
     SingularJacobian,
-}
-
-fn max_norm<R: Real>(v: &[Complex<R>]) -> f64 {
-    v.iter().map(|z| z.abs().to_f64()).fold(0.0, f64::max)
 }
 
 /// Run Newton's method from `x0`.

@@ -1,38 +1,45 @@
-//! Path-queue scheduling: full-occupancy multi-path tracking.
+//! The path queue: the one multi-path tracker.
 //!
-//! [`crate::lockstep::track_lockstep`] drives a *shrinking front*: all
-//! paths share one `t` and one step size, and every retired path leaves
-//! its batch slot empty for the rest of the run — on a 10k-path run the
-//! batch (and with it every device shard) drains toward idle. This
-//! module replaces the front with a **queue**: a fixed number of slots
-//! (sized to the evaluator's batch capacity) each track one path with
-//! its *own* `t` and adaptive step size; whenever a slot finishes —
-//! success or failure — it immediately **refills** from the pending
-//! queue, so every batched round trip stays at full occupancy until the
-//! queue drains.
+//! A fixed number of slots (sized to the evaluator's batch capacity)
+//! each track one path with its *own* `t` and adaptive step size;
+//! whenever a slot finishes — success or failure — it immediately
+//! **refills** from the pending queue, so every batched round trip
+//! stays at full occupancy until the queue drains. One slot is
+//! per-path tracking: the solve layer's `SchedulerKind::PerPath` is
+//! this tracker with a front of one.
+//!
+//! [`TrackParams::corrector_mode`] picks the corrector:
+//!
+//! * [`CorrectorMode::Host`] — each round performs exactly one
+//!   evaluation per occupied slot (a predictor, one Newton iteration,
+//!   or the corrector's final residual check), all gathered into one
+//!   batched evaluation, and solves on the host;
+//! * [`CorrectorMode::DeviceResident`] — each round runs one batched
+//!   predictor over the occupied slots, then **one**
+//!   [`correct_resident`] call over the slots that just predicted, each
+//!   at its own `t`: the whole Newton corrector runs on the engine.
 //!
 //! Scheduling is a performance transformation only: each slot replays
 //! the *exact* control flow and arithmetic of the single-path tracker
 //! ([`crate::tracker::track`] with [`crate::newton::newton`] as
-//! corrector), one evaluation per scheduler round, so every path's
-//! trajectory — and endpoint — is **bit-for-bit** the trajectory the
-//! single-path tracker produces, independent of the slot count, the
-//! batch composition, or how many devices the evaluator shards over.
+//! corrector), so every path's trajectory — and endpoint — is
+//! **bit-for-bit** the trajectory the single-path tracker produces,
+//! independent of the slot count, the corrector mode, the batch
+//! composition, or how many devices the evaluator shards over.
 
 use crate::fallible::{retry_round, FaultReport, Infallible, TryBatchEvaluator};
 use crate::lockstep::{BatchHomotopy, LockstepPath};
 use crate::lu::lu_decompose;
+use crate::newton::NewtonParams;
+use crate::resident::correct_resident;
 use crate::tracker::{TrackOutcome, TrackParams};
 use polygpu_complex::{Complex, Real};
-use polygpu_core::{BatchError, RecoveryPolicy};
+use polygpu_core::correct::max_norm;
+use polygpu_core::{BatchError, CorrectorMode, RecoveryPolicy};
 use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink};
 use polygpu_polysys::{BatchSystemEvaluator, SystemEval};
 use std::collections::VecDeque;
 use std::fmt;
-
-fn max_norm<R: Real>(v: &[Complex<R>]) -> f64 {
-    v.iter().map(|z| z.abs().to_f64()).fold(0.0, f64::max)
-}
 
 /// Pending paths waiting for a slot: start points in submission order.
 #[derive(Debug, Clone, Default)]
@@ -105,15 +112,17 @@ impl SlotPolicy {
     }
 }
 
-/// Aggregate scheduling statistics of a multi-path run — shared by
-/// every scheduler behind `solve()` (the queue fills all of it; the
-/// per-path and lockstep schedulers report the fields that apply).
+/// Aggregate scheduling statistics of a path-queue run — what every
+/// scheduler behind `solve()` reports (per-path runs are one-slot
+/// queues).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Scheduler rounds (one batched evaluation of all occupied slots
-    /// each).
+    /// each, plus one fused corrector call under
+    /// [`CorrectorMode::DeviceResident`]).
     pub rounds: usize,
-    /// Batched device round trips issued (`>= rounds` when the slot
+    /// Batched device calls issued: evaluations, plus fused corrector
+    /// calls in device-resident mode (`>= rounds`; more when the slot
     /// count exceeds the evaluator capacity and rounds chunk).
     pub batch_rounds: usize,
     /// Slots refilled from the queue after a path finished.
@@ -132,8 +141,8 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// Mean slot occupancy over the run: `1.0` means every round ran a
-    /// full batch. The shrinking-front tracker degrades toward `1/slots`
-    /// as paths retire; the queue stays near `1.0` until it drains.
+    /// full batch. The queue stays near `1.0` until it drains; only the
+    /// drain tail, with slots finishing at different times, runs below.
     pub fn occupancy(&self) -> f64 {
         if self.rounds == 0 || self.slots == 0 {
             0.0
@@ -222,7 +231,7 @@ struct Slot<R> {
     path: usize,
     /// Last accepted point.
     x: Vec<Complex<R>>,
-    /// Corrector iterate (valid in `Correct`/`FinalCheck`).
+    /// Corrector iterate (valid outside `Predict`).
     y: Vec<Complex<R>>,
     t: f64,
     dt: f64,
@@ -257,14 +266,127 @@ impl<R: Real> Slot<R> {
             }
         }
     }
+
+    /// Euler predictor: `J_H dx = -dH/dt` at `(x, t)`, then on to the
+    /// corrector at `t_new` — or, on a singular Jacobian, the outcome
+    /// that retires the path, as in `track`.
+    fn predict(&mut self, eval: SystemEval<R>, dt_vec: &[Complex<R>]) -> Option<TrackOutcome> {
+        self.dt_clamped = self.dt.min(1.0 - self.t);
+        self.t_new = self.t + self.dt_clamped;
+        let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
+        match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
+            Ok(dxdt) => {
+                self.y = self
+                    .x
+                    .iter()
+                    .zip(&dxdt)
+                    .map(|(xi, di)| *xi + di.scale(R::from_f64(self.dt_clamped)))
+                    .collect();
+                self.phase = Phase::Correct { iter: 0 };
+                None
+            }
+            Err(_) => Some(TrackOutcome::SingularJacobian {
+                at_t: format!("{:.6}", self.t),
+            }),
+        }
+    }
+
+    /// One step of `newton` on the evaluation at `(y, t_new)`: the
+    /// corrector's verdict `(converged, iterations)` once it ends.
+    fn newton_step(&mut self, eval: SystemEval<R>, p: &NewtonParams) -> Option<(bool, usize)> {
+        match self.phase {
+            Phase::Predict => unreachable!("predicting slots do not correct"),
+            Phase::Correct { iter } => {
+                if max_norm(&eval.values) < p.residual_tol {
+                    return Some((true, iter));
+                }
+                let rhs: Vec<Complex<R>> = eval.values.iter().map(|v| -*v).collect();
+                let Ok(dx) = lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) else {
+                    return Some((false, iter));
+                };
+                for (yi, di) in self.y.iter_mut().zip(&dx) {
+                    *yi += *di;
+                }
+                self.phase = if max_norm(&dx) < p.step_tol {
+                    Phase::FinalCheck {
+                        iterations: iter + 1,
+                    }
+                } else if iter + 1 >= p.max_iters {
+                    Phase::MaxItersCheck
+                } else {
+                    Phase::Correct { iter: iter + 1 }
+                };
+                None
+            }
+            // `newton`'s post-step-tolerance residual check.
+            Phase::FinalCheck { iterations } => Some((
+                max_norm(&eval.values) < p.residual_tol * p.step_tol_relax,
+                iterations,
+            )),
+            // `newton`'s final evaluation on a MaxIters exit: the
+            // residual is recorded but never rescues the attempt.
+            Phase::MaxItersCheck => Some((false, p.max_iters)),
+        }
+    }
+
+    /// `track`'s step control after the corrector's verdict: accept
+    /// (moving to `y`, growing the step after an easy correction) or
+    /// halve the step, then the outcome that retires the path, if any.
+    fn conclude(
+        &mut self,
+        converged: bool,
+        iterations: usize,
+        params: &TrackParams,
+        stats: &mut QueueStats,
+    ) -> Option<TrackOutcome> {
+        stats.corrector_iterations += iterations;
+        if converged {
+            std::mem::swap(&mut self.x, &mut self.y);
+            self.t = self.t_new;
+            stats.steps_accepted += 1;
+            if iterations <= params.easy_iters {
+                self.dt = (self.dt * params.grow).min(params.max_dt);
+            }
+        } else {
+            stats.steps_rejected += 1;
+            self.dt *= 0.5;
+        }
+        self.attempts += 1;
+        // `track`'s loop structure: step-underflow retires the path;
+        // otherwise the success check runs at the top of the next
+        // iteration — which exists only while the attempt budget lasts.
+        if !converged && self.dt < params.min_dt {
+            Some(TrackOutcome::StepUnderflow {
+                at_t: format!("{:.6}", self.t),
+            })
+        } else if self.t >= 1.0 {
+            Some(if self.attempts < params.max_steps {
+                TrackOutcome::Success
+            } else {
+                TrackOutcome::StepLimit
+            })
+        } else if self.attempts >= params.max_steps {
+            Some(TrackOutcome::StepLimit)
+        } else {
+            self.phase = Phase::Predict;
+            None
+        }
+    }
 }
 
-/// A finished path, to be recorded and its slot refilled.
-struct Finished<R> {
-    path: usize,
+/// Record slot `s`'s path as finished with `outcome` and free the slot.
+fn retire<R>(
+    front: &mut [Option<Slot<R>>],
+    results: &mut [Option<LockstepPath<R>>],
+    s: usize,
     outcome: TrackOutcome,
-    x: Vec<Complex<R>>,
-    t: f64,
+) {
+    let slot = front[s].take().expect("occupied");
+    results[slot.path] = Some(LockstepPath {
+        outcome,
+        x: slot.x,
+        t: slot.t,
+    });
 }
 
 /// Track every start through `h` with a queue-fed slot front sized by
@@ -276,9 +398,8 @@ struct Finished<R> {
 /// clamped to the number of starts.
 ///
 /// Per path, control flow and arithmetic replicate
-/// [`crate::tracker::track`] exactly — each scheduler round performs
-/// precisely one evaluation per occupied slot (a predictor, one Newton
-/// corrector iteration, or the corrector's final residual check), all
+/// [`crate::tracker::track`] exactly — in host mode each scheduler
+/// round performs precisely one evaluation per occupied slot, all
 /// gathered into one batched evaluation — so with a bit-exact batch
 /// evaluator the endpoints equal the single-path tracker's bit for bit,
 /// for **any** slot count and **any** device sharding underneath.
@@ -303,14 +424,14 @@ where
 }
 
 /// [`track_queue`] over fallible evaluators: each scheduler round's
-/// batched evaluation retries under `recovery` with modeled backoff.
-/// Slot state — each slot's `(t, dt, x)` and phase — is committed only
-/// after the round's evaluations return, so the front *is* the
-/// checkpoint: a retry replays only the faulted round (same chunk
-/// boundaries, same arithmetic), and a recovered run's endpoints are
-/// **bit-identical** to the fault-free run; only the engine's modeled
-/// wall clock pays for the recovery. An unrecoverable fault surfaces
-/// as a typed [`BatchError`] — never a panic, never a wrong endpoint.
+/// engine calls retry under `recovery` with modeled backoff. Slot
+/// state — each slot's `(t, dt, x)` and phase — is committed only
+/// after the round's results return, so the front *is* the checkpoint:
+/// a retry replays only the faulted call (same chunk boundaries, same
+/// arithmetic), and a recovered run's endpoints are **bit-identical**
+/// to the fault-free run; only the engine's modeled wall clock pays for
+/// the recovery. An unrecoverable fault surfaces as a typed
+/// [`BatchError`] — never a panic, never a wrong endpoint.
 pub fn track_queue_recovering<R: Real, EG, EF>(
     h: &mut BatchHomotopy<R, EG, EF>,
     starts: &[Vec<Complex<R>>],
@@ -343,6 +464,7 @@ where
     EG: TryBatchEvaluator<R>,
     EF: TryBatchEvaluator<R>,
 {
+    let resident = params.corrector_mode == CorrectorMode::DeviceResident;
     let mut fault = FaultReport::default();
     let n_paths = starts.len();
     let cap = h.max_batch().max(1);
@@ -352,22 +474,18 @@ where
         .map(|_| queue.pop().map(|(i, x0)| Slot::start(i, x0, &params)))
         .collect();
     let mut results: Vec<Option<LockstepPath<R>>> = (0..n_paths).map(|_| None).collect();
-
-    let mut rounds = 0usize;
-    let mut batch_rounds = 0usize;
-    let mut refills = 0usize;
-    let mut point_rounds = 0usize;
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut corrector_iters = 0usize;
+    let mut stats = QueueStats {
+        slots,
+        ..Default::default()
+    };
 
     loop {
         let occupied: Vec<usize> = (0..slots).filter(|&s| front[s].is_some()).collect();
         if occupied.is_empty() {
             break;
         }
-        rounds += 1;
-        point_rounds += occupied.len();
+        stats.rounds += 1;
+        stats.point_rounds += occupied.len();
 
         // One evaluation per occupied slot, at that slot's own point
         // and t, batched (and chunked by the evaluator capacity).
@@ -383,18 +501,70 @@ where
         let wall0 = h.f.modeled_wall_seconds() + fault.backoff_seconds;
         let retried0 = fault.retried_rounds;
         let backoff0 = fault.backoff_seconds;
-        let evals: Vec<(SystemEval<R>, Vec<Complex<R>>)> =
-            retry_round(recovery, &mut fault, || {
-                let mut evals = Vec::with_capacity(points.len());
-                let mut base = 0usize;
-                while base < points.len() {
-                    let end = (base + cap).min(points.len());
-                    batch_rounds += 1;
-                    evals.extend(h.try_eval_batch_at_each(&points[base..end], &ts[base..end])?);
-                    base = end;
+        let evals = retry_round(recovery, &mut fault, || {
+            let mut evals = Vec::with_capacity(points.len());
+            let mut base = 0usize;
+            while base < points.len() {
+                let end = (base + cap).min(points.len());
+                stats.batch_rounds += 1;
+                evals.extend(h.try_eval_batch_at_each(&points[base..end], &ts[base..end])?);
+                base = end;
+            }
+            Ok(evals)
+        })?;
+
+        for (&s, (eval, dt_vec)) in occupied.iter().zip(evals) {
+            let slot = front[s].as_mut().expect("occupied");
+            let outcome = if slot.phase == Phase::Predict {
+                slot.predict(eval, &dt_vec)
+            } else {
+                slot.newton_step(eval, &params.corrector)
+                    .and_then(|(ok, iters)| slot.conclude(ok, iters, &params, &mut stats))
+            };
+            if let Some(outcome) = outcome {
+                retire(&mut front, &mut results, s, outcome);
+            }
+        }
+
+        if resident {
+            // The whole corrector of every slot that just predicted, in
+            // one fused call, each point at its own t_new.
+            let correcting: Vec<usize> = occupied
+                .iter()
+                .copied()
+                .filter(|&s| {
+                    front[s]
+                        .as_ref()
+                        .is_some_and(|slot| slot.phase != Phase::Predict)
+                })
+                .collect();
+            let mut preds: Vec<Vec<Complex<R>>> = Vec::with_capacity(correcting.len());
+            let mut ts_new: Vec<R> = Vec::with_capacity(correcting.len());
+            for &s in &correcting {
+                let slot = front[s].as_mut().expect("occupied");
+                preds.push(std::mem::take(&mut slot.y));
+                ts_new.push(R::from_f64(slot.t_new));
+            }
+            let statuses = correct_resident(
+                h,
+                &mut preds,
+                &ts_new,
+                &params.corrector,
+                &mut stats.batch_rounds,
+                recovery,
+                &mut fault,
+            )?;
+            for ((s, y), status) in correcting.into_iter().zip(preds).zip(statuses) {
+                let slot = front[s].as_mut().expect("occupied");
+                slot.y = y;
+                let outcome =
+                    slot.conclude(status.converged, status.iterations, &params, &mut stats);
+                if let Some(outcome) = outcome {
+                    retire(&mut front, &mut results, s, outcome);
                 }
-                Ok(evals)
-            })?;
+            }
+        }
+
         if trace.enabled() {
             let retried = fault.retried_rounds - retried0;
             let backoff = fault.backoff_seconds - backoff0;
@@ -417,154 +587,19 @@ where
                 wall1 - wall0,
                 2,
                 &[
-                    ("round", MetaValue::U64(rounds as u64 - 1)),
+                    ("round", MetaValue::U64(stats.rounds as u64 - 1)),
                     ("slots", MetaValue::U64(occupied.len() as u64)),
                 ],
             );
         }
 
-        let mut finished: Vec<Finished<R>> = Vec::new();
-        for (&s, (eval, dt_vec)) in occupied.iter().zip(evals) {
-            let slot = front[s].as_mut().expect("occupied");
-            // The corrector's verdict for this attempt, if it ended.
-            let mut corrector_done: Option<(bool, usize)> = None;
-            match slot.phase {
-                Phase::Predict => {
-                    // Euler predictor: J_H dx = -dH/dt at (x, t); a
-                    // singular Jacobian retires the path, as in `track`.
-                    slot.dt_clamped = slot.dt.min(1.0 - slot.t);
-                    slot.t_new = slot.t + slot.dt_clamped;
-                    let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-                    match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-                        Ok(dxdt) => {
-                            slot.y = slot
-                                .x
-                                .iter()
-                                .zip(&dxdt)
-                                .map(|(xi, di)| *xi + di.scale(R::from_f64(slot.dt_clamped)))
-                                .collect();
-                            slot.phase = Phase::Correct { iter: 0 };
-                        }
-                        Err(_) => {
-                            finished.push(Finished {
-                                path: slot.path,
-                                outcome: TrackOutcome::SingularJacobian {
-                                    at_t: format!("{:.6}", slot.t),
-                                },
-                                x: std::mem::take(&mut slot.x),
-                                t: slot.t,
-                            });
-                            front[s] = None;
-                        }
-                    }
-                }
-                Phase::Correct { iter } => {
-                    // One `newton` iteration at (y, t_new).
-                    let resid = max_norm(&eval.values);
-                    if resid < params.corrector.residual_tol {
-                        corrector_done = Some((true, iter));
-                    } else {
-                        let rhs: Vec<Complex<R>> = eval.values.iter().map(|v| -*v).collect();
-                        match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-                            Ok(dx) => {
-                                for (yi, di) in slot.y.iter_mut().zip(&dx) {
-                                    *yi += *di;
-                                }
-                                let last_step = max_norm(&dx);
-                                if last_step < params.corrector.step_tol {
-                                    slot.phase = Phase::FinalCheck {
-                                        iterations: iter + 1,
-                                    };
-                                } else if iter + 1 >= params.corrector.max_iters {
-                                    slot.phase = Phase::MaxItersCheck;
-                                } else {
-                                    slot.phase = Phase::Correct { iter: iter + 1 };
-                                }
-                            }
-                            Err(_) => {
-                                corrector_done = Some((false, iter));
-                            }
-                        }
-                    }
-                }
-                Phase::FinalCheck { iterations } => {
-                    // `newton`'s post-step-tolerance residual check.
-                    let final_resid = max_norm(&eval.values);
-                    corrector_done = Some((
-                        final_resid
-                            < params.corrector.residual_tol * params.corrector.step_tol_relax,
-                        iterations,
-                    ));
-                }
-                Phase::MaxItersCheck => {
-                    // `newton`'s final evaluation on a MaxIters exit:
-                    // the residual is recorded but never rescues the
-                    // attempt.
-                    corrector_done = Some((false, params.corrector.max_iters));
-                }
-            }
-
-            if let Some((converged, iterations)) = corrector_done {
-                corrector_iters += iterations;
-                let slot = front[s].as_mut().expect("occupied");
-                if converged {
-                    std::mem::swap(&mut slot.x, &mut slot.y);
-                    slot.t = slot.t_new;
-                    accepted += 1;
-                    if iterations <= params.easy_iters {
-                        slot.dt = (slot.dt * params.grow).min(params.max_dt);
-                    }
-                } else {
-                    rejected += 1;
-                    slot.dt *= 0.5;
-                }
-                slot.attempts += 1;
-                // `track`'s loop structure: step-underflow retires the
-                // path; otherwise the success check runs at the top of
-                // the next iteration — which exists only while the
-                // attempt budget lasts.
-                let outcome = if !converged && slot.dt < params.min_dt {
-                    Some(TrackOutcome::StepUnderflow {
-                        at_t: format!("{:.6}", slot.t),
-                    })
-                } else if slot.t >= 1.0 {
-                    Some(if slot.attempts < params.max_steps {
-                        TrackOutcome::Success
-                    } else {
-                        TrackOutcome::StepLimit
-                    })
-                } else if slot.attempts >= params.max_steps {
-                    Some(TrackOutcome::StepLimit)
-                } else {
-                    slot.phase = Phase::Predict;
-                    None
-                };
-                if let Some(outcome) = outcome {
-                    finished.push(Finished {
-                        path: slot.path,
-                        outcome,
-                        x: std::mem::take(&mut slot.x),
-                        t: slot.t,
-                    });
-                    front[s] = None;
-                }
-            }
-        }
-
-        // Record finished paths and refill their slots immediately, so
-        // the next round runs at full occupancy again.
-        for f in finished {
-            results[f.path] = Some(LockstepPath {
-                outcome: f.outcome,
-                x: f.x,
-                t: f.t,
-            });
-        }
+        // Refill freed slots immediately, so the next round runs at
+        // full occupancy again.
         for slot in front.iter_mut() {
             if slot.is_none() {
                 if let Some((i, x0)) = queue.pop() {
                     *slot = Some(Slot::start(i, x0, &params));
-                    refills += 1;
+                    stats.refills += 1;
                 }
             }
         }
@@ -576,16 +611,7 @@ where
                 .into_iter()
                 .map(|p| p.expect("every queued path finishes"))
                 .collect(),
-            stats: QueueStats {
-                rounds,
-                batch_rounds,
-                refills,
-                point_rounds,
-                slots,
-                steps_accepted: accepted,
-                steps_rejected: rejected,
-                corrector_iterations: corrector_iters,
-            },
+            stats,
         },
         fault,
     ))
@@ -617,10 +643,10 @@ mod tests {
         (sys, start, starts)
     }
 
-    /// The defining property: for every slot count, each path's
-    /// endpoint, outcome and final t are **bit-for-bit** what the
-    /// single-path tracker produces, and the aggregate step counts are
-    /// the sums over the single-path runs.
+    /// The defining property: for every slot count and either
+    /// corrector, each path's endpoint, outcome and final t are
+    /// **bit-for-bit** what the single-path tracker produces, and the
+    /// aggregate step counts are the sums over the single-path runs.
     #[test]
     fn queue_is_bitwise_identical_to_per_path_tracking() {
         let (sys, start, starts) = fixture(3, 4);
@@ -639,22 +665,29 @@ mod tests {
             want.push(r);
         }
 
-        for slots in [1usize, 2, 3, 4, 7] {
-            let mut h = BatchHomotopy::with_random_gamma(
-                start.clone(),
-                AdEvaluator::new(sys.clone()).unwrap(),
-                7,
-            );
-            let r = track_queue(&mut h, &starts, params, slots);
-            assert_eq!(r.paths.len(), starts.len());
-            for (i, (got, w)) in r.paths.iter().zip(&want).enumerate() {
-                assert_eq!(got.outcome, w.outcome, "outcome, path {i}, slots {slots}");
-                assert_eq!(got.x, w.end().x, "endpoint, path {i}, slots {slots}");
-                assert_eq!(got.t, w.end().t, "final t, path {i}, slots {slots}");
+        for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+            let params = TrackParams {
+                corrector_mode: mode,
+                ..params
+            };
+            for slots in [1usize, 2, 3, 4, 7] {
+                let mut h = BatchHomotopy::with_random_gamma(
+                    start.clone(),
+                    AdEvaluator::new(sys.clone()).unwrap(),
+                    7,
+                );
+                let r = track_queue(&mut h, &starts, params, slots);
+                let case = format!("{mode:?}, slots {slots}");
+                assert_eq!(r.paths.len(), starts.len());
+                for (i, (got, w)) in r.paths.iter().zip(&want).enumerate() {
+                    assert_eq!(got.outcome, w.outcome, "outcome, path {i}, {case}");
+                    assert_eq!(got.x, w.end().x, "endpoint, path {i}, {case}");
+                    assert_eq!(got.t, w.end().t, "final t, path {i}, {case}");
+                }
+                assert_eq!(r.stats.steps_accepted, sum_acc, "{case}");
+                assert_eq!(r.stats.steps_rejected, sum_rej, "{case}");
+                assert_eq!(r.stats.corrector_iterations, sum_corr, "{case}");
             }
-            assert_eq!(r.stats.steps_accepted, sum_acc, "slots {slots}");
-            assert_eq!(r.stats.steps_rejected, sum_rej, "slots {slots}");
-            assert_eq!(r.stats.corrector_iterations, sum_corr, "slots {slots}");
         }
     }
 

@@ -1,13 +1,15 @@
-//! Device-resident corrector drivers: the Newton loop without the
+//! The device-resident corrector: the Newton loop without the
 //! per-iteration round trip.
 //!
-//! The host-mode schedulers download every corrector iteration's
-//! values and Jacobians, solve on the host, and upload the updated
-//! iterates — O(P·n²) modeled traffic per iteration. The drivers here
-//! instead hand the whole corrector to the engine's fused
-//! [`try_correct_batch`](AnyEvaluator::try_correct_batch) (evaluate →
-//! factor → solve → update, all resident), so the per-iteration
-//! download shrinks to the O(P) convergence-flag/residual vector.
+//! The host corrector downloads every iteration's values and
+//! Jacobians, solves on the host, and uploads the updated iterates —
+//! O(P·n²) modeled traffic per iteration. [`correct_resident`] instead
+//! hands the whole corrector to the engine's fused
+//! [`try_correct_fused`](TryBatchEvaluator::try_correct_fused)
+//! (evaluate → factor → solve → update, all resident), so the
+//! per-iteration download shrinks to the O(P) convergence-flag/residual
+//! vector. The path queue ([`crate::queue`]) calls it once per round
+//! under [`CorrectorMode::DeviceResident`](polygpu_core::CorrectorMode).
 //!
 //! The homotopy combination `H(x, t) = γ(1−t)·G(x) + t·F(x)` is folded
 //! into the fused loop through a [`HomotopyCombine`]: the engine
@@ -18,64 +20,11 @@
 //! the modeled transfer traffic differs.
 
 use crate::fallible::{retry_round, FaultReport, TryBatchEvaluator};
-use crate::lu::lu_decompose;
-use crate::newton::{NewtonParams, NewtonResult, StopReason};
-use crate::queue::{PathQueue, QueueResult, QueueStats};
-use crate::tracker::{PathPoint, TrackOutcome, TrackParams, TrackResult};
+use crate::lockstep::BatchHomotopy;
+use crate::newton::NewtonParams;
 use polygpu_complex::{Complex, Real};
-use polygpu_core::engine::{AnyEvaluator, EngineCaps};
-use polygpu_core::{
-    BatchError, CombineMap, CorrectParams, CorrectStatus, CorrectStop, RecoveryPolicy,
-};
-use polygpu_obs::{MetaValue, SpanKind, TraceSink};
+use polygpu_core::{BatchError, CombineMap, CorrectParams, CorrectStatus, RecoveryPolicy};
 use polygpu_polysys::{SystemEval, SystemEvaluator};
-
-use crate::lockstep::{BatchHomotopy, LockstepPath};
-
-/// The engine surface the resident drivers need beyond batched
-/// evaluation: capability introspection and the fused corrector. Both
-/// engine handle shapes the callers hold qualify — the solver's owned
-/// `Box<dyn AnyEvaluator>` and the serve layer's reborrowed
-/// `&mut dyn AnyEvaluator` into a resident fleet.
-pub trait ResidentEngine<R: Real>: TryBatchEvaluator<R> {
-    fn engine_caps(&self) -> EngineCaps;
-    fn try_correct_fused(
-        &mut self,
-        points: &mut [Vec<Complex<R>>],
-        combine: &mut dyn CombineMap<R>,
-        params: &CorrectParams,
-    ) -> Result<Vec<CorrectStatus>, BatchError>;
-}
-
-impl<R: Real> ResidentEngine<R> for Box<dyn AnyEvaluator<R>> {
-    fn engine_caps(&self) -> EngineCaps {
-        self.as_ref().caps()
-    }
-
-    fn try_correct_fused(
-        &mut self,
-        points: &mut [Vec<Complex<R>>],
-        combine: &mut dyn CombineMap<R>,
-        params: &CorrectParams,
-    ) -> Result<Vec<CorrectStatus>, BatchError> {
-        self.as_mut().try_correct_batch(points, combine, params)
-    }
-}
-
-impl<R: Real> ResidentEngine<R> for &mut dyn AnyEvaluator<R> {
-    fn engine_caps(&self) -> EngineCaps {
-        (**self).caps()
-    }
-
-    fn try_correct_fused(
-        &mut self,
-        points: &mut [Vec<Complex<R>>],
-        combine: &mut dyn CombineMap<R>,
-        params: &CorrectParams,
-    ) -> Result<Vec<CorrectStatus>, BatchError> {
-        (**self).try_correct_batch(points, combine, params)
-    }
-}
 
 /// Folds the analytic start system into the engine's fused corrector:
 /// the engine evaluates `F` resident; this map turns each raw
@@ -85,7 +34,7 @@ impl<R: Real> ResidentEngine<R> for &mut dyn AnyEvaluator<R> {
 /// basis of the host/device bit-identity contract.
 pub struct HomotopyCombine<'a, R: Real, G: SystemEvaluator<R>> {
     /// The start system `G`, evaluated analytically on the host (free
-    /// in the cost model, exactly as in the host-mode drivers).
+    /// in the cost model, exactly as in the host corrector).
     pub g: &'a mut G,
     pub gamma: Complex<R>,
     /// One `t` per point of the fused call, indexed by batch position.
@@ -121,30 +70,14 @@ pub fn correct_params(p: &NewtonParams) -> CorrectParams {
     }
 }
 
-/// A fused-corrector verdict in the host corrector's result shape
-/// (`x` is the committed iterate the engine handed back).
-pub fn status_to_newton<R: Real>(x: Vec<Complex<R>>, s: CorrectStatus) -> NewtonResult<R> {
-    NewtonResult {
-        x,
-        converged: s.converged,
-        iterations: s.iterations,
-        residuals: s.residuals,
-        last_step: s.last_step,
-        stop: match s.stop {
-            CorrectStop::ResidualTol => StopReason::ResidualTol,
-            CorrectStop::StepTol => StopReason::StepTol,
-            CorrectStop::MaxIters => StopReason::MaxIters,
-            CorrectStop::Singular => StopReason::SingularJacobian,
-        },
-    }
-}
-
 /// Run the engine's fused corrector over `points` at per-point `ts`,
-/// chunked by the engine's batch capacity, with round-level fault
-/// retry. Each chunk commits its iterates only on success, so a retry
-/// replays the faulted chunk bit for bit; chunks already committed are
-/// never re-run. `batch_rounds` counts fused calls issued (including
-/// retried attempts, matching the host drivers' convention).
+/// chunked by the engine's batch capacity
+/// ([`max_batch`](polygpu_polysys::BatchSystemEvaluator::max_batch)),
+/// with round-level fault retry. Each chunk corrects a scratch copy and
+/// commits it only on success, so a retry replays the faulted chunk bit
+/// for bit; chunks already committed are never re-run. `batch_rounds`
+/// counts fused calls issued (including retried attempts, matching the
+/// host corrector's convention).
 pub fn correct_resident<R, EG, EF>(
     h: &mut BatchHomotopy<R, EG, EF>,
     points: &mut [Vec<Complex<R>>],
@@ -156,12 +89,12 @@ pub fn correct_resident<R, EG, EF>(
 ) -> Result<Vec<CorrectStatus>, BatchError>
 where
     R: Real,
-    EG: TryBatchEvaluator<R> + SystemEvaluator<R>,
-    EF: ResidentEngine<R>,
+    EG: TryBatchEvaluator<R>,
+    EF: TryBatchEvaluator<R>,
 {
     assert_eq!(points.len(), ts.len(), "one t per point");
     let cparams = correct_params(corrector);
-    let cap = h.f.engine_caps().capacity.max(1);
+    let cap = h.f.max_batch().max(1);
     let gamma = h.gamma;
     let mut out = Vec::with_capacity(points.len());
     let mut base = 0usize;
@@ -175,389 +108,17 @@ where
             ts: &ts[base..end],
         };
         let chunk = &mut points[base..end];
-        let statuses = retry_round(recovery, fault, || {
+        let (corrected, statuses) = retry_round(recovery, fault, || {
             *batch_rounds += 1;
-            f.try_correct_fused(chunk, &mut combine, &cparams)
+            let mut scratch = chunk.to_vec();
+            let statuses = f.try_correct_fused(&mut scratch, &mut combine, &cparams)?;
+            Ok((scratch, statuses))
         })?;
+        for (dst, src) in chunk.iter_mut().zip(corrected) {
+            *dst = src;
+        }
         out.extend(statuses);
         base = end;
     }
     Ok(out)
-}
-
-/// [`crate::tracker::track`] with the corrector fused on the engine:
-/// the predictor is the usual host-side Euler solve (one batched
-/// evaluation of one point), the corrector one fused
-/// [`correct_resident`] call per attempt. Control flow and arithmetic
-/// replicate `track` exactly, so the endpoint is bit-identical to the
-/// host tracker's; only the modeled transfer traffic differs.
-pub fn track_resident<R, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    x0: &[Complex<R>],
-    params: &TrackParams,
-    batch_rounds: &mut usize,
-    recovery: &RecoveryPolicy,
-    fault: &mut FaultReport,
-) -> Result<TrackResult<R>, BatchError>
-where
-    R: Real,
-    EG: TryBatchEvaluator<R> + SystemEvaluator<R>,
-    EF: ResidentEngine<R>,
-{
-    let mut points = vec![PathPoint {
-        t: 0.0,
-        x: x0.to_vec(),
-    }];
-    let mut x = x0.to_vec();
-    let mut t = 0.0f64;
-    let mut dt = params.initial_dt;
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut corrector_iters = 0usize;
-
-    let done = |outcome, points, accepted, rejected, corrector_iters| TrackResult {
-        outcome,
-        points,
-        steps_accepted: accepted,
-        steps_rejected: rejected,
-        corrector_iterations: corrector_iters,
-    };
-
-    for _ in 0..params.max_steps {
-        if t >= 1.0 {
-            return Ok(done(
-                TrackOutcome::Success,
-                points,
-                accepted,
-                rejected,
-                corrector_iters,
-            ));
-        }
-        let dt_clamped = dt.min(1.0 - t);
-        // Euler predictor: J_H dx = -dH/dt, x_pred = x + dx * dt.
-        let (eval, dt_vec) = {
-            let xs = std::slice::from_ref(&x);
-            retry_round(recovery, fault, || {
-                *batch_rounds += 1;
-                h.try_eval_batch_at(xs, R::from_f64(t))
-            })?
-            .pop()
-            .expect("batch of one returns one result")
-        };
-        let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-        let dxdt = match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-            Ok(d) => d,
-            Err(_) => {
-                return Ok(done(
-                    TrackOutcome::SingularJacobian {
-                        at_t: format!("{t:.6}"),
-                    },
-                    points,
-                    accepted,
-                    rejected,
-                    corrector_iters,
-                ))
-            }
-        };
-        let x_pred: Vec<Complex<R>> = x
-            .iter()
-            .zip(&dxdt)
-            .map(|(xi, di)| *xi + di.scale(R::from_f64(dt_clamped)))
-            .collect();
-        // Fused Newton corrector at t + dt.
-        let t_new = t + dt_clamped;
-        let mut pred = [x_pred];
-        let status = correct_resident(
-            h,
-            &mut pred,
-            &[R::from_f64(t_new)],
-            &params.corrector,
-            batch_rounds,
-            recovery,
-            fault,
-        )?
-        .pop()
-        .expect("batch of one returns one status");
-        let [corrected] = pred;
-        corrector_iters += status.iterations;
-        if status.converged {
-            x = corrected;
-            t = t_new;
-            points.push(PathPoint { t, x: x.clone() });
-            accepted += 1;
-            if status.iterations <= params.easy_iters {
-                dt = (dt * params.grow).min(params.max_dt);
-            }
-        } else {
-            rejected += 1;
-            dt *= 0.5;
-            if dt < params.min_dt {
-                return Ok(done(
-                    TrackOutcome::StepUnderflow {
-                        at_t: format!("{t:.6}"),
-                    },
-                    points,
-                    accepted,
-                    rejected,
-                    corrector_iters,
-                ));
-            }
-        }
-    }
-    Ok(done(
-        TrackOutcome::StepLimit,
-        points,
-        accepted,
-        rejected,
-        corrector_iters,
-    ))
-}
-
-/// One queue slot of [`track_queue_resident`]: a path with its own `t`
-/// and adaptive step size, exactly the per-path tracker's state.
-struct ResidentSlot<R> {
-    path: usize,
-    x: Vec<Complex<R>>,
-    t: f64,
-    dt: f64,
-    attempts: usize,
-}
-
-/// [`crate::queue::track_queue`] with the corrector fused on the
-/// engine: a refilling slot front where each round runs **one** batched
-/// predictor over the occupied slots and **one** fused corrector call
-/// over their predicted points (each at its own `t`), instead of one
-/// host round trip per Newton iteration. Per path, control flow and
-/// arithmetic replicate [`crate::tracker::track`] exactly, so the
-/// endpoints are bit-identical to the host queue scheduler's — the
-/// round structure (and with it the occupancy statistics) legitimately
-/// differs, because a whole corrector run now fits in one round.
-pub fn track_queue_resident<R, EG, EF>(
-    h: &mut BatchHomotopy<R, EG, EF>,
-    starts: &[Vec<Complex<R>>],
-    params: TrackParams,
-    slots: usize,
-    recovery: &RecoveryPolicy,
-    trace: &TraceSink,
-) -> Result<(QueueResult<R>, FaultReport), BatchError>
-where
-    R: Real,
-    EG: TryBatchEvaluator<R> + SystemEvaluator<R>,
-    EF: ResidentEngine<R>,
-{
-    let mut fault = FaultReport::default();
-    let n_paths = starts.len();
-    let slots = slots.max(1).min(n_paths.max(1));
-    let mut queue = PathQueue::from_starts(starts);
-    let mut front: Vec<Option<ResidentSlot<R>>> = (0..slots)
-        .map(|_| {
-            queue.pop().map(|(i, x0)| ResidentSlot {
-                path: i,
-                x: x0,
-                t: 0.0,
-                dt: params.initial_dt,
-                attempts: 0,
-            })
-        })
-        .collect();
-    let mut results: Vec<Option<LockstepPath<R>>> = (0..n_paths).map(|_| None).collect();
-
-    let mut rounds = 0usize;
-    let mut batch_rounds = 0usize;
-    let mut refills = 0usize;
-    let mut point_rounds = 0usize;
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut corrector_iters = 0usize;
-
-    loop {
-        let occupied: Vec<usize> = (0..slots).filter(|&s| front[s].is_some()).collect();
-        if occupied.is_empty() {
-            break;
-        }
-        rounds += 1;
-        point_rounds += occupied.len();
-        let wall0 = h.f.modeled_wall_seconds() + fault.backoff_seconds;
-        let retried0 = fault.retried_rounds;
-        let backoff0 = fault.backoff_seconds;
-
-        // Batched Euler predictor at each slot's own (x, t).
-        let mut points: Vec<Vec<Complex<R>>> = Vec::with_capacity(occupied.len());
-        let mut ts: Vec<R> = Vec::with_capacity(occupied.len());
-        for &s in &occupied {
-            let slot = front[s].as_ref().expect("occupied");
-            points.push(slot.x.clone());
-            ts.push(R::from_f64(slot.t));
-        }
-        let cap = h.max_batch().max(1);
-        let hev = retry_round(recovery, &mut fault, || {
-            let mut hev = Vec::with_capacity(points.len());
-            let mut base = 0usize;
-            while base < points.len() {
-                let end = (base + cap).min(points.len());
-                batch_rounds += 1;
-                hev.extend(h.try_eval_batch_at_each(&points[base..end], &ts[base..end])?);
-                base = end;
-            }
-            Ok(hev)
-        })?;
-
-        // Predict; a singular Jacobian retires the path, as in `track`.
-        let mut attempt_slots: Vec<usize> = Vec::with_capacity(occupied.len());
-        let mut preds: Vec<Vec<Complex<R>>> = Vec::with_capacity(occupied.len());
-        let mut ts_new: Vec<R> = Vec::with_capacity(occupied.len());
-        let mut dts_clamped: Vec<f64> = Vec::with_capacity(occupied.len());
-        for (&s, (eval, dt_vec)) in occupied.iter().zip(hev) {
-            let slot = front[s].as_mut().expect("occupied");
-            let dt_clamped = slot.dt.min(1.0 - slot.t);
-            let t_new = slot.t + dt_clamped;
-            let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-            match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
-                Ok(dxdt) => {
-                    preds.push(
-                        slot.x
-                            .iter()
-                            .zip(&dxdt)
-                            .map(|(xi, di)| *xi + di.scale(R::from_f64(dt_clamped)))
-                            .collect(),
-                    );
-                    attempt_slots.push(s);
-                    ts_new.push(R::from_f64(t_new));
-                    dts_clamped.push(dt_clamped);
-                }
-                Err(_) => {
-                    results[slot.path] = Some(LockstepPath {
-                        outcome: TrackOutcome::SingularJacobian {
-                            at_t: format!("{:.6}", slot.t),
-                        },
-                        x: std::mem::take(&mut slot.x),
-                        t: slot.t,
-                    });
-                    front[s] = None;
-                }
-            }
-        }
-
-        // One fused corrector call for every surviving attempt, each
-        // point at its own t_new.
-        let statuses = correct_resident(
-            h,
-            &mut preds,
-            &ts_new,
-            &params.corrector,
-            &mut batch_rounds,
-            recovery,
-            &mut fault,
-        )?;
-
-        if trace.enabled() {
-            let retried = fault.retried_rounds - retried0;
-            let backoff = fault.backoff_seconds - backoff0;
-            if retried > 0 {
-                trace.emit(
-                    SpanKind::Retry,
-                    wall0,
-                    0.0,
-                    3,
-                    &[("attempts", MetaValue::U64(retried))],
-                );
-            }
-            if backoff > 0.0 {
-                trace.emit(SpanKind::Backoff, wall0, backoff, 3, &[]);
-            }
-            let wall1 = h.f.modeled_wall_seconds() + fault.backoff_seconds;
-            trace.emit(
-                SpanKind::Round,
-                wall0,
-                wall1 - wall0,
-                2,
-                &[
-                    ("round", MetaValue::U64(rounds as u64 - 1)),
-                    ("slots", MetaValue::U64(occupied.len() as u64)),
-                ],
-            );
-        }
-
-        // Verdicts: exactly `track`'s post-corrector step control.
-        for (((s, y), status), &dt_clamped) in attempt_slots
-            .into_iter()
-            .zip(preds)
-            .zip(&statuses)
-            .zip(&dts_clamped)
-        {
-            let slot = front[s].as_mut().expect("occupied");
-            corrector_iters += status.iterations;
-            if status.converged {
-                slot.x = y;
-                slot.t += dt_clamped;
-                accepted += 1;
-                if status.iterations <= params.easy_iters {
-                    slot.dt = (slot.dt * params.grow).min(params.max_dt);
-                }
-            } else {
-                rejected += 1;
-                slot.dt *= 0.5;
-            }
-            slot.attempts += 1;
-            let outcome = if !status.converged && slot.dt < params.min_dt {
-                Some(TrackOutcome::StepUnderflow {
-                    at_t: format!("{:.6}", slot.t),
-                })
-            } else if slot.t >= 1.0 {
-                Some(if slot.attempts < params.max_steps {
-                    TrackOutcome::Success
-                } else {
-                    TrackOutcome::StepLimit
-                })
-            } else if slot.attempts >= params.max_steps {
-                Some(TrackOutcome::StepLimit)
-            } else {
-                None
-            };
-            if let Some(outcome) = outcome {
-                results[slot.path] = Some(LockstepPath {
-                    outcome,
-                    x: std::mem::take(&mut slot.x),
-                    t: slot.t,
-                });
-                front[s] = None;
-            }
-        }
-
-        // Refill freed slots so the next round runs at full occupancy.
-        for slot in front.iter_mut() {
-            if slot.is_none() {
-                if let Some((i, x0)) = queue.pop() {
-                    *slot = Some(ResidentSlot {
-                        path: i,
-                        x: x0,
-                        t: 0.0,
-                        dt: params.initial_dt,
-                        attempts: 0,
-                    });
-                    refills += 1;
-                }
-            }
-        }
-    }
-
-    Ok((
-        QueueResult {
-            paths: results
-                .into_iter()
-                .map(|p| p.expect("every queued path retires with an outcome"))
-                .collect(),
-            stats: QueueStats {
-                rounds,
-                batch_rounds,
-                refills,
-                point_rounds,
-                slots,
-                steps_accepted: accepted,
-                steps_rejected: rejected,
-                corrector_iterations: corrector_iters,
-            },
-        },
-        fault,
-    ))
 }

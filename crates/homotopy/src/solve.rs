@@ -1,20 +1,21 @@
-//! One `solve()` entry point over every homotopy driver.
+//! One `solve()` entry point over the path tracker.
 //!
-//! The drivers grew one at a time — [`crate::tracker::track`] (one
-//! path), [`crate::lockstep::track_lockstep`] (shared front),
-//! [`crate::queue::track_queue`] (refilling slot front),
-//! [`crate::escalate::track_escalating_engine`] (precision retry) —
-//! each with its own signature, slot sizing and result type. This
-//! module puts one surface over all of them:
+//! polygpu tracks paths with one driver, the path queue
+//! ([`crate::queue::track_queue`]): a refilling slot front, with the
+//! corrector on the host or fused on the engine
+//! ([`TrackParams::corrector_mode`]). Precision escalation
+//! ([`crate::escalate::track_escalating_engine`]) retries failed paths
+//! in double-double. This module puts one surface over all of it:
 //!
 //! * [`SolveRequest`] — *what* to solve: the target system, the start
 //!   system and start points, the tolerances, a
 //!   [`PrecisionPolicy`] (fixed precision or escalate-on-failure) and
 //!   a [`SchedulerKind`];
-//! * [`Scheduler`] — the object-safe trait the existing drivers now
-//!   implement ([`PerPathScheduler`], [`LockstepScheduler`],
-//!   [`QueueScheduler`]); schedulers are *performance* choices — the
-//!   per-path and queue schedulers produce bit-identical endpoints;
+//! * [`Scheduler`] — the object-safe trait a scheduling strategy
+//!   implements; [`SchedulerKind`] implements it by running the path
+//!   queue with one slot ([`SchedulerKind::PerPath`]) or a sized front
+//!   ([`SchedulerKind::Queue`]). Schedulers are *performance* choices:
+//!   both produce bit-identical endpoints;
 //! * [`Solver`] — *where* to solve: it owns an engine spec
 //!   ([`EngineBuilder`]) and provisions engines per precision on
 //!   demand, so precision escalation re-enters the same scheduler at
@@ -45,15 +46,11 @@
 
 use crate::escalate::UsedPrecision;
 use crate::fallible::FaultReport;
-use crate::homotopy::{random_gamma, Homotopy};
-use crate::lockstep::{
-    track_lockstep_recovering_traced, track_lockstep_recovering_traced_with, BatchHomotopy,
-    LockstepPath,
-};
+use crate::homotopy::random_gamma;
+use crate::lockstep::{BatchHomotopy, LockstepPath};
 use crate::queue::{track_queue_recovering_traced, QueueStats, SlotPolicy};
-use crate::resident::{correct_resident, status_to_newton, track_queue_resident, track_resident};
 use crate::start::{AnyStart, StartSystem};
-use crate::tracker::{track, TrackOutcome, TrackParams};
+use crate::tracker::{TrackOutcome, TrackParams};
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
     AnyEvaluator, Backend, BuildError, ClusterProvider, Engine, EngineBuilder, EngineCaps,
@@ -71,7 +68,7 @@ use std::fmt;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// The scheduler trait and the three built-in schedulers
+// The scheduler trait and the built-in schedulers
 // ---------------------------------------------------------------------
 
 /// The homotopy every scheduler runs over: an analytic start system
@@ -93,16 +90,14 @@ pub struct SchedulerRun<R> {
 }
 
 /// An object-safe multi-path scheduling strategy: how the front of
-/// live paths is formed and fed to the engine each round. The three
-/// built-ins wrap the original drivers; implement this trait to plug a
-/// custom strategy into the same [`EngineHomotopy`] (build one with
-/// [`Solver::homotopy`]).
+/// live paths is formed and fed to the engine each round.
+/// [`SchedulerKind`] implements it for the built-ins; implement it to
+/// plug a custom strategy into the same [`EngineHomotopy`] (build one
+/// with [`Solver::homotopy`]).
 ///
-/// Scheduling is a performance decision only — [`PerPathScheduler`]
-/// and [`QueueScheduler`] produce **bit-identical** endpoints for the
-/// same request (the lockstep front shares its step size across paths,
-/// so its trajectories legitimately differ once paths diverge in
-/// difficulty).
+/// Scheduling is a performance decision only — the built-ins produce
+/// **bit-identical** endpoints for the same request, whatever the
+/// front size.
 pub trait Scheduler<R: Real> {
     /// Short stable name for reports and tables.
     fn name(&self) -> &'static str;
@@ -128,196 +123,14 @@ pub trait Scheduler<R: Real> {
     ) -> Result<SchedulerRun<R>, SolveError>;
 }
 
-/// [`crate::tracker::track`] behind the [`Scheduler`] trait: one path
-/// at a time, one single-point evaluation per predictor or corrector
-/// step — the reference the batched schedulers are checked against.
-///
-/// This scheduler drives the *infallible* single-point path and does
-/// no fault recovery of its own: run it against fault-free engines
-/// (its purpose is the bit-exact reference); chaos testing belongs to
-/// the lockstep and queue schedulers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerPathScheduler;
-
-impl<R: Real> Scheduler<R> for PerPathScheduler {
-    fn name(&self) -> &'static str {
-        "per-path"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        _caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let batches_before = h.f.engine_stats().batches;
-        let mut paths = Vec::with_capacity(starts.len());
-        let mut stats = QueueStats {
-            slots: 1,
-            ..Default::default()
-        };
-        let mut fault = FaultReport::default();
-        for (i, x0) in starts.iter().enumerate() {
-            let wall0 = h.f.engine_stats().wall_seconds;
-            // Borrow the shared endpoints per path: same gamma, same
-            // engine, exactly the legacy `track` call — or, in
-            // device-resident mode, the same control flow with the
-            // corrector fused on the engine (bit-identical endpoint,
-            // O(P) flag download per iteration instead of the full
-            // value/Jacobian round trip).
-            let mut r = if params.corrector_mode == CorrectorMode::DeviceResident {
-                let mut rounds = 0usize;
-                track_resident(h, x0, params, &mut rounds, recovery, &mut fault)
-                    .map_err(SolveError::Fault)?
-            } else {
-                let mut h1 = Homotopy::new(&mut h.g, &mut h.f, h.gamma);
-                track(&mut h1, x0, *params)
-            };
-            stats.steps_accepted += r.steps_accepted;
-            stats.steps_rejected += r.steps_rejected;
-            stats.corrector_iterations += r.corrector_iterations;
-            if trace.enabled() {
-                // One "round" per path: this scheduler's unit of work.
-                let wall1 = h.f.engine_stats().wall_seconds;
-                trace.emit(
-                    SpanKind::Round,
-                    wall0,
-                    wall1 - wall0,
-                    2,
-                    &[("path", MetaValue::U64(i as u64))],
-                );
-            }
-            let end = r.points.pop().expect("tracker records the start point");
-            paths.push(LockstepPath {
-                outcome: r.outcome,
-                x: end.x,
-                t: end.t,
-            });
-        }
-        // Every evaluation is its own device round trip here — read
-        // the exact count off the engine instead of re-deriving it.
-        stats.batch_rounds = (h.f.engine_stats().batches - batches_before) as usize;
-        stats.rounds = stats.batch_rounds;
-        stats.point_rounds = stats.batch_rounds;
-        Ok(SchedulerRun {
-            paths,
-            stats,
-            fault,
-        })
-    }
-}
-
-/// [`crate::lockstep::track_lockstep`] behind the [`Scheduler`] trait:
-/// all paths share one `t` front and one step size, every round one
-/// batched evaluation of the live paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LockstepScheduler;
-
-impl<R: Real> Scheduler<R> for LockstepScheduler {
-    fn name(&self) -> &'static str {
-        "lockstep"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        _caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let (r, fault) = if params.corrector_mode == CorrectorMode::DeviceResident {
-            // Same front, same step control; each round's corrector is
-            // the engine's fused loop instead of one host round trip
-            // per Newton iteration.
-            let corrector = params.corrector;
-            track_lockstep_recovering_traced_with(
-                h,
-                starts,
-                *params,
-                recovery,
-                trace,
-                &mut |h, pts, t_new, rounds, fault| {
-                    let mut points = pts.to_vec();
-                    let ts = vec![t_new; points.len()];
-                    let statuses =
-                        correct_resident(h, &mut points, &ts, &corrector, rounds, recovery, fault)?;
-                    Ok(points
-                        .into_iter()
-                        .zip(statuses)
-                        .map(|(x, s)| status_to_newton(x, s))
-                        .collect())
-                },
-            )
-        } else {
-            track_lockstep_recovering_traced(h, starts, *params, recovery, trace)
-        }
-        .map_err(SolveError::Fault)?;
-        let stats = r.stats();
-        Ok(SchedulerRun {
-            paths: r.paths,
-            stats,
-            fault,
-        })
-    }
-}
-
-/// [`crate::queue::track_queue`] behind the [`Scheduler`] trait: a
-/// refilling slot front sized by a [`SlotPolicy`].
-/// [`SlotPolicy::Auto`] resolves through [`EngineCaps::auto_slots`] to
-/// `devices × per-device capacity`, clamped to the engine's batch
-/// capacity — a point-sharded cluster run keeps every device's batch
-/// full each round, while a row-sharded cluster (whose devices all see
-/// every point) stays at one device's worth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueueScheduler {
-    pub slots: SlotPolicy,
-}
-
-impl<R: Real> Scheduler<R> for QueueScheduler {
-    fn name(&self) -> &'static str {
-        "queue"
-    }
-
-    fn run(
-        &mut self,
-        h: &mut EngineHomotopy<R>,
-        starts: &[Vec<Complex<R>>],
-        params: &TrackParams,
-        caps: &EngineCaps,
-        recovery: &RecoveryPolicy,
-        trace: &TraceSink,
-    ) -> Result<SchedulerRun<R>, SolveError> {
-        let slots = self.slots.resolve(caps.auto_slots(), starts.len());
-        let (r, fault) = if params.corrector_mode == CorrectorMode::DeviceResident {
-            track_queue_resident(h, starts, *params, slots, recovery, trace)
-        } else {
-            track_queue_recovering_traced(
-                h,
-                starts,
-                *params,
-                SlotPolicy::Fixed(slots),
-                recovery,
-                trace,
-            )
-        }
-        .map_err(SolveError::Fault)?;
-        Ok(SchedulerRun {
-            paths: r.paths,
-            stats: r.stats,
-            fault,
-        })
-    }
-}
-
-/// Which built-in [`Scheduler`] a [`SolveRequest`] runs.
+/// Which built-in [`Scheduler`] a [`SolveRequest`] runs. Both are the
+/// path queue ([`crate::queue::track_queue_recovering_traced`]); they
+/// differ only in the size of its slot front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// One path at a time — the bit-exact reference.
+    /// One path at a time: the path queue with a single slot, one
+    /// evaluation (or one fused correction) per round trip — the
+    /// reference the wider fronts are checked against.
     ///
     /// ```
     /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
@@ -327,21 +140,15 @@ pub enum SchedulerKind {
     /// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::PerPath);
     /// let report = Solver::new().solve(&req).unwrap();
     /// assert_eq!(report.successes(), 4);
+    /// assert_eq!(report.stats.slots, 1);
     /// ```
     PerPath,
-    /// One shared `t` front, every evaluation batched.
-    ///
-    /// ```
-    /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
-    /// use polygpu_polysys::parse_system;
-    ///
-    /// let target = parse_system::<f64>("x0^2 - 1; x1^2 - 1").unwrap();
-    /// let req = SolveRequest::new(target).with_scheduler(SchedulerKind::Lockstep);
-    /// let report = Solver::new().solve(&req).unwrap();
-    /// assert!(report.stats.batch_rounds < report.paths.len() * report.stats.rounds);
-    /// ```
-    Lockstep,
     /// A refilling slot front — full batches until the queue drains.
+    /// [`SlotPolicy::Auto`] resolves through [`EngineCaps::auto_slots`]
+    /// to `devices × per-device capacity`, clamped to the engine's
+    /// batch capacity — a point-sharded cluster run keeps every
+    /// device's batch full each round, while a row-sharded cluster
+    /// (whose devices all see every point) stays at one device's worth.
     ///
     /// ```
     /// use polygpu_homotopy::solve::{SchedulerKind, SolveRequest, Solver};
@@ -373,20 +180,50 @@ impl SchedulerKind {
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerKind::PerPath => "per-path",
-            SchedulerKind::Lockstep => "lockstep",
             SchedulerKind::Queue { .. } => "queue",
         }
     }
 
-    /// The built-in scheduler this kind selects, in precision `R` (one
-    /// kind instantiates for every precision, which is how escalation
+    /// The slot front this kind runs `paths` paths with on an engine
+    /// described by `caps`: one slot per path, or the queue's
+    /// [`SlotPolicy`] resolved against [`EngineCaps::auto_slots`].
+    pub fn slot_count(&self, caps: &EngineCaps, paths: usize) -> usize {
+        match self {
+            SchedulerKind::PerPath => 1,
+            SchedulerKind::Queue { slots } => slots.resolve(caps.auto_slots(), paths),
+        }
+    }
+
+    /// This kind as a [`Scheduler`] in precision `R` (one kind
+    /// instantiates for every precision, which is how escalation
     /// re-enters the same scheduler at higher precision).
     pub fn instantiate<R: Real>(&self) -> Box<dyn Scheduler<R>> {
-        match self {
-            SchedulerKind::PerPath => Box::new(PerPathScheduler),
-            SchedulerKind::Lockstep => Box::new(LockstepScheduler),
-            SchedulerKind::Queue { slots } => Box::new(QueueScheduler { slots: *slots }),
-        }
+        Box::new(*self)
+    }
+}
+
+impl<R: Real> Scheduler<R> for SchedulerKind {
+    fn name(&self) -> &'static str {
+        SchedulerKind::name(self)
+    }
+
+    fn run(
+        &mut self,
+        h: &mut EngineHomotopy<R>,
+        starts: &[Vec<Complex<R>>],
+        params: &TrackParams,
+        caps: &EngineCaps,
+        recovery: &RecoveryPolicy,
+        trace: &TraceSink,
+    ) -> Result<SchedulerRun<R>, SolveError> {
+        let slots = SlotPolicy::Fixed(self.slot_count(caps, starts.len()));
+        let (r, fault) = track_queue_recovering_traced(h, starts, *params, slots, recovery, trace)
+            .map_err(SolveError::Fault)?;
+        Ok(SchedulerRun {
+            paths: r.paths,
+            stats: r.stats,
+            fault,
+        })
     }
 }
 
@@ -1309,7 +1146,7 @@ impl<P: ClusterProvider> Solver<P> {
             self.homotopy_any(target, start, req.gamma_seed)?
         };
         let caps = h.f.caps();
-        let mut scheduler = req.scheduler.instantiate::<R>();
+        let mut scheduler = req.scheduler;
         let sched_trace = trace.on(Track::Scheduler);
         let run = scheduler.run(&mut h, starts, &params, &caps, &req.recovery, &sched_trace)?;
         let engine = h.f.engine_stats();
@@ -1502,9 +1339,10 @@ fn report_dd(target: &System<Dd>, paths: Vec<LockstepPath<Dd>>) -> Vec<PathRepor
 mod tests {
     use super::*;
     use crate::escalate::track_escalating_engine;
-    use crate::lockstep::track_lockstep;
+    use crate::homotopy::Homotopy;
     use crate::newton::NewtonParams;
     use crate::queue::track_queue;
+    use crate::tracker::track;
     use polygpu_complex::C64;
     use polygpu_polysys::{
         parse_system, random_sparse_system, random_system, AdEvaluator, BenchmarkParams,
@@ -1565,8 +1403,12 @@ mod tests {
         assert_eq!(report.stats.steps_accepted, acc);
         assert_eq!(report.stats.steps_rejected, rej);
         assert_eq!(report.stats.corrector_iterations, corr);
-        // Per-path scheduling is one device round trip per evaluation.
+        // Per-path scheduling is a one-slot queue: one device round
+        // trip per evaluation, every path after the first a refill.
+        assert_eq!(report.stats.slots, 1);
+        assert_eq!(report.stats.batch_rounds, report.stats.rounds);
         assert_eq!(report.stats.batch_rounds as u64, report.engine.batches);
+        assert_eq!(report.stats.refills, 3);
         assert_eq!(report.backend, "gpu-batch");
     }
 
@@ -1605,28 +1447,6 @@ mod tests {
                 legacy.stats.corrector_iterations
             );
         }
-    }
-
-    /// The lockstep scheduler equals the legacy `track_lockstep` run
-    /// bit for bit and surfaces its statistics.
-    #[test]
-    fn lockstep_solve_matches_legacy_track_lockstep() {
-        let (sys, start, starts) = fixture(3);
-        let report = gpu_solver()
-            .solve(&request(&sys, &start, SchedulerKind::Lockstep))
-            .unwrap();
-        let mut h = BatchHomotopy::with_random_gamma(
-            start.clone(),
-            AdEvaluator::new(sys.clone()).unwrap(),
-            7,
-        );
-        let want = track_lockstep(&mut h, &starts, TrackParams::default());
-        for (i, (got, w)) in report.paths.iter().zip(&want.paths).enumerate() {
-            assert_eq!(got.outcome, w.outcome, "path {i}");
-            assert_eq!(got.endpoint, PathEndpoint::Double(w.x.clone()), "path {i}");
-        }
-        assert_eq!(report.stats, want.stats());
-        assert!(report.stats.rounds > 0);
     }
 
     /// `SlotPolicy::Auto` resolves the queue front through the
@@ -1820,8 +1640,9 @@ mod tests {
     /// The chaos headline: under seeded fault injection, a solve either
     /// recovers — with endpoints **bit-identical** to the fault-free
     /// run — or surfaces a typed [`SolveError::Fault`]. It never panics
-    /// and never silently degrades. The seed sweep must actually hit
-    /// both recovered-with-faults runs and at least one fault, or the
+    /// and never silently degrades, on either scheduler and with either
+    /// corrector. The seed sweep must actually hit both
+    /// recovered-with-faults runs and at least one fault, or the
     /// invariant went untested.
     #[test]
     fn chaos_solve_recovers_bit_identical_or_types_the_fault() {
@@ -1829,56 +1650,60 @@ mod tests {
 
         let (sys, start, _) = fixture(11);
         for scheduler in [
-            SchedulerKind::Lockstep,
+            SchedulerKind::PerPath,
             SchedulerKind::Queue {
                 slots: SlotPolicy::Auto,
             },
         ] {
-            let clean = gpu_solver()
-                .solve(&request(&sys, &start, scheduler))
-                .unwrap();
-            assert!(!clean.fault.any(), "fault-free engines report no faults");
+            for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+                let req = request(&sys, &start, scheduler).with_corrector(mode);
+                let clean = gpu_solver().solve(&req).unwrap();
+                assert!(!clean.fault.any(), "fault-free engines report no faults");
 
-            let (mut faulted, mut recovered, mut surfaced) = (0u32, 0u32, 0u32);
-            for seed in 0..24u64 {
-                let solver = Solver::from_builder(
-                    Engine::builder()
-                        .backend(Backend::GpuBatch { capacity: 4 })
-                        .fault_plan(FaultPlan::new(seed, 5_000)),
-                );
-                match solver.solve(&request(&sys, &start, scheduler)) {
-                    Ok(report) => {
-                        for (i, (got, want)) in report.paths.iter().zip(&clean.paths).enumerate() {
-                            assert_eq!(got.outcome, want.outcome, "seed {seed} path {i}");
-                            assert_eq!(
-                                got.endpoint, want.endpoint,
-                                "seed {seed} path {i}: recovery must be bit-identical"
-                            );
-                        }
-                        if report.fault.any() {
-                            faulted += 1;
-                            if report.fault.recovered_rounds > 0 {
-                                recovered += 1;
-                                assert!(
-                                    report.fault.backoff_seconds > 0.0,
-                                    "seed {seed}: retries charge modeled backoff"
+                let (mut faulted, mut recovered, mut surfaced) = (0u32, 0u32, 0u32);
+                for seed in 0..24u64 {
+                    let solver = Solver::from_builder(
+                        Engine::builder()
+                            .backend(Backend::GpuBatch { capacity: 4 })
+                            .fault_plan(FaultPlan::new(seed, 5_000)),
+                    );
+                    match solver.solve(&req) {
+                        Ok(report) => {
+                            for (i, (got, want)) in
+                                report.paths.iter().zip(&clean.paths).enumerate()
+                            {
+                                assert_eq!(got.outcome, want.outcome, "seed {seed} path {i}");
+                                assert_eq!(
+                                    got.endpoint, want.endpoint,
+                                    "seed {seed} path {i}: recovery must be bit-identical"
                                 );
                             }
+                            if report.fault.any() {
+                                faulted += 1;
+                                if report.fault.recovered_rounds > 0 {
+                                    recovered += 1;
+                                    assert!(
+                                        report.fault.backoff_seconds > 0.0,
+                                        "seed {seed}: retries charge modeled backoff"
+                                    );
+                                }
+                            }
                         }
+                        Err(SolveError::Fault(e)) => {
+                            surfaced += 1;
+                            assert!(
+                                matches!(e, BatchError::Fault(_)),
+                                "seed {seed}: a single-device engine surfaces the fault itself"
+                            );
+                        }
+                        Err(e) => panic!("seed {seed}: unexpected non-fault error: {e}"),
                     }
-                    Err(SolveError::Fault(e)) => {
-                        surfaced += 1;
-                        assert!(
-                            matches!(e, BatchError::Fault(_)),
-                            "seed {seed}: a single-device engine surfaces the fault itself"
-                        );
-                    }
-                    Err(e) => panic!("seed {seed}: unexpected non-fault error: {e}"),
                 }
+                let case = format!("{scheduler:?} / {mode:?}");
+                assert!(faulted > 0, "{case}: the sweep never faulted");
+                assert!(recovered > 0, "{case}: the sweep never recovered");
+                assert!(surfaced > 0, "{case}: no seed exhausted recovery");
             }
-            assert!(faulted > 0, "{scheduler:?}: the sweep never faulted");
-            assert!(recovered > 0, "{scheduler:?}: the sweep never recovered");
-            assert!(surfaced > 0, "{scheduler:?}: no seed exhausted recovery");
         }
     }
 

@@ -24,14 +24,15 @@ pub struct TrackParams {
     pub grow: f64,
     pub easy_iters: usize,
     pub corrector: NewtonParams,
-    /// Where the corrector's linear solves run. [`CorrectorMode::Host`]
-    /// downloads values and Jacobians every iteration and solves on
-    /// the host; [`CorrectorMode::DeviceResident`] runs the fused
-    /// evaluate → factor → solve → update loop on the engine and
-    /// downloads only a per-point flag/residual vector. Endpoints are
-    /// bit-identical either way; only the modeled transfer traffic
-    /// differs. Ignored by hosts that have no engine to keep iterates
-    /// resident on (the scalar [`track`] corrector).
+    /// Which corrector the path queue ([`crate::queue`]) runs.
+    /// [`CorrectorMode::Host`] takes one Newton iteration per slot per
+    /// round, downloading values and Jacobians and solving on the
+    /// host; [`CorrectorMode::DeviceResident`] runs each round's whole
+    /// corrector as one fused evaluate → factor → solve → update call
+    /// on the engine ([`crate::resident::correct_resident`]),
+    /// downloading only a per-point flag/residual vector per iteration.
+    /// Endpoints are bit-identical either way; only the round structure
+    /// and the modeled traffic differ. The scalar [`track`] ignores it.
     pub corrector_mode: CorrectorMode,
     /// Overall cap on predictor-corrector steps (accepted + rejected).
     pub max_steps: usize,

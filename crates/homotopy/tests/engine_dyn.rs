@@ -1,12 +1,12 @@
 //! Object safety of the unified engine surface: every homotopy driver
-//! (`newton`, `track`, `track_lockstep`, `track_queue`) accepts
+//! (`newton`, `track`, `track_queue`) accepts
 //! `&mut dyn AnyEvaluator<R>` / `Box<dyn AnyEvaluator<R>>` built by
 //! `Engine::builder()`, and the trajectories are **bit-identical** to
 //! the concrete-type runs the drivers were originally written against.
 
 use polygpu_complex::C64;
 use polygpu_core::engine::{AnyEvaluator, Backend, Engine};
-use polygpu_homotopy::lockstep::{track_lockstep, BatchHomotopy};
+use polygpu_homotopy::lockstep::BatchHomotopy;
 use polygpu_homotopy::newton::{newton, NewtonParams};
 use polygpu_homotopy::queue::track_queue;
 use polygpu_homotopy::start::StartSystem;
@@ -85,9 +85,9 @@ fn track_accepts_boxed_engines() {
     }
 }
 
-/// `track_lockstep` and `track_queue` with `&mut dyn AnyEvaluator`
-/// endpoints in the batch homotopy — through the batched GPU backend,
-/// bit-identical to the CPU reference run.
+/// `track_queue` with `&mut dyn AnyEvaluator` endpoints in the batch
+/// homotopy — through the batched GPU backend, bit-identical to the
+/// CPU reference run.
 #[test]
 fn multi_path_drivers_accept_dyn_endpoints() {
     let (sys, start, starts) = fixture();
@@ -95,27 +95,13 @@ fn multi_path_drivers_accept_dyn_endpoints() {
 
     let mut cpu_h =
         BatchHomotopy::with_random_gamma(start.clone(), AdEvaluator::new(sys.clone()).unwrap(), 7);
-    let want_lockstep = track_lockstep(&mut cpu_h, &starts, params);
-    let mut cpu_h2 =
-        BatchHomotopy::with_random_gamma(start.clone(), AdEvaluator::new(sys.clone()).unwrap(), 7);
-    let want_queue = track_queue(&mut cpu_h2, &starts, params, 3);
+    let want_queue = track_queue(&mut cpu_h, &starts, params, 3);
 
     for backend in [Backend::CpuReference, Backend::GpuBatch { capacity: 8 }] {
         let mut engine = Engine::builder()
             .backend(backend.clone())
             .build(&sys)
             .unwrap();
-        {
-            let dyn_f: &mut dyn AnyEvaluator<f64> = &mut *engine;
-            let mut h = BatchHomotopy::with_random_gamma(start.clone(), dyn_f, 7);
-            let got = track_lockstep(&mut h, &starts, params);
-            for (i, (g, w)) in got.paths.iter().zip(&want_lockstep.paths).enumerate() {
-                assert_eq!(g.outcome, w.outcome, "lockstep path {i}");
-                assert_eq!(g.x, w.x, "lockstep endpoint {i}");
-            }
-            assert_eq!(got.rounds, want_lockstep.rounds);
-        }
-        engine.reset_engine_stats();
         {
             let dyn_f: &mut dyn AnyEvaluator<f64> = &mut *engine;
             let mut h = BatchHomotopy::with_random_gamma(start.clone(), dyn_f, 7);

@@ -382,8 +382,8 @@ pub trait SystemEvaluator<R: Real> {
 /// returning a typed error (e.g. `BatchGpuEvaluator::try_evaluate_batch`
 /// and `ShardedBatchEvaluator::try_evaluate_batch`); drivers that loop
 /// batches of caller-controlled size should prefer those. Callers with
-/// more than `max_batch()` points split into chunks (as the lockstep
-/// and path-queue trackers do).
+/// more than `max_batch()` points split into chunks (as the path-queue
+/// tracker does).
 pub trait BatchSystemEvaluator<R: Real>: SystemEvaluator<R> {
     /// Largest number of points one `evaluate_batch` call accepts.
     fn max_batch(&self) -> usize;

@@ -34,13 +34,10 @@ use polygpu_core::engine::{
 };
 use polygpu_core::{BatchError, EncodeError, SetupError};
 use polygpu_homotopy::homotopy::random_gamma;
-use polygpu_homotopy::lockstep::{
-    track_lockstep_recovering_traced, track_lockstep_recovering_traced_with, BatchHomotopy,
-};
+use polygpu_homotopy::lockstep::BatchHomotopy;
 use polygpu_homotopy::queue::{track_queue_recovering_traced, SlotPolicy};
-use polygpu_homotopy::resident::{correct_resident, status_to_newton, track_queue_resident};
-use polygpu_homotopy::solve::{PrecisionPolicy, SchedulerKind, SolveRequest, StartKind};
-use polygpu_homotopy::{CorrectorMode, UsedPrecision};
+use polygpu_homotopy::solve::{PrecisionPolicy, SolveRequest, StartKind};
+use polygpu_homotopy::UsedPrecision;
 use polygpu_obs::{
     MetaValue, MetricsRegistry, SpanKind, TelemetrySnapshot, TraceSink, Tracer, Track,
 };
@@ -801,81 +798,13 @@ impl SolveService {
             self.clock
         };
         let trace = self.trace.rebased(solve_base);
+        // The solver's one tracker, sized the way the solver sizes it;
         // `DeviceResident` requests run the fused corrector on the
-        // resident engine — endpoints bit-identical to host mode, but
-        // each Newton iteration downloads only the convergence flags.
-        let resident = params.corrector_mode == CorrectorMode::DeviceResident;
-        let outcome = match scheduler {
-            SchedulerKind::PerPath if resident => {
-                track_queue_resident(&mut h, &starts, params, 1, &recovery, &trace)
-                    .map(|(r, fault)| (r.paths, r.stats, fault))
-            }
-            SchedulerKind::PerPath => track_queue_recovering_traced(
-                &mut h,
-                &starts,
-                params,
-                SlotPolicy::Fixed(1),
-                &recovery,
-                &trace,
-            )
-            .map(|(r, fault)| (r.paths, r.stats, fault)),
-            SchedulerKind::Lockstep if resident => {
-                let corrector = params.corrector;
-                track_lockstep_recovering_traced_with(
-                    &mut h,
-                    &starts,
-                    params,
-                    &recovery,
-                    &trace,
-                    &mut |h, pts, t_new, rounds, fault| {
-                        let mut points = pts.to_vec();
-                        let ts = vec![t_new; points.len()];
-                        let statuses = correct_resident(
-                            h,
-                            &mut points,
-                            &ts,
-                            &corrector,
-                            rounds,
-                            &recovery,
-                            fault,
-                        )?;
-                        Ok(points
-                            .into_iter()
-                            .zip(statuses)
-                            .map(|(x, s)| status_to_newton(x, s))
-                            .collect())
-                    },
-                )
-                .map(|(r, fault)| {
-                    let stats = r.stats();
-                    (r.paths, stats, fault)
-                })
-            }
-            SchedulerKind::Lockstep => track_lockstep_recovering_traced(
-                &mut h, &starts, params, &recovery, &trace,
-            )
-            .map(|(r, fault)| {
-                let stats = r.stats();
-                (r.paths, stats, fault)
-            }),
-            SchedulerKind::Queue { slots } if resident => {
-                let resolved = slots.resolve(caps.auto_slots(), starts.len());
-                track_queue_resident(&mut h, &starts, params, resolved, &recovery, &trace)
-                    .map(|(r, fault)| (r.paths, r.stats, fault))
-            }
-            SchedulerKind::Queue { slots } => {
-                let resolved = slots.resolve(caps.auto_slots(), starts.len());
-                track_queue_recovering_traced(
-                    &mut h,
-                    &starts,
-                    params,
-                    SlotPolicy::Fixed(resolved),
-                    &recovery,
-                    &trace,
-                )
-                .map(|(r, fault)| (r.paths, r.stats, fault))
-            }
-        };
+        // resident engine.
+        let slots = SlotPolicy::Fixed(scheduler.slot_count(&caps, starts.len()));
+        let outcome =
+            track_queue_recovering_traced(&mut h, &starts, params, slots, &recovery, &trace)
+                .map(|(r, fault)| (r.paths, r.stats, fault));
         let solve_seconds = h.f.engine_stats().wall_seconds;
         drop(h);
         let admission_seconds = self.fleet.session_seconds() - admit_base;

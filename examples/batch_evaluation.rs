@@ -1,6 +1,6 @@
 //! The batched multi-point engine: evaluate a Table-1-shaped system
 //! and its Jacobian at 64 points with one two-launch round trip,
-//! then track four homotopy paths in lockstep through it.
+//! then track four homotopy paths through it with the path queue.
 //!
 //! ```bash
 //! cargo run --release --example batch_evaluation
@@ -64,8 +64,8 @@ fn main() {
         bs.throughput_evals_per_sec()
     );
 
-    // Lockstep path tracking: every corrector iteration of all four
-    // paths rides one batch.
+    // Path-queue tracking: each round, one evaluation of every path
+    // (a predictor or a corrector iteration) rides one batch.
     let small = random_system::<f64>(&BenchmarkParams {
         n: 2,
         m: 2,
@@ -77,13 +77,13 @@ fn main() {
     let starts: Vec<Vec<C64>> = (0..4u128).map(|i| start.solution_by_index(i)).collect();
     let gpu = BatchGpuEvaluator::new(&small, starts.len(), GpuOptions::default()).unwrap();
     let mut h = BatchHomotopy::with_random_gamma(start, gpu, 7);
-    let r = track_lockstep(&mut h, &starts, TrackParams::default());
+    let r = track_queue(&mut h, &starts, TrackParams::default(), SlotPolicy::Auto);
     println!();
     println!(
-        "lockstep tracking: {}/{} paths reached t = 1 in {} shared steps, {} batched round trips",
+        "queue tracking: {}/{} paths reached t = 1 in {} accepted steps, {} batched round trips",
         r.successes(),
         r.paths.len(),
-        r.steps_accepted,
-        r.batch_rounds
+        r.stats.steps_accepted,
+        r.stats.batch_rounds
     );
 }

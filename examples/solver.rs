@@ -1,7 +1,7 @@
 //! The unified solver: one `SolveRequest`, every scheduler, every
 //! backend, every precision policy — replacing the per-driver snippets
-//! (`track` / `track_lockstep` / `track_queue` /
-//! `track_escalating_engine`) with one entry point.
+//! (`track` / `track_queue` / `track_escalating_engine`) with one entry
+//! point.
 //!
 //! ```text
 //! cargo run --release --example solver
@@ -24,13 +24,12 @@ fn main() {
         .with_start(StartSystem::uniform(2, 4))
         .with_gamma_seed(11);
 
-    // 1. Same request, three schedulers, one backend: scheduling is a
+    // 1. Same request, both schedulers, one backend: scheduling is a
     //    performance decision, not a numerical one.
     println!("## scheduler comparison (batched GPU backend)\n");
     let gpu = Solver::from_builder(Engine::builder().backend(Backend::GpuBatch { capacity: 8 }));
     for scheduler in [
         SchedulerKind::PerPath,
-        SchedulerKind::Lockstep,
         SchedulerKind::Queue {
             slots: SlotPolicy::Auto,
         },

@@ -172,7 +172,7 @@ pub mod engine {
 }
 
 /// The unified solving API: one [`Solver::solve`] call covers every
-/// scheduler (per-path / lockstep / queue), backend and precision
+/// scheduler (per-path / queue), backend and precision
 /// policy. This alias fixes the solver's cluster provider to
 /// [`polygpu_cluster::Sharded`], so a solver built from this facade's
 /// [`engine::Engine::builder`] reaches the cluster backend too:

@@ -1,15 +1,13 @@
 //! The solver-API acceptance: one `SolveRequest`, every scheduler ×
-//! backend combination, identical answers.
+//! corrector × backend combination, identical answers.
 //!
 //! * [`PerPath`](SchedulerKind::PerPath) and
 //!   [`Queue`](SchedulerKind::Queue) (any slot policy) are bit-identical
 //!   to each other — and across the CPU-reference, batched-GPU and
-//!   cluster backends — for arbitrary requests.
-//! * [`Lockstep`](SchedulerKind::Lockstep) shares one step size across
-//!   its front, so its multi-path trajectories legitimately differ; its
-//!   guarantee is bit-identity across *backends* for any request, and
-//!   bit-identity to the other schedulers whenever the front is one
-//!   path.
+//!   cluster backends, under both correctors — for arbitrary requests.
+//!   Both run the one path queue, so a front whose size does not depend
+//!   on the backend also reports the same scheduler statistics
+//!   everywhere.
 //! * `SlotPolicy::Auto` sizes the queue front to `D ×` per-device
 //!   capacity through `EngineCaps` and keeps it > 0.8 occupied at
 //!   D ∈ {2, 4}.
@@ -39,10 +37,11 @@ fn solver_for(backend: Backend, per_device_capacity: usize) -> Solver {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// One request, every scheduler, every backend: the per-path and
-    /// queue schedulers agree bit for bit everywhere; lockstep agrees
-    /// with itself across backends, and with everything else on
-    /// single-path fronts.
+    /// One request, every scheduler, every corrector, every backend:
+    /// the per-path and queue schedulers agree bit for bit everywhere,
+    /// and a front sized independently of the backend (one slot, or a
+    /// fixed count within every backend's capacity) reports identical
+    /// scheduler statistics on every backend.
     #[test]
     fn solve_endpoints_identical_across_schedulers_and_backends(
         seed in 0u64..1_000,
@@ -57,7 +56,7 @@ proptest! {
             .with_start(start)
             .with_gamma_seed(gamma_seed);
 
-        // Reference: per-path on the CPU reference.
+        // Reference: the default queue on the CPU reference.
         let want = solver_for(Backend::CpuReference, 4).solve(&req).unwrap();
         prop_assert_eq!(want.paths.len(), (d * d) as usize);
 
@@ -66,49 +65,30 @@ proptest! {
             SchedulerKind::Queue { slots: SlotPolicy::Auto },
             SchedulerKind::Queue { slots: SlotPolicy::Fixed(3) },
         ];
-        for backend in backends(devices, 4) {
+        for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
             for scheduler in schedulers {
-                let report = solver_for(backend.clone(), 2)
-                    .solve(&req.clone().with_scheduler(scheduler))
-                    .unwrap();
-                for (i, (got, w)) in report.paths.iter().zip(&want.paths).enumerate() {
-                    prop_assert_eq!(&got.outcome, &w.outcome,
-                        "outcome: {:?} on {:?}, path {}", scheduler, backend, i);
-                    prop_assert_eq!(&got.endpoint, &w.endpoint,
-                        "endpoint: {:?} on {:?}, path {}", scheduler, backend, i);
-                    prop_assert_eq!(got.t, w.t,
-                        "final t: {:?} on {:?}, path {}", scheduler, backend, i);
+                let mut stats: Option<QueueStats> = None;
+                for backend in backends(devices, 4) {
+                    let report = solver_for(backend.clone(), 2)
+                        .solve(&req.clone().with_scheduler(scheduler).with_corrector(mode))
+                        .unwrap();
+                    for (i, (got, w)) in report.paths.iter().zip(&want.paths).enumerate() {
+                        prop_assert_eq!(&got.outcome, &w.outcome,
+                            "outcome: {:?} / {:?} on {:?}, path {}", scheduler, mode, backend, i);
+                        prop_assert_eq!(&got.endpoint, &w.endpoint,
+                            "endpoint: {:?} / {:?} on {:?}, path {}", scheduler, mode, backend, i);
+                        prop_assert_eq!(got.t, w.t,
+                            "final t: {:?} / {:?} on {:?}, path {}", scheduler, mode, backend, i);
+                    }
+                    // The auto front follows each backend's capacity;
+                    // the others are the same run everywhere.
+                    if scheduler != SchedulerKind::default() {
+                        let want_stats = *stats.get_or_insert(report.stats);
+                        prop_assert_eq!(report.stats, want_stats,
+                            "stats: {:?} / {:?} on {:?}", scheduler, mode, backend);
+                    }
                 }
             }
-        }
-
-        // Lockstep: bit-identical across backends…
-        let ls_want = solver_for(Backend::CpuReference, 4)
-            .solve(&req.clone().with_scheduler(SchedulerKind::Lockstep))
-            .unwrap();
-        for backend in backends(devices, 4) {
-            let report = solver_for(backend.clone(), 2)
-                .solve(&req.clone().with_scheduler(SchedulerKind::Lockstep))
-                .unwrap();
-            for (i, (got, w)) in report.paths.iter().zip(&ls_want.paths).enumerate() {
-                prop_assert_eq!(&got.endpoint, &w.endpoint,
-                    "lockstep endpoint on {:?}, path {}", backend, i);
-            }
-        }
-        // …and identical to the other schedulers when the front is one
-        // path (the shared step size then is the per-path step size).
-        for (i, w) in want.paths.iter().enumerate().take(2) {
-            let single = req
-                .clone()
-                .with_starts(StartSelection::Indices(vec![i as u128]))
-                .with_scheduler(SchedulerKind::Lockstep);
-            let report = solver_for(Backend::GpuBatch { capacity: 4 }, 4)
-                .solve(&single)
-                .unwrap();
-            prop_assert_eq!(&report.paths[0].endpoint, &w.endpoint,
-                "single-path lockstep vs per-path, path {}", i);
-            prop_assert_eq!(&report.paths[0].outcome, &w.outcome,
-                "single-path lockstep vs per-path, path {}", i);
         }
     }
 }

@@ -48,7 +48,7 @@ proptest! {
         let sys = random_system::<f64>(&BenchmarkParams { n: 2, m: 2, k: 2, d: 2, seed });
         let scheduler = [
             SchedulerKind::PerPath,
-            SchedulerKind::Lockstep,
+            SchedulerKind::Queue { slots: SlotPolicy::Fixed(2) },
             SchedulerKind::Queue { slots: SlotPolicy::Auto },
         ][sched_ix];
         let req = SolveRequest::new(sys)
