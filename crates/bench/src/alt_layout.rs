@@ -9,7 +9,7 @@
 
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
-use polygpu_polysys::UniformShape;
+use polygpu_polysys::{SparseShape, UniformShape};
 
 /// Element index of term `j` of combined polynomial `q` in the
 /// *row-major* (rejected) layout.
@@ -19,8 +19,8 @@ pub fn row_major_slot(shape: &UniformShape, j: usize, q: usize) -> usize {
 }
 
 /// Summation kernel over the row-major layout: mathematically identical
-/// to `polygpu_core`'s `SumKernel`, but each warp's loads scatter with
-/// stride `m`.
+/// to `polygpu_core`'s `BatchSumKernel`, but each warp's loads scatter
+/// with stride `m`.
 pub struct RowMajorSumKernel {
     pub shape: UniformShape,
     pub mons: BufferId,
@@ -58,7 +58,7 @@ impl<R: Real> Kernel<Complex<R>> for RowMajorSumKernel {
 /// `(paper_layout_report, row_major_report)`. The values produced are
 /// asserted identical; only the memory behaviour differs.
 pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, LaunchReport) {
-    use polygpu_core::kernels::SumKernel;
+    use polygpu_core::kernels::{BatchLayout, BatchSumKernel};
     use polygpu_core::layout::mons::term_slot;
 
     let device = DeviceSpec::tesla_c2050();
@@ -89,12 +89,29 @@ pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, Lau
         }
     }
     g1.host_write(mons1, 0, &data1);
+    // One point: the layout's strides never apply.
+    let layout = BatchLayout::new(
+        &SparseShape {
+            n: shape.n,
+            rows: shape.rows,
+            total_monomials: shape.total_monomials(),
+            max_m: shape.m,
+            max_k: shape.k,
+            d: shape.d,
+            uniform: true,
+        },
+        1,
+        cfg.block_dim,
+        <Complex<f64> as DeviceValue>::DEVICE_BYTES,
+        device.coalesce_segment,
+    );
     let r1 = launch(
         &device,
-        &SumKernel {
+        &BatchSumKernel {
             shape,
             mons: mons1,
             out: out1,
+            layout,
         },
         cfg,
         &mut g1,

@@ -308,13 +308,17 @@ pub fn count_multiplications(ks: &[usize]) -> Vec<(usize, u64, u64, u64, u64)> {
                 seed: k as u64,
             };
             let system = random_system::<f64>(&params);
+            let d = system
+                .uniform_shape()
+                .expect("generator yields uniform systems")
+                .d;
             let mut gpu = GpuEvaluator::new(&system, GpuOptions::default()).unwrap();
             let x = polygpu_polysys::random_point::<f64>(params.n, 9);
             let _ = gpu.evaluate(&x);
             // Complex muls = flops / 6; one power table per block.
             let report = monomial_report(gpu.last_reports());
             let blocks = report.config.grid_dim as u64;
-            let table = blocks * cost::power_stage_muls_per_block(params.n, gpu.shape().d as usize);
+            let table = blocks * cost::power_stage_muls_per_block(params.n, d as usize);
             let muls_measured = (report.counters.flops / 6 - table) / params.n as u64;
             (
                 k,

@@ -36,7 +36,6 @@
 //! assert!(cluster.cluster_stats().wall_seconds > 0.0);
 //! ```
 
-mod device;
 pub mod rows;
 pub mod shard;
 
@@ -49,15 +48,14 @@ pub use shard::{plan, DeviceWeight, Shard, ShardPolicy};
 pub use polygpu_core::engine::SystemShardPolicy;
 pub use polygpu_gpusim::stream::TransferPath;
 
-use crate::device::{CpuFallback, DeviceEngine};
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
-    AnyEvaluator, BuildError, ClusterPolicy, ClusterProvider, ClusterSpec, Engine, EngineBuilder,
-    EngineCaps, ShardMode,
+    AnyEvaluator, BuildError, ClusterPolicy, ClusterProvider, ClusterSpec, CpuReferenceEngine,
+    Engine, EngineBuilder, EngineCaps, ShardMode,
 };
 use polygpu_core::pipeline::{FaultConfig, GpuOptions, PipelineStats, SetupError};
 use polygpu_core::{
-    drive_correct, BatchError, CombineMap, CorrectOps, CorrectParams, CorrectStatus, OffsetCombine,
+    BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus, OffsetCombine,
 };
 use polygpu_gpusim::prelude::{DeviceSpec, FaultKind, FaultStats, RecoveryPolicy};
 use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink, Track};
@@ -186,7 +184,7 @@ impl fmt::Display for ClusterStats {
 
 /// [`BatchSystemEvaluator`] over `D` per-device batched engines.
 pub struct ShardedBatchEvaluator<R: Real> {
-    devices: Vec<DeviceEngine<R>>,
+    devices: Vec<BatchGpuEvaluator<R>>,
     weights: Vec<DeviceWeight>,
     policy: ShardPolicy,
     stats: ClusterStats,
@@ -222,8 +220,8 @@ struct ShardOutcome<R: Real> {
 impl<R: Real> ShardedBatchEvaluator<R> {
     /// Build one batched engine of `per_device_capacity` points per
     /// spec (heterogeneous specs allowed; every device must fit the
-    /// system). Ragged systems under the packed encoding route to the
-    /// sparse pipeline per device, exactly as off-cluster. A one-point
+    /// system). Ragged systems under the packed encoding run the ragged
+    /// kernels per device, exactly as off-cluster. A one-point
     /// probe per device calibrates the modeled seconds-per-point weight
     /// used by [`ShardPolicy::WorkStealing`].
     pub fn new(
@@ -251,7 +249,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                 trace: TraceSink::noop(),
                 ..opts.base.clone()
             };
-            let mut dev = DeviceEngine::build(system, per_device_capacity, gopts)?;
+            let mut dev = BatchGpuEvaluator::new(system, per_device_capacity, gopts)?;
             // Calibration probe: modeled seconds for one point, used
             // only as a relative work-stealing weight. Runs with the
             // injector disarmed so calibration can neither fault nor
@@ -401,7 +399,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                         4,
                         &[("points", MetaValue::U64(todo.len() as u64))],
                     );
-                    let mut cpu = CpuFallback::new(&self.system);
+                    let mut cpu = cpu_fallback(&self.system);
                     for &i in &todo {
                         merged[i] = Some(cpu.evaluate(&points[i]));
                     }
@@ -430,7 +428,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                     want[d] = Some(s.iter().map(|&j| todo[j]).collect());
                 }
             }
-            let work: Vec<(usize, &mut DeviceEngine<R>, Shard)> = self
+            let work: Vec<(usize, &mut BatchGpuEvaluator<R>, Shard)> = self
                 .devices
                 .iter_mut()
                 .enumerate()
@@ -507,37 +505,14 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                 fault.retries += o.retries;
                 fault.recovery_seconds += o.backoff;
                 let dev_wall = o.wall + o.backoff;
-                self.trace.emit(
-                    SpanKind::Shard,
+                self.trace_shard(
                     wall0 + batch_wall,
-                    dev_wall,
-                    4,
-                    &[
-                        ("device", MetaValue::U64(o.device as u64)),
-                        ("points", MetaValue::U64(shard_points as u64)),
-                    ],
+                    o.device,
+                    shard_points,
+                    o.wall,
+                    o.retries,
+                    o.backoff,
                 );
-                if o.retries > 0 {
-                    self.trace.emit(
-                        SpanKind::Retry,
-                        wall0 + batch_wall + o.wall,
-                        0.0,
-                        5,
-                        &[
-                            ("device", MetaValue::U64(o.device as u64)),
-                            ("attempts", MetaValue::U64(o.retries)),
-                        ],
-                    );
-                }
-                if o.backoff > 0.0 {
-                    self.trace.emit(
-                        SpanKind::Backoff,
-                        wall0 + batch_wall + o.wall,
-                        o.backoff,
-                        5,
-                        &[("device", MetaValue::U64(o.device as u64))],
-                    );
-                }
                 round_wall = round_wall.max(dev_wall);
                 self.stats.device_wall[o.device] += dev_wall;
                 self.stats.device_evals[o.device] += completed as u64;
@@ -598,7 +573,9 @@ impl<R: Real> ShardedBatchEvaluator<R> {
     /// its own device with backoff, a device that exhausts retries (or
     /// is lost) strands its unfinished points for re-planning over the
     /// survivors, and with [`RecoveryPolicy::cpu_fallback`] a dead
-    /// fleet finishes on the bit-identical CPU reference. Corrections
+    /// fleet finishes on the bit-identical CPU reference. Retries,
+    /// backoff and the modeled time of a call that fails typed are
+    /// traced and charged as on the evaluate path. Corrections
     /// commit into `points` only when every index has a status, so on
     /// `Err` the inputs are untouched and a caller-level retry replays
     /// bit for bit.
@@ -618,18 +595,6 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         impl<R: Real> CombineMap<R> for GatherCombine<'_, R> {
             fn apply(&mut self, index: usize, x: &[Complex<R>], eval: &mut SystemEval<R>) {
                 self.inner.apply(self.indices[index], x, eval);
-            }
-        }
-        /// Host corrector over the CPU-reference fallback: bit-identical
-        /// values, no modeled device costs.
-        struct CpuCorrectOps<'a, R: Real>(&'a mut CpuFallback<R>);
-        impl<R: Real> CorrectOps<R> for CpuCorrectOps<'_, R> {
-            fn eval(
-                &mut self,
-                points: &[Vec<Complex<R>>],
-                _indices: &[usize],
-            ) -> Result<Vec<SystemEval<R>>, BatchError> {
-                Ok(points.iter().map(|x| self.0.evaluate(x)).collect())
             }
         }
 
@@ -676,16 +641,15 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                         4,
                         &[("points", MetaValue::U64(todo.len() as u64))],
                     );
-                    let mut cpu = CpuFallback::new(&self.system);
+                    let mut cpu = cpu_fallback(&self.system);
                     for &i in &todo {
                         let one = std::slice::from_mut(&mut scratch[i]);
-                        let st = drive_correct(
-                            &mut CpuCorrectOps(&mut cpu),
+                        let st = cpu.try_correct_batch(
+                            one,
                             &mut OffsetCombine {
                                 inner: combine,
                                 offset: i,
                             },
-                            one,
                             params,
                         )?;
                         statuses[i] = st.into_iter().next();
@@ -746,7 +710,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                                 if fe.kind == FaultKind::DeviceLost
                                     || attempt >= recovery.max_retries
                                 {
-                                    err = Some(fe);
+                                    err = Some(BatchError::Fault(fe));
                                     break 'chunks;
                                 }
                                 backoff += recovery.backoff_seconds(attempt);
@@ -754,35 +718,38 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                                 retries += 1;
                             }
                             Err(e) => {
-                                self.stats.fault.merge(&fault);
-                                self.stats.wall_seconds += batch_wall;
-                                return Err(e);
+                                err = Some(e);
+                                break 'chunks;
                             }
                         }
                     }
                 }
-                let dev_wall = dev.stats().wall_seconds - wall_before + backoff;
+                let wall = dev.stats().wall_seconds - wall_before;
+                let dev_wall = wall + backoff;
                 fault.retries += retries;
                 fault.recovery_seconds += backoff;
-                self.trace.emit(
-                    SpanKind::Shard,
-                    wall0 + batch_wall,
-                    dev_wall,
-                    4,
-                    &[
-                        ("device", MetaValue::U64(d as u64)),
-                        ("points", MetaValue::U64(shard.len() as u64)),
-                    ],
-                );
+                self.trace_shard(wall0 + batch_wall, d, shard.len(), wall, retries, backoff);
                 round_wall = round_wall.max(dev_wall);
                 self.stats.device_wall[d] += dev_wall;
-                if let Some(fe) = err {
-                    excluded[d] = true;
-                    if fe.kind == FaultKind::DeviceLost {
-                        self.lost[d] = true;
+                match err {
+                    None => {}
+                    Some(BatchError::Fault(fe)) => {
+                        excluded[d] = true;
+                        if fe.kind == FaultKind::DeviceLost {
+                            self.lost[d] = true;
+                        }
+                        fault.failovers += 1;
+                        todo.extend(&shard[done..]);
                     }
-                    fault.failovers += 1;
-                    todo.extend(&shard[done..]);
+                    // Non-fault errors are contract violations or
+                    // launch limits, not recoverable hardware events;
+                    // the round's modeled time is charged as on the
+                    // evaluate path.
+                    Some(other) => {
+                        self.stats.fault.merge(&fault);
+                        self.stats.wall_seconds += batch_wall + round_wall;
+                        return Err(other);
+                    }
                 }
             }
             batch_wall += round_wall;
@@ -805,6 +772,60 @@ impl<R: Real> ShardedBatchEvaluator<R> {
             .map(|s| s.expect("every index is corrected or re-planned"))
             .collect())
     }
+
+    /// The cluster-track spans of one device's share of a round
+    /// starting at `t0`: its `Shard` span over the device wall `wall`
+    /// plus any `backoff`, then — where it retried — the `Retry`
+    /// marker and the `Backoff` window, both placed after the device's
+    /// own work.
+    fn trace_shard(
+        &self,
+        t0: f64,
+        device: usize,
+        points: usize,
+        wall: f64,
+        retries: u64,
+        backoff: f64,
+    ) {
+        self.trace.emit(
+            SpanKind::Shard,
+            t0,
+            wall + backoff,
+            4,
+            &[
+                ("device", MetaValue::U64(device as u64)),
+                ("points", MetaValue::U64(points as u64)),
+            ],
+        );
+        if retries > 0 {
+            self.trace.emit(
+                SpanKind::Retry,
+                t0 + wall,
+                0.0,
+                5,
+                &[
+                    ("device", MetaValue::U64(device as u64)),
+                    ("attempts", MetaValue::U64(retries)),
+                ],
+            );
+        }
+        if backoff > 0.0 {
+            self.trace.emit(
+                SpanKind::Backoff,
+                t0 + wall,
+                backoff,
+                5,
+                &[("device", MetaValue::U64(device as u64))],
+            );
+        }
+    }
+}
+
+/// A fleet's last resort once every device is gone: the CPU
+/// reference, bit-identical to the device kernels on every system a
+/// device accepts.
+pub(crate) fn cpu_fallback<R: Real>(system: &System<R>) -> CpuReferenceEngine<R> {
+    CpuReferenceEngine::new(system).expect("the CPU reference runs every system a device encodes")
 }
 
 impl<R: Real> SystemEvaluator<R> for ShardedBatchEvaluator<R> {
@@ -977,7 +998,6 @@ mod tests {
     #[allow(dead_code)]
     fn _cluster_types_are_send() {
         _assert_send::<polygpu_core::BatchGpuEvaluator<f64>>();
-        _assert_send::<polygpu_core::SparseBatchGpuEvaluator<f64>>();
         _assert_send::<ShardedBatchEvaluator<f64>>();
     }
 
@@ -1329,13 +1349,12 @@ mod tests {
     }
 
     /// Sparse (ragged) systems shard across the fleet under the packed
-    /// encoding, bit-identical to the single-device sparse engine — and
+    /// encoding, bit-identical to the single-device engine — and
     /// seeded chaos schedules recover bit-identically, the sparse CPU
     /// fallback included.
     #[test]
     fn sparse_points_sharding_is_bit_identical_and_recovers() {
         use polygpu_core::layout::encoding::EncodingKind;
-        use polygpu_core::SparseBatchGpuEvaluator;
         use polygpu_gpusim::prelude::FaultPlan;
         use polygpu_polysys::{random_sparse_system, SparseBenchmarkParams};
         let prm = SparseBenchmarkParams {
@@ -1354,7 +1373,7 @@ mod tests {
             encoding: EncodingKind::Packed,
             ..GpuOptions::default()
         };
-        let mut single = SparseBatchGpuEvaluator::new(&sys, 21, packed.clone()).unwrap();
+        let mut single = BatchGpuEvaluator::new(&sys, 21, packed.clone()).unwrap();
         let want = single.try_evaluate_batch(&points).unwrap();
         let mut cluster = ShardedBatchEvaluator::new(
             &sys,
@@ -1421,5 +1440,118 @@ mod tests {
             assert_eq!(g.values, w.values, "dd point {i}");
             assert_eq!(g.jacobian.as_slice(), w.jacobian.as_slice(), "dd point {i}");
         }
+    }
+
+    /// The fused corrector's retries show on the cluster track the way
+    /// the evaluate path's do: one `Retry` span per retrying shard,
+    /// whose attempts add up to the fleet's retry count, and one
+    /// `Backoff` window per retrying shard, whose durations add up to
+    /// the backoff the fleet charged.
+    #[test]
+    fn fused_correct_retries_and_backoff_are_traced() {
+        use polygpu_core::IdentityCombine;
+        use polygpu_gpusim::prelude::FaultPlan;
+        use polygpu_obs::{CollectingTracer, MetaValue, SpanKind, TraceSink, Track};
+        use std::sync::Arc;
+        let sys = random_system::<f64>(&small_params(5));
+        let points = random_points::<f64>(8, 12, 3);
+        let recovery = RecoveryPolicy {
+            cpu_fallback: true,
+            ..RecoveryPolicy::default()
+        };
+        let mut retried = 0u64;
+        for seed in 0..24u64 {
+            let tracer = Arc::new(CollectingTracer::new());
+            let mut opts = ClusterOptions {
+                recovery,
+                ..Default::default()
+            };
+            opts.base.trace = TraceSink::new(tracer.clone());
+            opts.base.fault = Some(FaultConfig {
+                plan: FaultPlan::new(seed, 40_000),
+                device_index: 0,
+            });
+            let specs = vec![DeviceSpec::tesla_c2050(); 3];
+            let mut fleet = ShardedBatchEvaluator::new(&sys, &specs, 4, opts).unwrap();
+            let mut pts = points.clone();
+            fleet
+                .try_correct_batch(&mut pts, &mut IdentityCombine, &CorrectParams::default())
+                .expect("cpu_fallback makes every schedule recoverable");
+            let spans = tracer.spans();
+            let on_cluster = |kind| {
+                spans
+                    .iter()
+                    .filter(move |s| s.track == Track::Cluster && s.kind == kind)
+            };
+            let attempts: u64 = on_cluster(SpanKind::Retry)
+                .map(|s| match s.meta.iter().find(|(k, _)| *k == "attempts") {
+                    Some((_, MetaValue::U64(a))) => *a,
+                    _ => panic!("seed {seed}: a Retry span carries its attempts"),
+                })
+                .sum();
+            let backoff: f64 = on_cluster(SpanKind::Backoff).map(|s| s.dur).sum();
+            let stats = fleet.cluster_stats();
+            assert_eq!(attempts, stats.fault.retries, "seed {seed}: Retry spans");
+            // The fleet's recovery time is its backoff plus the
+            // devices' fault-detection latencies.
+            let detection: f64 = fleet
+                .device_stats()
+                .iter()
+                .map(|d| d.fault.recovery_seconds)
+                .sum();
+            let charged = stats.fault.recovery_seconds - detection;
+            assert!(
+                (backoff - charged).abs() < 1e-12,
+                "seed {seed}: Backoff spans {backoff} vs charged {charged}"
+            );
+            assert_eq!(
+                on_cluster(SpanKind::Retry).count(),
+                on_cluster(SpanKind::Backoff).count(),
+                "seed {seed}: every retrying shard backs off"
+            );
+            retried += stats.fault.retries;
+        }
+        assert!(retried > 0, "40000 ppm over 24 seeds must retry");
+    }
+
+    /// A fused fleet call that fails typed keeps its round's modeled
+    /// time, as the evaluate path does: the failing device's partial
+    /// wall lands in its `device_wall`, and the round's maximum in the
+    /// cluster wall clock. Here one device's shared memory is too small
+    /// for the n = 72 pivot panel (2,304 B > 2,240 B), though it holds
+    /// the evaluation kernels' blocks.
+    #[test]
+    fn failed_fused_call_charges_its_round() {
+        use polygpu_core::IdentityCombine;
+        let sys = random_system::<f64>(&BenchmarkParams {
+            n: 72,
+            m: 1,
+            k: 1,
+            d: 1,
+            seed: 1,
+        });
+        let mut small = DeviceSpec::tesla_c2050();
+        small.shared_mem_per_sm = 2240;
+        let specs = vec![DeviceSpec::tesla_c2050(), small];
+        let mut fleet = ShardedBatchEvaluator::new(&sys, &specs, 1, ClusterOptions::default())
+            .expect("both devices hold the evaluation kernels");
+        let mut pts = random_points::<f64>(72, 2, 5);
+        let err = fleet
+            .try_correct_batch(&mut pts, &mut IdentityCombine, &CorrectParams::default())
+            .unwrap_err();
+        assert!(matches!(err, BatchError::Launch(_)), "{err}");
+        let own: Vec<f64> = fleet
+            .device_stats()
+            .iter()
+            .map(|d| d.wall_seconds)
+            .collect();
+        assert!(own.iter().all(|&w| w > 0.0), "both devices worked: {own:?}");
+        let s = fleet.cluster_stats();
+        assert_eq!(s.device_wall, own, "each device keeps its partial wall");
+        assert_eq!(
+            s.wall_seconds,
+            own[0].max(own[1]),
+            "the round's max is charged"
+        );
     }
 }

@@ -27,7 +27,7 @@
 //! per-device budgets), and switching the active system costs one
 //! parallel command-queue round trip instead of `D` re-encodes.
 
-use crate::device::{CpuFallback, DeviceEngine};
+use crate::cpu_fallback;
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
     AnyEvaluator, BuildError, ClusterSpec, EngineCaps, ResidencyRow, SessionAmortization,
@@ -195,7 +195,7 @@ impl fmt::Display for RowClusterStats {
 /// over its rectangular row block, plus the global row indices the
 /// block covers.
 struct RowShard<R: Real> {
-    engine: DeviceEngine<R>,
+    engine: BatchGpuEvaluator<R>,
     /// Global row index of each local row, in local order.
     rows: Vec<usize>,
     /// The device's index in the original fleet — kept stable across
@@ -268,7 +268,7 @@ impl<R: Real> RowShardedEvaluator<R> {
                 trace: opts.base.trace.on(Track::Device(device_index as u32)),
                 ..opts.base.clone()
             };
-            let engine = DeviceEngine::build(&block, capacity, gopts)?;
+            let engine = BatchGpuEvaluator::new(&block, capacity, gopts)?;
             shards.push(RowShard {
                 engine,
                 rows,
@@ -317,7 +317,7 @@ impl<R: Real> RowShardedEvaluator<R> {
             .zip(row_map)
             .zip(device_indices)
             .map(|((engine, rows), device_index)| RowShard {
-                engine: DeviceEngine::Dense(engine),
+                engine,
                 rows,
                 device_index,
             })
@@ -434,7 +434,7 @@ impl<R: Real> RowShardedEvaluator<R> {
                 trace: self.base.trace.on(Track::Device(device_index as u32)),
                 ..self.base.clone()
             };
-            let engine = DeviceEngine::build(&block, self.capacity, gopts).ok()?;
+            let engine = BatchGpuEvaluator::new(&block, self.capacity, gopts).ok()?;
             // Modeled re-encode bytes: a ragged block sizes by its
             // packed footprint, a uniform one by its dense encoding.
             let (supports, coeffs) = match block.uniform_shape() {
@@ -659,7 +659,7 @@ impl<R: Real> RowShardedEvaluator<R> {
                             4,
                             &[("points", MetaValue::U64(p as u64))],
                         );
-                        let mut cpu = CpuFallback::new(&self.system);
+                        let mut cpu = cpu_fallback(&self.system);
                         for (i, x) in points.iter().enumerate() {
                             merged[i] = cpu.evaluate(x);
                         }

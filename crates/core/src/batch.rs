@@ -1,41 +1,62 @@
-//! The batched multi-point evaluation engine: the system and its
-//! Jacobian at `P` points with **one** pair of kernel launches (the
-//! fused monomial kernel, then the sum kernel) and **one** transfer in
-//! each direction.
+//! The device engine: the system and its Jacobian at `P` points with
+//! **one** pair of kernel launches (the fused monomial kernel, then the
+//! sum kernel) and **one** transfer in each direction.
 //!
-//! The single-point pipeline pays two launch overheads and two PCIe
-//! latencies *per evaluation* — exactly the fixed costs that dominate
-//! path tracking, where thousands of corrector steps run across many
-//! concurrent paths. Following the batching design of the authors'
-//! follow-up work on GPU Newton's method, this engine lays the grid out
-//! point-major ([`LaunchConfig::cover_batch`]): `P × inner` blocks,
-//! where each block runs the *identical* program of its single-point
-//! counterpart against its point's pitched region of the batched
+//! The paper's host flow uploads supports and coefficients once; per
+//! evaluation the point goes up, the kernels run and the `n² + n`
+//! results come back. Run one point at a time, that round trip pays two
+//! launch overheads and two PCIe latencies *per evaluation* — exactly
+//! the fixed costs that dominate path tracking, where thousands of
+//! corrector steps run across many concurrent paths. Following the
+//! batching design of the authors' follow-up work on GPU Newton's
+//! method, this engine lays the grid out point-major
+//! ([`LaunchConfig::cover_batch`]): `P × inner` blocks, each running the
+//! same program against its point's pitched region of the batched
 //! buffers. Consequences:
 //!
 //! * launch overhead and PCIe latency are amortized `P`-fold (the
 //!   modeled `overhead_seconds`/`transfer_seconds` per evaluation drop
 //!   accordingly — see `PipelineStats::overhead_transfer_per_eval`);
-//! * results are **bit-for-bit identical** to `P` single-point
-//!   evaluations (same operations in the same order per point), so the
+//! * a point's results are **bit-for-bit identical** whatever batch it
+//!   rides in (same operations in the same order per point), so the
 //!   paper's determinism guarantees extend to batches unchanged;
-//! * a `P = 1` batch degenerates to the single-point pipeline's launch
-//!   counters exactly.
+//! * the paper's single-point pipeline,
+//!   [`GpuEvaluator`](crate::pipeline::GpuEvaluator), is this engine at
+//!   capacity one, looped point by point.
+//!
+//! **Uniform and ragged systems.** A uniform system runs the paper's
+//! kernels ([`crate::kernels::batch`]) over whichever encoding
+//! [`GpuOptions::encoding`] names. A ragged system — per-equation
+//! monomial counts, per-monomial variable counts, constants included —
+//! runs under [`EncodingKind::Packed`] with the uniform encoding swapped
+//! for [`PackedSupports`] and the dense kernels for their ragged
+//! variants ([`crate::kernels::sparse`]); the uniform encodings reject
+//! it typed. The ragged per-point floating-point programs are identical
+//! to the CPU sparse reference ([`polygpu_polysys::SparseAdEvaluator`]),
+//! so results are **bit-for-bit equal** to the reference in every
+//! precision — the same determinism contract the dense kernels carry,
+//! extended to ragged supports. Everything else — transfers, fault
+//! checks, the stream-overlap timing model, trace spans and the fused
+//! corrector — is one code path for both kernel pairs.
 
 use crate::correct::{
     correct_resident, Charges, CombineMap, CorrectParams, CorrectStatus, FusedEngine,
 };
 use crate::kernels::batch::{BatchLayout, BatchMonomialKernel, BatchSumKernel};
+use crate::kernels::sparse::{SparseMonomialKernel, SparseSumKernel};
 use crate::layout::coeffs::build_coeffs;
-use crate::layout::encoding::EncodedSupports;
+use crate::layout::encoding::{EncodedSupports, EncodingKind};
 use crate::layout::mons::unpack_eval;
+use crate::layout::packed::PackedSupports;
 use crate::pipeline::{inject, GpuOptions, PipelineStats, SetupError};
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::obs::emit_timeline;
 use polygpu_gpusim::prelude::*;
 use polygpu_gpusim::stream::pipeline_timeline;
 use polygpu_obs::{Lane, MetaValue, SpanKind, TraceSink};
-use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator, UniformShape};
+use polygpu_polysys::{
+    BatchSystemEvaluator, SparseShape, System, SystemError, SystemEval, SystemEvaluator,
+};
 use std::fmt;
 
 /// A batch call violated the engine's contract, or a launch failed.
@@ -117,21 +138,23 @@ impl From<FaultError> for BatchError {
     }
 }
 
-/// The batched two-launch evaluator on the simulated device.
+/// The batched two-launch evaluator on the simulated device, for
+/// uniform and ragged systems alike.
 ///
 /// Device buffers are sized for `capacity` points at construction; any
 /// batch of `1..=capacity` points evaluates with one round trip.
 pub struct BatchGpuEvaluator<R: Real> {
     device: DeviceSpec,
     opts: GpuOptions,
-    shape: UniformShape,
+    /// Sizes of one point's problem; a uniform system's is the special
+    /// case `max_m == m`, `max_k == k`.
+    shape: SparseShape,
     layout: BatchLayout,
     global: GlobalMem<Complex<R>>,
     constant: ConstantMemory,
     vars: BufferId,
     out: BufferId,
-    monomial: BatchMonomialKernel,
-    sum: BatchSumKernel,
+    kernels: Kernels,
     stats: PipelineStats,
     last_reports: Vec<LaunchReport>,
     /// Reusable host staging for the batched point upload.
@@ -139,15 +162,49 @@ pub struct BatchGpuEvaluator<R: Real> {
     injector: Option<FaultInjector>,
 }
 
+/// The supports an engine is assembled from: a uniform encoding, or
+/// the packed keys of a ragged system.
+enum Supports {
+    Uniform(EncodedSupports),
+    Ragged(PackedSupports),
+}
+
+/// The kernel pair an engine launches: the paper's kernels over a
+/// uniform encoding, or their ragged variants over packed keys.
+enum Kernels {
+    Uniform(BatchMonomialKernel, BatchSumKernel),
+    Ragged(SparseMonomialKernel, SparseSumKernel),
+}
+
+/// The two launches of an evaluation round.
+#[derive(Clone, Copy)]
+enum Stage {
+    Monomial,
+    Sum,
+}
+
 impl<R: Real> BatchGpuEvaluator<R> {
     /// Validate, encode and upload `system`, sizing the device buffers
     /// for batches of up to `capacity` points; runs one throw-away
-    /// full-capacity evaluation so every configuration error surfaces
-    /// here rather than inside `evaluate_batch`.
+    /// evaluation so every configuration error surfaces here rather
+    /// than inside `evaluate_batch`.
+    ///
+    /// A ragged system under [`EncodingKind::Packed`] gets packed keys
+    /// and the ragged kernels. Everything else gets the paper's
+    /// kernels — a uniform system under any encoding (`Packed`
+    /// included, which encodes uniform supports header-free), while a
+    /// ragged one under a uniform encoding fails with the encoder's
+    /// typed shape error.
     pub fn new(system: &System<R>, capacity: usize, opts: GpuOptions) -> Result<Self, SetupError> {
         let mut constant = ConstantMemory::new(&opts.device);
-        let enc = EncodedSupports::upload(system, &mut constant, opts.encoding)?;
-        Self::from_encoded(system, enc, constant, capacity, opts)
+        let ragged = matches!(system.uniform_shape(), Err(SystemError::NotUniform(_)));
+        if ragged && opts.encoding == EncodingKind::Packed {
+            let sup = PackedSupports::upload(system, &mut constant)?;
+            Self::assemble(system, Supports::Ragged(sup), constant, capacity, opts)
+        } else {
+            let enc = EncodedSupports::upload(system, &mut constant, opts.encoding)?;
+            Self::from_encoded(system, enc, constant, capacity, opts)
+        }
     }
 
     /// Assemble an engine from supports that are **already resident** in
@@ -164,11 +221,21 @@ impl<R: Real> BatchGpuEvaluator<R> {
         capacity: usize,
         opts: GpuOptions,
     ) -> Result<Self, SetupError> {
+        Self::assemble(system, Supports::Uniform(enc), constant, capacity, opts)
+    }
+
+    fn assemble(
+        system: &System<R>,
+        supports: Supports,
+        constant: ConstantMemory,
+        capacity: usize,
+        opts: GpuOptions,
+    ) -> Result<Self, SetupError> {
         if capacity == 0 {
             return Err(SetupError::ZeroCapacity);
         }
         let device = opts.device.clone();
-        let shape = enc.shape;
+        let shape = system.sparse_shape();
         let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
         let layout = BatchLayout::new(
             &shape,
@@ -179,10 +246,43 @@ impl<R: Real> BatchGpuEvaluator<R> {
         );
         let mut global = GlobalMem::new();
         let vars = global.alloc(capacity * layout.vars_stride);
-        let coeffs = global.alloc(shape.total_monomials() * (shape.k + 1));
+        let coeffs = global.alloc(shape.total_monomials * (shape.max_k + 1));
         let mons = global.alloc(capacity * layout.mons_stride);
         let out = global.alloc(capacity * layout.out_stride);
         global.host_write(coeffs, 0, &build_coeffs(system, &shape));
+        let kernels = match supports {
+            Supports::Uniform(enc) => Kernels::Uniform(
+                BatchMonomialKernel {
+                    enc,
+                    vars,
+                    coeffs,
+                    mons,
+                    layout,
+                    from_scratch_cf: opts.from_scratch_cf,
+                },
+                BatchSumKernel {
+                    shape: enc.shape,
+                    mons,
+                    out,
+                    layout,
+                },
+            ),
+            Supports::Ragged(sup) => Kernels::Ragged(
+                SparseMonomialKernel {
+                    sup,
+                    vars,
+                    coeffs,
+                    mons,
+                    layout,
+                },
+                SparseSumKernel {
+                    shape,
+                    mons,
+                    out,
+                    layout,
+                },
+            ),
+        };
         let injector = opts
             .fault
             .map(|f| FaultInjector::new(f.plan, f.device_index));
@@ -193,20 +293,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
             vars,
             out,
             injector,
-            monomial: BatchMonomialKernel {
-                enc,
-                vars,
-                coeffs,
-                mons,
-                layout,
-                from_scratch_cf: opts.from_scratch_cf,
-            },
-            sum: BatchSumKernel {
-                shape,
-                mons,
-                out,
-                layout,
-            },
+            kernels,
             global,
             constant,
             stats: PipelineStats::default(),
@@ -259,10 +346,6 @@ impl<R: Real> BatchGpuEvaluator<R> {
         }
     }
 
-    pub fn shape(&self) -> UniformShape {
-        self.shape
-    }
-
     pub fn device(&self) -> &DeviceSpec {
         &self.device
     }
@@ -298,7 +381,10 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// loaded before it (see `engine::Session`), which are accounted
     /// to their own engines.
     pub fn constant_bytes_used(&self) -> usize {
-        self.monomial.enc.constant_bytes()
+        match &self.kernels {
+            Kernels::Uniform(monomial, _) => monomial.enc.constant_bytes(),
+            Kernels::Ragged(monomial, _) => monomial.sup.constant_bytes(),
+        }
     }
 
     /// Evaluate the system and Jacobian at every point of the batch
@@ -425,26 +511,11 @@ impl<R: Real> BatchGpuEvaluator<R> {
         // Clear before launching (reusing the vector's storage) so a
         // failed launch leaves no stale reports behind.
         self.last_reports.clear();
-        let block_dim = self.opts.block_dim;
         self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let monomial = launch(
-            &self.device,
-            &self.monomial,
-            self.layout.monomial_cfg(p, &shape, block_dim),
-            &mut self.global,
-            &self.constant,
-            self.opts.launch,
-        )?;
+        let monomial = self.launch_stage(p, Stage::Monomial)?;
         elapsed += monomial.timing.total_seconds();
         self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let sum = launch(
-            &self.device,
-            &self.sum,
-            self.layout.output_cfg(p, &shape, block_dim),
-            &mut self.global,
-            &self.constant,
-            self.opts.launch,
-        )?;
+        let sum = self.launch_stage(p, Stage::Sum)?;
         elapsed += sum.timing.total_seconds();
         if pcie {
             // One transfer brings all P·(n² + n) results back.
@@ -465,6 +536,31 @@ impl<R: Real> BatchGpuEvaluator<R> {
         }
         self.stats.kernel_seconds += self.last_kernel_seconds();
         Ok((evals, elapsed))
+    }
+
+    /// Launch one kernel of this engine's pair over `p` points.
+    fn launch_stage(&mut self, p: usize, stage: Stage) -> Result<LaunchReport, LaunchError> {
+        let block_dim = self.opts.block_dim;
+        let cfg = match stage {
+            Stage::Monomial => self.layout.monomial_cfg(p, &self.shape, block_dim),
+            Stage::Sum => self.layout.output_cfg(p, &self.shape, block_dim),
+        };
+        let (device, global, constant, opts) = (
+            &self.device,
+            &mut self.global,
+            &self.constant,
+            self.opts.launch,
+        );
+        match (&self.kernels, stage) {
+            (Kernels::Uniform(k, _), Stage::Monomial) => {
+                launch(device, k, cfg, global, constant, opts)
+            }
+            (Kernels::Uniform(_, k), Stage::Sum) => launch(device, k, cfg, global, constant, opts),
+            (Kernels::Ragged(k, _), Stage::Monomial) => {
+                launch(device, k, cfg, global, constant, opts)
+            }
+            (Kernels::Ragged(_, k), Stage::Sum) => launch(device, k, cfg, global, constant, opts),
+        }
     }
 
     /// Emit the most recent round's launch spans back to back from
@@ -689,12 +785,71 @@ impl<R: Real> BatchSystemEvaluator<R> for BatchGpuEvaluator<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::encoding::EncodingKind;
+    use crate::engine::AnyEvaluator;
     use crate::pipeline::GpuEvaluator;
-    use polygpu_polysys::{random_point, random_points, random_system, BenchmarkParams};
+    use polygpu_complex::C64;
+    use polygpu_polysys::{
+        random_point, random_points, random_sparse_system, random_system, BenchmarkParams,
+        Monomial, Polynomial, SparseAdEvaluator, SparseBenchmarkParams, Term,
+    };
 
     fn params(n: usize, m: usize, k: usize, d: u16, seed: u64) -> BenchmarkParams {
         BenchmarkParams { n, m, k, d, seed }
+    }
+
+    fn packed() -> GpuOptions {
+        GpuOptions {
+            encoding: EncodingKind::Packed,
+            ..Default::default()
+        }
+    }
+
+    /// A deliberately ragged system: mixed per-monomial k (including a
+    /// constant term), mixed per-equation m.
+    fn ragged() -> System<f64> {
+        let p0 = Polynomial::new(vec![
+            Term {
+                coeff: C64::from_f64(1.5, -0.5),
+                monomial: Monomial::new(vec![(0, 2), (2, 1)]).unwrap(),
+            },
+            Term {
+                coeff: C64::from_f64(-2.0, 1.0),
+                monomial: Monomial::var(1),
+            },
+            Term {
+                coeff: C64::from_f64(3.0, 0.25),
+                monomial: Monomial::constant(),
+            },
+        ]);
+        let p1 = Polynomial::new(vec![Term {
+            coeff: C64::from_f64(0.75, 2.0),
+            monomial: Monomial::new(vec![(0, 1), (1, 3), (2, 2)]).unwrap(),
+        }]);
+        let p2 = Polynomial::new(vec![
+            Term {
+                coeff: C64::from_f64(-1.0, 0.0),
+                monomial: Monomial::new(vec![(2, 4)]).unwrap(),
+            },
+            Term {
+                coeff: C64::from_f64(0.5, 0.5),
+                monomial: Monomial::new(vec![(0, 1), (1, 1)]).unwrap(),
+            },
+        ]);
+        System::new(3, vec![p0, p1, p2]).unwrap()
+    }
+
+    /// A ragged family at Table 1's dimension, with enough monomials
+    /// that a 64-point batch is kernel-bound.
+    fn kernel_bound_ragged() -> System<f64> {
+        random_sparse_system::<f64>(&SparseBenchmarkParams {
+            n: 32,
+            m_min: 2,
+            m_max: 6,
+            k_min: 0,
+            k_max: 9,
+            d: 2,
+            seed: 3,
+        })
     }
 
     /// Batch-of-P results must be bit-for-bit equal to P single-point
@@ -752,8 +907,9 @@ mod tests {
         }
     }
 
-    /// A batch of one degenerates to the original pipeline: identical
-    /// per-launch counters, kernel seconds, overhead and transfers.
+    /// A batch of one is the single-point pipeline, which wraps a
+    /// capacity-1 engine: identical per-launch counters, kernel
+    /// seconds, overhead and transfers.
     #[test]
     fn p1_batch_degenerates_to_single_point_pipeline() {
         let prm = params(33, 3, 5, 3, 5); // deliberately off the block grid
@@ -936,47 +1092,64 @@ mod tests {
 
     /// Stream overlap is a timing-model transformation only: results
     /// stay bit-identical while the modeled wall clock drops below the
-    /// serialized sum by the overlap saving.
+    /// serialized sum by the overlap saving — on the paper's kernels
+    /// and on the ragged ones alike.
     #[test]
     fn overlap_keeps_results_and_shaves_wall_clock() {
-        let prm = params(32, 4, 9, 2, 3);
-        let sys = random_system::<f64>(&prm);
-        let points = random_points::<f64>(32, 64, 99);
-        let mut serial = BatchGpuEvaluator::new(&sys, 64, GpuOptions::default()).unwrap();
-        let mut overlapped = BatchGpuEvaluator::new(
-            &sys,
-            64,
-            GpuOptions {
-                overlap_chunks: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a = serial.evaluate_batch(&points);
-        let b = overlapped.evaluate_batch(&points);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.values, y.values, "point {i}");
-            assert_eq!(x.jacobian.as_slice(), y.jacobian.as_slice(), "point {i}");
+        let dense = random_system::<f64>(&params(32, 4, 9, 2, 3));
+        for (sys, base) in [
+            (dense, GpuOptions::default()),
+            (kernel_bound_ragged(), packed()),
+        ] {
+            let points = random_points::<f64>(32, 64, 99);
+            let mut serial = BatchGpuEvaluator::new(&sys, 64, base.clone()).unwrap();
+            let mut overlapped = BatchGpuEvaluator::new(
+                &sys,
+                64,
+                GpuOptions {
+                    overlap_chunks: Some(4),
+                    ..base.clone()
+                },
+            )
+            .unwrap();
+            let enc = base.encoding;
+            let a = serial.evaluate_batch(&points);
+            let b = overlapped.evaluate_batch(&points);
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(x.values, y.values, "{enc:?}, point {i}");
+                assert_eq!(
+                    x.jacobian.as_slice(),
+                    y.jacobian.as_slice(),
+                    "{enc:?}, point {i}"
+                );
+            }
+            let (ss, os) = (serial.stats(), overlapped.stats());
+            assert_eq!(ss.counters, os.counters, "{enc:?}: same launches");
+            assert_eq!(ss.kernel_seconds, os.kernel_seconds, "{enc:?}");
+            // Serialized accounting: wall == sum (up to summation-order
+            // rounding), no savings.
+            assert!(
+                (ss.wall_clock_seconds() - ss.total_seconds()).abs() < 1e-15,
+                "{enc:?}"
+            );
+            assert!(ss.overlap_savings() < 1e-15, "{enc:?}");
+            // Overlapped: wall < its own serialized sum, savings
+            // positive, and the wall clock beats the non-overlapped wall
+            // clock even though chunking pays extra PCIe latency and
+            // launch overhead.
+            assert!(os.wall_clock_seconds() < os.total_seconds(), "{enc:?}");
+            assert!(os.overlap_savings() > 0.0, "{enc:?}");
+            assert!(
+                os.wall_clock_seconds() < ss.wall_clock_seconds(),
+                "{enc:?}: overlap must win at P = 64: {} vs {}",
+                os.wall_clock_seconds(),
+                ss.wall_clock_seconds()
+            );
+            assert!(
+                os.throughput_evals_per_sec() > ss.throughput_evals_per_sec(),
+                "{enc:?}"
+            );
         }
-        let (ss, os) = (serial.stats(), overlapped.stats());
-        assert_eq!(ss.counters, os.counters, "same launches, same counters");
-        assert_eq!(ss.kernel_seconds, os.kernel_seconds);
-        // Serialized accounting: wall == sum (up to summation-order
-        // rounding), no savings.
-        assert!((ss.wall_clock_seconds() - ss.total_seconds()).abs() < 1e-15);
-        assert!(ss.overlap_savings() < 1e-15);
-        // Overlapped: wall < its own serialized sum, savings positive,
-        // and the wall clock beats the non-overlapped wall clock even
-        // though chunking pays extra PCIe latency and launch overhead.
-        assert!(os.wall_clock_seconds() < os.total_seconds());
-        assert!(os.overlap_savings() > 0.0);
-        assert!(
-            os.wall_clock_seconds() < ss.wall_clock_seconds(),
-            "overlap must win at P = 64: {} vs {}",
-            os.wall_clock_seconds(),
-            ss.wall_clock_seconds()
-        );
-        assert!(os.throughput_evals_per_sec() > ss.throughput_evals_per_sec());
     }
 
     /// `overlap_chunks` beyond the point count degenerates gracefully
@@ -1089,8 +1262,7 @@ mod tests {
         for rows in [vec![0usize, 1, 2], vec![3, 4, 5, 6, 7], vec![5], vec![7, 2]] {
             let block = sys.row_block(&rows);
             let mut shard = BatchGpuEvaluator::new(&block, 6, GpuOptions::default()).unwrap();
-            assert_eq!(shard.shape().rows, rows.len());
-            assert_eq!(shard.shape().n, 8);
+            assert_eq!(shard.dim(), 8);
             let got = shard.evaluate_batch(&points);
             for (i, eval) in got.iter().enumerate() {
                 assert_eq!(eval.values.len(), rows.len());
@@ -1135,14 +1307,18 @@ mod tests {
         assert_eq!(ok.values.len(), 4);
     }
 
-    /// A capacity of zero is a typed setup error, through `new` and
-    /// through the resident-supports constructor alike.
+    /// A capacity of zero is a typed setup error, through `new` on
+    /// either kernel pair and through the resident-supports constructor.
     #[test]
     fn zero_capacity_is_a_typed_setup_error() {
         let sys = random_system::<f64>(&params(4, 3, 2, 2, 1));
         let opts = GpuOptions::default();
         assert!(matches!(
             BatchGpuEvaluator::new(&sys, 0, opts.clone()),
+            Err(SetupError::ZeroCapacity)
+        ));
+        assert!(matches!(
+            BatchGpuEvaluator::new(&ragged(), 0, packed()),
             Err(SetupError::ZeroCapacity)
         ));
         let mut constant = ConstantMemory::new(&opts.device);
@@ -1158,5 +1334,133 @@ mod tests {
         let prm = params(32, 64, 16, 10, 3);
         let sys = random_system::<f64>(&prm);
         assert!(BatchGpuEvaluator::new(&sys, 8, GpuOptions::default()).is_err());
+    }
+
+    #[test]
+    fn ragged_batch_bitwise_equals_cpu_sparse_reference() {
+        let sys = ragged();
+        let mut cpu = SparseAdEvaluator::new(sys.clone());
+        let points = random_points::<f64>(3, 7, 0xBEEF);
+        let mut gpu = BatchGpuEvaluator::new(&sys, 7, packed()).unwrap();
+        let got = gpu.evaluate_batch(&points);
+        for (i, x) in points.iter().enumerate() {
+            let want = cpu.evaluate(x);
+            assert_eq!(got[i].values, want.values, "values, point {i}");
+            assert_eq!(
+                got[i].jacobian.as_slice(),
+                want.jacobian.as_slice(),
+                "jacobian, point {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_sparse_families_match_reference_bitwise() {
+        for seed in [1u64, 2, 3] {
+            let params = SparseBenchmarkParams {
+                n: 6,
+                m_min: 1,
+                m_max: 5,
+                k_min: 0,
+                k_max: 4,
+                d: 3,
+                seed,
+            };
+            let sys = random_sparse_system::<f64>(&params);
+            let mut cpu = SparseAdEvaluator::new(sys.clone());
+            let points = random_points::<f64>(6, 5, seed ^ 0xFEED);
+            let mut gpu = BatchGpuEvaluator::new(&sys, 5, packed()).unwrap();
+            let got = gpu.evaluate_batch(&points);
+            for (i, x) in points.iter().enumerate() {
+                let want = cpu.evaluate(x);
+                assert_eq!(got[i].values, want.values, "seed {seed}, point {i}");
+                assert_eq!(
+                    got[i].jacobian.as_slice(),
+                    want.jacobian.as_slice(),
+                    "seed {seed}, point {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_matches_reference_in_double_double() {
+        use polygpu_qd::Dd;
+        let sys = ragged().convert::<Dd>();
+        let mut cpu = SparseAdEvaluator::new(sys.clone());
+        let points: Vec<Vec<Complex<Dd>>> = random_points::<f64>(3, 4, 11)
+            .into_iter()
+            .map(|x| x.into_iter().map(|z| z.convert()).collect())
+            .collect();
+        let mut gpu = BatchGpuEvaluator::new(&sys, 4, packed()).unwrap();
+        let got = gpu.evaluate_batch(&points);
+        for (i, x) in points.iter().enumerate() {
+            let want = cpu.evaluate(x);
+            assert_eq!(got[i].values, want.values, "dd values, point {i}");
+            assert_eq!(
+                got[i].jacobian.as_slice(),
+                want.jacobian.as_slice(),
+                "dd jacobian, point {i}"
+            );
+        }
+    }
+
+    /// The single-point pipeline runs ragged systems through the same
+    /// capacity-1 engine, bit-identical to a batch, with typed errors.
+    #[test]
+    fn ragged_single_point_pipeline_matches_batch_and_reports_typed_errors() {
+        let sys = ragged();
+        let mut single = GpuEvaluator::new(&sys, packed()).unwrap();
+        let mut batch = BatchGpuEvaluator::new(&sys, 4, packed()).unwrap();
+        let points = random_points::<f64>(3, 4, 21);
+        let a = single.evaluate_batch(&points);
+        let b = batch.evaluate_batch(&points);
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.values, y.values, "point {i}");
+            assert_eq!(x.jacobian.as_slice(), y.jacobian.as_slice(), "point {i}");
+        }
+        assert_eq!(
+            AnyEvaluator::try_evaluate_batch(&mut single, &[]).unwrap_err(),
+            BatchError::Empty
+        );
+        let short = vec![Complex::<f64>::one(); 2];
+        assert_eq!(
+            single.try_evaluate(&short).unwrap_err(),
+            BatchError::DimensionMismatch {
+                point: 0,
+                got: 2,
+                expected: 3
+            }
+        );
+        assert_eq!(
+            batch
+                .try_evaluate_batch(&random_points::<f64>(3, 5, 1))
+                .unwrap_err(),
+            BatchError::CapacityExceeded {
+                points: 5,
+                capacity: 4
+            }
+        );
+    }
+
+    /// Reused buffers must not leak state between evaluations: a batch,
+    /// then a different batch, then the first again — all bit-stable.
+    #[test]
+    fn buffer_reuse_is_stateless() {
+        let sys = ragged();
+        let mut gpu = BatchGpuEvaluator::new(&sys, 4, packed()).unwrap();
+        let p1 = random_points::<f64>(3, 4, 1);
+        let p2 = random_points::<f64>(3, 2, 2);
+        let first = gpu.evaluate_batch(&p1);
+        let _ = gpu.evaluate_batch(&p2);
+        let again = gpu.evaluate_batch(&p1);
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!(a.values, b.values);
+            assert_eq!(a.jacobian.as_slice(), b.jacobian.as_slice());
+        }
+        let s = gpu.stats();
+        assert_eq!(s.evaluations, 10);
+        assert_eq!(s.batches, 3);
+        assert!(s.seconds_per_eval() > 0.0);
     }
 }

@@ -17,8 +17,8 @@
 //! construction. What differs between the modes is only *where the
 //! cost model charges the work*: the host path charges full round
 //! trips through `try_evaluate_batch`; the device-resident path
-//! (`BatchGpuEvaluator::try_correct_batch` and its sparse sibling, both
-//! one shared `correct_resident`) uploads the iterates once and charges per
+//! (`BatchGpuEvaluator::try_correct_batch`, for uniform and ragged
+//! systems alike) uploads the iterates once and charges per
 //! Newton iteration two evaluation launches, **one** fused
 //! factor-and-solve launch (`polygpu_gpusim::linalg::factor_solve_cost`)
 //! and one flag download.
@@ -230,8 +230,8 @@ impl Charges<'_> {
 
 /// A batched engine that runs the fused corrector: evaluation rounds
 /// against device-resident iterates, plus the parts the corrector
-/// charges. The dense and sparse batched engines implement it, and
-/// their `try_correct_batch` is [`correct_resident`].
+/// charges. `BatchGpuEvaluator` implements it, and its
+/// `try_correct_batch` is [`correct_resident`].
 pub(crate) trait FusedEngine<R: Real>: BatchSystemEvaluator<R> {
     /// One evaluation round (two launches) against the resident live
     /// iterates; no PCIe traffic.

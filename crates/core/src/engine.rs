@@ -49,13 +49,12 @@
 //! ```
 
 use crate::batch::{BatchError, BatchGpuEvaluator};
-use crate::correct::{host_correct, CombineMap, CorrectParams, CorrectStatus, OffsetCombine};
+use crate::correct::{host_correct, CombineMap, CorrectParams, CorrectStatus};
 use crate::layout::encoding::{EncodedSupports, EncodingKind};
 use crate::layout::packed::sparse_packed_bytes;
 use crate::pipeline::{
     FaultConfig, GpuEvaluator, GpuOptions, PipelineStats, SetupError, EVAL_LAUNCHES,
 };
-use crate::sparse::{SparseBatchGpuEvaluator, SparseGpuEvaluator};
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
 use polygpu_gpusim::stream::TransferPath;
@@ -494,102 +493,6 @@ impl<R: Real> AnyEvaluator<R> for BatchGpuEvaluator<R> {
         params: &CorrectParams,
     ) -> Result<Vec<CorrectStatus>, BatchError> {
         BatchGpuEvaluator::try_correct_batch(self, points, combine, params)
-    }
-
-    fn engine_stats(&self) -> PipelineStats {
-        self.stats()
-    }
-
-    fn reset_engine_stats(&mut self) {
-        self.reset_stats();
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: "gpu-batch",
-            devices: 1,
-            capacity: self.capacity(),
-            per_device_capacity: self.capacity(),
-            batched: true,
-            constant_bytes: self.constant_bytes_used(),
-        }
-    }
-}
-
-impl<R: Real> AnyEvaluator<R> for SparseGpuEvaluator<R> {
-    fn try_evaluate_batch(
-        &mut self,
-        points: &[Vec<Complex<R>>],
-    ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        validate_batch(self.dim(), points)?;
-        SparseGpuEvaluator::try_evaluate_batch(self, points)
-    }
-
-    fn try_correct_batch(
-        &mut self,
-        points: &mut [Vec<Complex<R>>],
-        combine: &mut dyn CombineMap<R>,
-        params: &CorrectParams,
-    ) -> Result<Vec<CorrectStatus>, BatchError> {
-        validate_batch(self.dim(), points)?;
-        // The inner capacity-1 batch engine runs the fused loop point
-        // by point; a scratch copy keeps a mid-batch fault from
-        // committing a partially-corrected prefix.
-        let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
-        let mut out = Vec::with_capacity(points.len());
-        for (i, p) in scratch.iter_mut().enumerate() {
-            let one = std::slice::from_mut(p);
-            let st = self.inner_mut().try_correct_batch(
-                one,
-                &mut OffsetCombine {
-                    inner: combine,
-                    offset: i,
-                },
-                params,
-            )?;
-            out.extend(st);
-        }
-        for (dst, src) in points.iter_mut().zip(scratch) {
-            *dst = src;
-        }
-        Ok(out)
-    }
-
-    fn engine_stats(&self) -> PipelineStats {
-        self.stats()
-    }
-
-    fn reset_engine_stats(&mut self) {
-        self.reset_stats();
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            backend: "gpu",
-            devices: 1,
-            capacity: usize::MAX,
-            per_device_capacity: usize::MAX,
-            batched: false,
-            constant_bytes: self.constant_bytes_used(),
-        }
-    }
-}
-
-impl<R: Real> AnyEvaluator<R> for SparseBatchGpuEvaluator<R> {
-    fn try_evaluate_batch(
-        &mut self,
-        points: &[Vec<Complex<R>>],
-    ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        SparseBatchGpuEvaluator::try_evaluate_batch(self, points)
-    }
-
-    fn try_correct_batch(
-        &mut self,
-        points: &mut [Vec<Complex<R>>],
-        combine: &mut dyn CombineMap<R>,
-        params: &CorrectParams,
-    ) -> Result<Vec<CorrectStatus>, BatchError> {
-        SparseBatchGpuEvaluator::try_correct_batch(self, points, combine, params)
     }
 
     fn engine_stats(&self) -> PipelineStats {
@@ -1186,28 +1089,10 @@ impl<P: ClusterProvider> EngineBuilder<P> {
         system: &System<R>,
     ) -> Result<Box<dyn AnyEvaluator<R>>, BuildError> {
         self.validate()?;
-        // Ragged systems have no uniform shape, so the dense pipelines
-        // cannot encode them; under the packed encoding they route to
-        // the sparse pipelines instead (uniform systems stay on the
-        // dense pipelines whatever the encoding — including `Packed`,
-        // which the uniform encoder handles header-free). Under a dense
-        // encoding a ragged system still fails with the existing typed
-        // shape error.
-        let ragged = matches!(system.uniform_shape(), Err(SystemError::NotUniform(_)))
-            && self.encoding == EncodingKind::Packed;
         match &self.backend {
             Backend::CpuReference => Ok(Box::new(CpuReferenceEngine::new(system)?)),
-            Backend::Gpu if ragged => Ok(Box::new(SparseGpuEvaluator::new(
-                system,
-                self.gpu_options(self.device.clone()),
-            )?)),
             Backend::Gpu => Ok(Box::new(GpuEvaluator::new(
                 system,
-                self.gpu_options(self.device.clone()),
-            )?)),
-            Backend::GpuBatch { capacity } if ragged => Ok(Box::new(SparseBatchGpuEvaluator::new(
-                system,
-                *capacity,
                 self.gpu_options(self.device.clone()),
             )?)),
             Backend::GpuBatch { capacity } => Ok(Box::new(BatchGpuEvaluator::new(

@@ -1,21 +1,17 @@
-//! Batched variants of the evaluation kernels — the fused monomial
-//! kernel and the sum kernel: two launches evaluate the system and its
-//! Jacobian at **`P` points**.
+//! The evaluation kernels at **`P` points**: the fused monomial kernel
+//! and the sum kernel, two launches for the system and its Jacobian.
 //!
 //! The grid is linearized point-major ([`LaunchConfig::cover_batch`]):
 //! block `b` serves point `b / inner` at inner block index `b % inner`,
-//! where `inner` is the single-point block count of the kernel. Each
-//! block's program is **identical** to its single-point counterpart —
-//! same shared-memory staging, same operation order — except that its
-//! global reads and writes are offset into that point's region of the
-//! batched buffers. Batched results are therefore bit-for-bit equal to
-//! `P` single-point evaluations, and a `P = 1` batch produces exactly
-//! the single-point launch counters.
+//! where `inner` is the block count one point needs. Every block runs
+//! the same program against its point's region of the batched
+//! buffers, so a point's results do not depend on the batch it rides
+//! in, and a `P = 1` launch is the paper's single-point launch.
 //!
 //! Per-point regions are **pitched**: strides are rounded up to the
 //! device's coalescing segment ([`BatchLayout::new`]), so every point's
-//! access pattern (and hence its transaction count) matches the
-//! single-point pipeline regardless of its position in the batch.
+//! access pattern (and hence its transaction count) is the one point 0
+//! has, whatever its position in the batch.
 //!
 //! The support encoding in constant memory and the `Coeffs` array are
 //! shared by all points — "the information … does not change along the
@@ -24,12 +20,13 @@
 use crate::kernels::monomial;
 use crate::layout::coeffs::coeff_index;
 use crate::layout::encoding::EncodedSupports;
-use crate::layout::mons::{mons_len, q_deriv, q_value, term_slot};
+use crate::layout::mons::{q_deriv, q_value, term_slot};
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
-use polygpu_polysys::UniformShape;
+use polygpu_polysys::{SparseShape, UniformShape};
 
-/// Per-point strides and inner block counts of a batched launch.
+/// Per-point strides and inner block counts of a batched launch, for
+/// the dense and the ragged kernel pairs alike.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchLayout {
     /// Points the device buffers are sized for.
@@ -49,9 +46,10 @@ pub struct BatchLayout {
 impl BatchLayout {
     /// Compute the layout for `capacity` points of `shape` with
     /// `elem_bytes`-sized device elements and the device's coalescing
-    /// `segment` (bytes).
+    /// `segment` (bytes). A uniform system's shape is the special case
+    /// `max_m == m`, `max_k == k`.
     pub fn new(
-        shape: &UniformShape,
+        shape: &SparseShape,
         capacity: usize,
         block_dim: u32,
         elem_bytes: usize,
@@ -64,43 +62,20 @@ impl BatchLayout {
         BatchLayout {
             capacity,
             vars_stride: pitch(shape.n),
-            mons_stride: pitch(mons_len(shape)),
+            mons_stride: pitch(shape.mons_len()),
             out_stride: pitch(shape.outputs()),
-            mon_blocks: LaunchConfig::blocks_for(shape.total_monomials(), block_dim),
+            mon_blocks: LaunchConfig::blocks_for(shape.total_monomials, block_dim),
             out_blocks: LaunchConfig::blocks_for(shape.outputs(), block_dim),
         }
     }
 
-    /// Degenerate layout for a **single-point** launch: the whole grid
-    /// serves point 0 at zero offsets (`mon_blocks`/`out_blocks` equal
-    /// the launch's grid, so `block / blocks = 0` and
-    /// `block % blocks = block`). The single-point kernels delegate
-    /// their block programs to the batch kernels through this, keeping
-    /// exactly one copy of each program — the bit-for-bit
-    /// batch-equals-single invariant then holds by construction.
-    pub fn single(grid_dim: u32) -> Self {
-        BatchLayout {
-            capacity: 1,
-            vars_stride: 0,
-            mons_stride: 0,
-            out_stride: 0,
-            mon_blocks: grid_dim.max(1),
-            out_blocks: grid_dim.max(1),
-        }
-    }
-
     /// Grid covering `points` batch entries of the monomial kernel.
-    pub fn monomial_cfg(
-        &self,
-        points: usize,
-        shape: &UniformShape,
-        block_dim: u32,
-    ) -> LaunchConfig {
-        LaunchConfig::cover_batch(points, shape.total_monomials(), block_dim)
+    pub fn monomial_cfg(&self, points: usize, shape: &SparseShape, block_dim: u32) -> LaunchConfig {
+        LaunchConfig::cover_batch(points, shape.total_monomials, block_dim)
     }
 
     /// Grid covering `points` batch entries of the sum kernel.
-    pub fn output_cfg(&self, points: usize, shape: &UniformShape, block_dim: u32) -> LaunchConfig {
+    pub fn output_cfg(&self, points: usize, shape: &SparseShape, block_dim: u32) -> LaunchConfig {
         LaunchConfig::cover_batch(points, shape.outputs(), block_dim)
     }
 }
@@ -124,7 +99,7 @@ pub struct BatchMonomialKernel {
 
 impl<R: Real> Kernel<Complex<R>> for BatchMonomialKernel {
     fn name(&self) -> &str {
-        "batch_monomial"
+        "monomial"
     }
 
     /// `max(d·n, n + B·(k+1))`: the power table, or the staged
@@ -263,8 +238,14 @@ impl<R: Real> Kernel<Complex<R>> for BatchMonomialKernel {
     }
 }
 
-/// The batched sum kernel (the paper's kernel 3): the branch-free
-/// summations for every point.
+/// The sum kernel — the paper's kernel 3 (§3.3): one thread per
+/// combined polynomial of one point (the `n` system values plus the
+/// `n²` Jacobian entries). Every thread adds **exactly `m` terms** —
+/// including the pre-zeroed slots standing in for derivatives of
+/// monomials that do not contain the variable — so all lanes follow one
+/// execution path, and at every step `j` the warp reads consecutive
+/// `Mons` elements: perfectly coalesced input, bought by the monomial
+/// kernel's scattered output.
 pub struct BatchSumKernel {
     pub shape: UniformShape,
     pub mons: BufferId,
@@ -274,7 +255,7 @@ pub struct BatchSumKernel {
 
 impl<R: Real> Kernel<Complex<R>> for BatchSumKernel {
     fn name(&self) -> &str {
-        "batch_sum"
+        "sum"
     }
 
     fn shared_elems(&self, _block_dim: u32) -> usize {
@@ -307,16 +288,25 @@ impl<R: Real> Kernel<Complex<R>> for BatchSumKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygpu_complex::C64;
+
+    /// The layout shape of a uniform `rows × n` system with `m`
+    /// monomials of `k` variables per equation.
+    fn uniform(n: usize, rows: usize, m: usize, k: usize) -> SparseShape {
+        SparseShape {
+            n,
+            rows,
+            total_monomials: rows * m,
+            max_m: m,
+            max_k: k,
+            d: 2,
+            uniform: true,
+        }
+    }
 
     #[test]
     fn layout_pitches_to_the_coalescing_segment() {
-        let shape = UniformShape {
-            n: 33,
-            rows: 33,
-            m: 3,
-            k: 5,
-            d: 3,
-        };
+        let shape = uniform(33, 33, 3, 5);
         let l = BatchLayout::new(&shape, 4, 32, 16, 128);
         assert_eq!(l.capacity, 4);
         assert_eq!(l.vars_stride, 40); // 33 -> next multiple of 8
@@ -328,13 +318,7 @@ mod tests {
 
     #[test]
     fn layout_grids_scale_with_points() {
-        let shape = UniformShape {
-            n: 8,
-            rows: 8,
-            m: 4,
-            k: 2,
-            d: 2,
-        };
+        let shape = uniform(8, 8, 4, 2);
         let l = BatchLayout::new(&shape, 16, 32, 16, 128);
         assert_eq!(l.monomial_cfg(1, &shape, 32).grid_dim, l.mon_blocks);
         assert_eq!(l.monomial_cfg(16, &shape, 32).grid_dim, 16 * l.mon_blocks);
@@ -343,17 +327,72 @@ mod tests {
 
     #[test]
     fn double_double_elements_pitch_wider() {
-        let shape = UniformShape {
-            n: 6,
-            rows: 6,
-            m: 2,
-            k: 2,
-            d: 2,
-        };
+        let shape = uniform(6, 6, 2, 2);
         // 32-byte complex double-doubles: 4 elements per 128-byte
         // segment.
         let l = BatchLayout::new(&shape, 2, 32, 32, 128);
         assert_eq!(l.vars_stride, 8);
         assert_eq!(l.out_stride, (6 * 7usize).next_multiple_of(4));
+    }
+
+    /// Launch the sum kernel once, for one point, over `mons` holding
+    /// `data` in the `Mons` layout of a square `n`-variable system with
+    /// `m` terms per sum.
+    fn run_sum(n: usize, m: usize, data: &[C64]) -> (Vec<C64>, LaunchReport) {
+        let shape = UniformShape::square(n, m, 2, 2);
+        let dev = DeviceSpec::tesla_c2050();
+        let mut g = GlobalMem::<C64>::new();
+        let mons = g.alloc(shape.outputs() * m);
+        let out = g.alloc(shape.outputs());
+        g.host_write(mons, 0, data);
+        let layout = BatchLayout::new(&uniform(n, n, m, 2), 1, 32, 16, 128);
+        let k = BatchSumKernel {
+            shape,
+            mons,
+            out,
+            layout,
+        };
+        let cfg = LaunchConfig::cover(shape.outputs(), 32);
+        let cm = ConstantMemory::new(&dev);
+        let rep = launch(&dev, &k, cfg, &mut g, &cm, LaunchOptions::default()).unwrap();
+        (g.host_read(out).to_vec(), rep)
+    }
+
+    #[test]
+    fn sums_each_combined_polynomial() {
+        let s = UniformShape::square(4, 3, 2, 2);
+        // term j of polynomial q := (q + 1) * 10^j (easy to verify sums)
+        let mut data = vec![C64::zero(); s.outputs() * s.m];
+        for q in 0..s.outputs() {
+            for j in 0..s.m {
+                data[term_slot(&s, j, q)] =
+                    C64::from_f64((q + 1) as f64 * 10f64.powi(j as i32), 0.0);
+            }
+        }
+        let (out, rep) = run_sum(4, 3, &data);
+        for (q, got) in out.iter().enumerate() {
+            let want = (q + 1) as f64 * 111.0;
+            assert_eq!(*got, C64::from_f64(want, 0.0), "q = {q}");
+        }
+        assert_eq!(rep.counters.divergent_segments, 0);
+    }
+
+    #[test]
+    fn each_thread_adds_exactly_m_terms() {
+        let (_, rep) = run_sum(8, 5, &vec![C64::zero(); 72 * 5]);
+        // outputs = 72 threads, each m complex adds of 2 flops.
+        assert_eq!(rep.counters.flops, 72 * 5 * 2);
+    }
+
+    #[test]
+    fn sum_reads_are_fully_coalesced() {
+        // 32-wide warps reading consecutive 16-byte elements: every load
+        // slot is exactly 4 transactions; totals must match that bound.
+        let (n, m) = (32, 4);
+        let outputs = n * n + n;
+        let (_, rep) = run_sum(n, m, &vec![C64::zero(); outputs * m]);
+        let warps = (outputs / 32) as u64;
+        // per warp: m load slots + 1 store slot, 4 transactions each.
+        assert_eq!(rep.counters.global_transactions, warps * (m as u64 + 1) * 4);
     }
 }

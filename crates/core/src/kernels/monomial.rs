@@ -62,52 +62,8 @@
 //! tuples of exponents". It stages the variables first (phase 3 moves
 //! ahead of phase 2) and builds no table.
 
-use crate::kernels::batch::{BatchLayout, BatchMonomialKernel};
-use crate::layout::encoding::EncodedSupports;
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
-
-/// The fused monomial kernel at one point: the degenerate batch whose
-/// whole grid serves point 0 ([`BatchLayout::single`]), so single-point
-/// and batched launches run one block program.
-pub struct MonomialKernel {
-    pub enc: EncodedSupports,
-    /// Input point `x` (length `n`).
-    pub vars: BufferId,
-    /// Derivative-major coefficient array (length `n·m·(k+1)`).
-    pub coeffs: BufferId,
-    /// Output terms, `Mons` layout (length `(n²+n)·m`).
-    pub mons: BufferId,
-    /// Use the table-free common-factor stage (ablation A1).
-    pub from_scratch_cf: bool,
-}
-
-impl MonomialKernel {
-    fn batch(&self, grid_dim: u32) -> BatchMonomialKernel {
-        BatchMonomialKernel {
-            enc: self.enc,
-            vars: self.vars,
-            coeffs: self.coeffs,
-            mons: self.mons,
-            layout: BatchLayout::single(grid_dim),
-            from_scratch_cf: self.from_scratch_cf,
-        }
-    }
-}
-
-impl<R: Real> Kernel<Complex<R>> for MonomialKernel {
-    fn name(&self) -> &str {
-        "monomial"
-    }
-
-    fn shared_elems(&self, block_dim: u32) -> usize {
-        <BatchMonomialKernel as Kernel<Complex<R>>>::shared_elems(&self.batch(1), block_dim)
-    }
-
-    fn run_block(&self, blk: &mut BlockCtx<'_, Complex<R>>) {
-        self.batch(blk.grid_dim()).run_block(blk);
-    }
-}
 
 /// Shared elements of a monomial-kernel block: the `n` staged
 /// variables plus `B·(k + 1)` Speelpenning scratch, or the `d × n`
@@ -242,8 +198,9 @@ pub(crate) fn common_factor_phases<R: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::batch::{BatchLayout, BatchMonomialKernel};
     use crate::layout::coeffs::build_coeffs;
-    use crate::layout::encoding::EncodingKind;
+    use crate::layout::encoding::{EncodedSupports, EncodingKind};
     use crate::layout::mons::{mons_len, q_deriv, q_value, term_slot};
     use polygpu_complex::C64;
     use polygpu_polysys::cost;
@@ -255,7 +212,7 @@ mod tests {
         x: Vec<C64>,
         g: GlobalMem<C64>,
         cm: ConstantMemory,
-        kernel: MonomialKernel,
+        kernel: BatchMonomialKernel,
     }
 
     fn rig(params: &BenchmarkParams, from_scratch_cf: bool) -> Rig {
@@ -270,18 +227,21 @@ mod tests {
         let mons = g.alloc(mons_len(&shape));
         let x = random_point::<f64>(shape.n, 123);
         g.host_write(vars, 0, &x);
-        g.host_write(coeffs, 0, &build_coeffs(&sys, &shape));
+        g.host_write(coeffs, 0, &build_coeffs(&sys, &sys.sparse_shape()));
+        // One point at offset zero: the paper's single-point launch.
+        let layout = BatchLayout::new(&sys.sparse_shape(), 1, 32, 16, 128);
         Rig {
             dev,
             sys,
             x,
             g,
             cm,
-            kernel: MonomialKernel {
+            kernel: BatchMonomialKernel {
                 enc,
                 vars,
                 coeffs,
                 mons,
+                layout,
                 from_scratch_cf,
             },
         }

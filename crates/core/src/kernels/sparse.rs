@@ -1,5 +1,5 @@
-//! Batched two-kernel pipeline for **ragged** systems on the packed
-//! exponent-key encoding.
+//! The evaluation kernels for **ragged** systems on the packed
+//! exponent-key encoding, at `P` points.
 //!
 //! Each kernel is the dense batch kernel with the uniform `k`/`m`
 //! replaced by the per-monomial `k_g` (from the packed header) and the
@@ -15,57 +15,13 @@
 //! pure function of the supports), so the branch-free sum over all
 //! `max_m` slots reads exactly the zero padding the CPU reference adds.
 
+use crate::kernels::batch::BatchLayout;
 use crate::kernels::monomial;
 use crate::layout::coeffs::sparse_coeff_index;
 use crate::layout::packed::PackedSupports;
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
 use polygpu_polysys::SparseShape;
-
-/// Per-point strides and inner block counts of a ragged batched launch
-/// — the sparse analogue of [`BatchLayout`](crate::kernels::BatchLayout).
-#[derive(Debug, Clone, Copy)]
-pub struct SparseBatchLayout {
-    pub capacity: usize,
-    pub vars_stride: usize,
-    pub mons_stride: usize,
-    pub out_stride: usize,
-    pub mon_blocks: u32,
-    pub out_blocks: u32,
-}
-
-impl SparseBatchLayout {
-    pub fn new(
-        shape: &SparseShape,
-        capacity: usize,
-        block_dim: u32,
-        elem_bytes: usize,
-        segment: usize,
-    ) -> Self {
-        let pitch = |len: usize| {
-            let seg_elems = (segment / elem_bytes).max(1);
-            len.next_multiple_of(seg_elems)
-        };
-        SparseBatchLayout {
-            capacity,
-            vars_stride: pitch(shape.n),
-            mons_stride: pitch(shape.mons_len()),
-            out_stride: pitch(shape.outputs()),
-            mon_blocks: LaunchConfig::blocks_for(shape.total_monomials, block_dim),
-            out_blocks: LaunchConfig::blocks_for(shape.outputs(), block_dim),
-        }
-    }
-
-    /// Grid covering `points` batch entries of the monomial kernel.
-    pub fn monomial_cfg(&self, points: usize, shape: &SparseShape, block_dim: u32) -> LaunchConfig {
-        LaunchConfig::cover_batch(points, shape.total_monomials, block_dim)
-    }
-
-    /// Grid covering `points` batch entries of the sum kernel.
-    pub fn output_cfg(&self, points: usize, shape: &SparseShape, block_dim: u32) -> LaunchConfig {
-        LaunchConfig::cover_batch(points, shape.outputs(), block_dim)
-    }
-}
 
 /// Slot of monomial-slot `j`'s contribution to output `q` in a point's
 /// sparse `Mons` region.
@@ -91,7 +47,7 @@ pub struct SparseMonomialKernel {
     pub vars: BufferId,
     pub coeffs: BufferId,
     pub mons: BufferId,
-    pub layout: SparseBatchLayout,
+    pub layout: BatchLayout,
 }
 
 impl<R: Real> Kernel<Complex<R>> for SparseMonomialKernel {
@@ -236,7 +192,7 @@ pub struct SparseSumKernel {
     pub shape: SparseShape,
     pub mons: BufferId,
     pub out: BufferId,
-    pub layout: SparseBatchLayout,
+    pub layout: BatchLayout,
 }
 
 impl<R: Real> Kernel<Complex<R>> for SparseSumKernel {

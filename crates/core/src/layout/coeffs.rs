@@ -15,26 +15,7 @@
 //! Element index: `portion · (n·m) + g`.
 
 use polygpu_complex::{Complex, Real};
-use polygpu_polysys::{System, UniformShape};
-
-/// Build the `Coeffs` array contents for a uniform system.
-///
-/// Returns a vector of length `n·m·(k+1)` in the layout above.
-pub fn build_coeffs<R: Real>(system: &System<R>, shape: &UniformShape) -> Vec<Complex<R>> {
-    let total = shape.total_monomials();
-    let mut coeffs = vec![Complex::<R>::zero(); total * (shape.k + 1)];
-    let mut g = 0usize;
-    for poly in system.polys() {
-        for term in poly.terms() {
-            for (j, &(_, e)) in term.monomial.factors().iter().enumerate() {
-                coeffs[j * total + g] = term.coeff.scale(R::from_u32(e as u32));
-            }
-            coeffs[shape.k * total + g] = term.coeff;
-            g += 1;
-        }
-    }
-    coeffs
-}
+use polygpu_polysys::{SparseShape, System, UniformShape};
 
 /// Index of the coefficient for derivative-portion `j` (or the value
 /// portion `j == k`) of monomial `g`.
@@ -45,17 +26,15 @@ pub fn coeff_index(shape: &UniformShape, portion: usize, g: usize) -> usize {
     portion * shape.total_monomials() + g
 }
 
-/// Build the `Coeffs` array for a **ragged** system: the same
-/// derivative-portion-major layout with `max_k + 1` portions. A
-/// monomial with `k_g` variables fills portions `0..k_g` (derivative
-/// coefficients `c · a_j`) and the value portion `max_k`; the portions
-/// in between stay zero and are never read.
+/// Build the `Coeffs` array of any system: the layout above with
+/// `max_k + 1` portions, which for a uniform system is exactly the
+/// paper's `n·m·(k+1)` array. A ragged monomial with `k_g` variables
+/// fills portions `0..k_g` (derivative coefficients `c · a_j`) and the
+/// value portion `max_k`; the portions in between stay zero and are
+/// never read.
 ///
 /// Returns a vector of length `total · (max_k + 1)`.
-pub fn build_sparse_coeffs<R: Real>(
-    system: &System<R>,
-    shape: &polygpu_polysys::SparseShape,
-) -> Vec<Complex<R>> {
+pub fn build_coeffs<R: Real>(system: &System<R>, shape: &SparseShape) -> Vec<Complex<R>> {
     let total = shape.total_monomials;
     let mut coeffs = vec![Complex::<R>::zero(); total * (shape.max_k + 1)];
     let mut g = 0usize;
@@ -95,7 +74,7 @@ mod tests {
         };
         let sys = random_system::<f64>(&params);
         let shape = sys.uniform_shape().unwrap();
-        let coeffs = build_coeffs(&sys, &shape);
+        let coeffs = build_coeffs(&sys, &sys.sparse_shape());
         assert_eq!(coeffs.len(), 4 * 3 * 3);
         let total = shape.total_monomials();
         let mut g = 0;
@@ -127,7 +106,7 @@ mod tests {
         }]);
         let sys = System::new(2, vec![p0, p1]).unwrap();
         let shape = sys.uniform_shape().unwrap();
-        let coeffs = build_coeffs(&sys, &shape);
+        let coeffs = build_coeffs(&sys, &sys.sparse_shape());
         // monomial g = 0 (poly 0)
         assert_eq!(coeffs[coeff_index(&shape, 0, 0)], C64::from_f64(6.0, 0.0));
         assert_eq!(coeffs[coeff_index(&shape, 1, 0)], C64::from_f64(2.0, 0.0));

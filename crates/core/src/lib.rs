@@ -6,7 +6,7 @@
 //! Jacobian** with divergence-free SIMT kernels. The paper's three
 //! kernels run here as two launches:
 //!
-//! 1. [`kernels::MonomialKernel`] — the paper's kernels 1 and 2 fused.
+//! 1. [`kernels::BatchMonomialKernel`] — the paper's kernels 1 and 2 fused.
 //!    Each block builds the powers of its point's variables in shared
 //!    memory (§3.1, stage 1); each thread forms its monomial's common
 //!    factor `x^{a−1}` from that table in a register (§3.1, stage 2),
@@ -14,18 +14,27 @@
 //!    Speelpenning product in `3k − 6` multiplications, combined with
 //!    the common factor and coefficients (`5k − 4` per thread, §3.2).
 //!    The common factor never round-trips through global memory.
-//! 2. [`kernels::SumKernel`] — kernel 3: branch-free summation over the
+//! 2. [`kernels::BatchSumKernel`] — kernel 3: branch-free summation over the
 //!    zero-padded `Mons` layout with fully coalesced reads (§3.3).
 //!
 //! Fusing kernels 1 and 2 changes where a value waits, not what is
 //! computed: every thread performs the same multiplications in the
 //! same order as the separate kernels did.
 //!
-//! The host-side [`pipeline::GpuEvaluator`] owns device memory, runs
-//! the two launches per evaluation, and implements the same
+//! Both run `P` points per launch, one block program per point, so a
+//! point's results never depend on the batch it rides in.
+//!
+//! One engine, [`batch::BatchGpuEvaluator`], owns device memory and
+//! runs the two launches per round trip, for uniform systems and — on
+//! packed exponent keys and the ragged kernel variants
+//! ([`kernels::sparse`]) — for ragged ones. The paper's single-point
+//! [`pipeline::GpuEvaluator`] is that engine at capacity one, looped
+//! point by point. Both implement the same
 //! [`polygpu_polysys::SystemEvaluator`] interface as the CPU
-//! evaluators — in double precision its results are **bit-identical**
-//! to the sequential algorithm ([`polygpu_polysys::AdEvaluator`]),
+//! evaluators — in double precision their results are
+//! **bit-identical** to the sequential algorithm
+//! ([`polygpu_polysys::AdEvaluator`], or
+//! [`polygpu_polysys::SparseAdEvaluator`] for ragged systems),
 //! because both execute the same multiplications in the same order.
 //!
 //! ```
@@ -42,10 +51,10 @@
 //! assert!(gpu.stats().seconds_per_eval() > 0.0);
 //! ```
 
-//! The batched engine ([`batch::BatchGpuEvaluator`]) evaluates at `P`
-//! points with **one** pair of launches and one transfer each way,
-//! amortizing launch overhead and PCIe latency `P`-fold while staying
-//! bit-for-bit equal to `P` single-point evaluations.
+//! A batch of `P` points pays **one** pair of launches and one
+//! transfer each way, amortizing launch overhead and PCIe latency
+//! `P`-fold while staying bit-for-bit equal to `P` single-point
+//! evaluations.
 
 //! The unified public surface is the [`engine`] module: one
 //! [`engine::Engine::builder`] for every backend and precision, one
@@ -58,7 +67,6 @@ pub mod engine;
 pub mod kernels;
 pub mod layout;
 pub mod pipeline;
-pub mod sparse;
 
 pub use batch::{expect_batch, BatchError, BatchGpuEvaluator};
 pub use correct::{
@@ -71,7 +79,6 @@ pub use engine::{
     SessionAmortization, ShardMode, SystemId, SystemShardPolicy,
 };
 pub use kernels::batch::BatchLayout;
-pub use kernels::sparse::SparseBatchLayout;
 pub use layout::encoding::{
     packed_geometry, EncodeError, EncodedSupports, EncodingKind, PackedGeometry,
 };
@@ -79,7 +86,6 @@ pub use layout::packed::{sparse_packed_bytes, PackedSupports};
 pub use pipeline::{
     FaultConfig, GpuEvaluator, GpuOptions, PipelineStats, SetupError, EVAL_LAUNCHES,
 };
-pub use sparse::{SparseBatchGpuEvaluator, SparseGpuEvaluator};
 // The fault-model vocabulary, so fault-aware callers (schedulers,
 // cluster recovery, chaos harnesses) need not depend on the simulator
 // crate directly.

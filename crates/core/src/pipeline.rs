@@ -1,23 +1,19 @@
-//! The host-side pipeline: set up device memory once, then evaluate the
-//! system and its Jacobian at a point with two kernel launches — the
-//! fused monomial kernel (the paper's kernels 1 and 2) and the sum
-//! kernel (kernel 3).
+//! The host-side pipeline: its options, its modeled-cost statistics,
+//! and the paper's single-point evaluator.
 //!
 //! Mirrors the paper's host flow: supports and coefficients are
 //! uploaded once ("the information … does not change along the path
 //! tracking"); per evaluation only the point travels to the device and
-//! the `n² + n` results travel back.
+//! the `n² + n` results travel back. [`GpuEvaluator`] runs that round
+//! trip one point at a time on a capacity-1
+//! [`BatchGpuEvaluator`], the engine every device backend shares.
 
-use crate::batch::{expect_batch, BatchError};
-use crate::kernels::monomial::MonomialKernel;
-use crate::kernels::sum::SumKernel;
-use crate::layout::coeffs::build_coeffs;
-use crate::layout::encoding::{EncodeError, EncodedSupports, EncodingKind};
-use crate::layout::mons::{mons_len, unpack_eval};
+use crate::batch::{expect_batch, BatchError, BatchGpuEvaluator};
+use crate::layout::encoding::{EncodeError, EncodingKind};
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
 use polygpu_obs::{Lane, MetaValue, MetricsRegistry, SpanKind, TraceSink};
-use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator, UniformShape};
+use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator};
 use std::fmt;
 
 /// Deterministic fault injection for one modeled device: the seeded
@@ -307,8 +303,8 @@ impl fmt::Display for PipelineStats {
 /// strike, charge the serialized time of the operations already
 /// completed this round trip (`elapsed`) plus the fault's detection
 /// latency to the wall clock — the honest cost of a failed round trip —
-/// and surface the typed error. Shared by the single-point and batched
-/// engines.
+/// and surface the typed error. Shared by the engine's round trips and
+/// the fused corrector.
 pub(crate) fn inject(
     injector: &mut Option<FaultInjector>,
     stats: &mut PipelineStats,
@@ -342,116 +338,49 @@ pub(crate) fn inject(
     Ok(())
 }
 
-/// The paper's GPU evaluator on the simulated device: two launches per
-/// evaluation.
-pub struct GpuEvaluator<R: Real> {
-    device: DeviceSpec,
-    opts: GpuOptions,
-    shape: UniformShape,
-    global: GlobalMem<Complex<R>>,
-    constant: ConstantMemory,
-    vars: BufferId,
-    out: BufferId,
-    monomial: MonomialKernel,
-    sum: SumKernel,
-    stats: PipelineStats,
-    last_reports: Vec<LaunchReport>,
-    injector: Option<FaultInjector>,
-}
+/// The paper's GPU evaluator on the simulated device: a capacity-1
+/// [`BatchGpuEvaluator`] looped point by point, so every evaluation is
+/// its own round trip — one upload, two launches, one download — for
+/// uniform and (under [`EncodingKind::Packed`]) ragged systems alike.
+pub struct GpuEvaluator<R: Real>(BatchGpuEvaluator<R>);
 
 impl<R: Real> GpuEvaluator<R> {
     /// Validate, encode and upload `system`; run one throw-away
     /// evaluation so every configuration error surfaces here rather
     /// than inside `evaluate`.
     pub fn new(system: &System<R>, opts: GpuOptions) -> Result<Self, SetupError> {
-        let device = opts.device.clone();
-        let mut constant = ConstantMemory::new(&device);
-        let enc = EncodedSupports::upload(system, &mut constant, opts.encoding)?;
-        let shape = enc.shape;
-        let mut global = GlobalMem::new();
-        let vars = global.alloc(shape.n);
-        let coeffs = global.alloc(shape.total_monomials() * (shape.k + 1));
-        let mons = global.alloc(mons_len(&shape));
-        let out = global.alloc(shape.outputs());
-        global.host_write(coeffs, 0, &build_coeffs(system, &shape));
-        let injector = opts
-            .fault
-            .map(|f| FaultInjector::new(f.plan, f.device_index));
-        let mut me = GpuEvaluator {
-            device,
-            shape,
-            vars,
-            out,
-            injector,
-            monomial: MonomialKernel {
-                enc,
-                vars,
-                coeffs,
-                mons,
-                from_scratch_cf: opts.from_scratch_cf,
-            },
-            sum: SumKernel { shape, mons, out },
-            global,
-            constant,
-            stats: PipelineStats::default(),
-            last_reports: Vec::new(),
-            opts,
-        };
-        // Validation pass at the origin: exercises both launches.
-        // The injector is disarmed here, so the probe cannot fault; the
-        // trace sink is detached so the probe leaves no spans behind.
-        let sink = std::mem::take(&mut me.opts.trace);
-        let probe = vec![Complex::<R>::one(); shape.n];
-        me.try_evaluate(&probe).map_err(|e| match e {
-            BatchError::Launch(l) => SetupError::Launch(l),
-            other => unreachable!("disarmed validation probe cannot fail otherwise: {other}"),
-        })?;
-        me.stats = PipelineStats::default();
-        me.set_fault_armed(true);
-        me.opts.trace = sink;
-        Ok(me)
+        Ok(GpuEvaluator(BatchGpuEvaluator::new(system, 1, opts)?))
     }
 
     /// Arm or disarm fault injection (no-op without a configured
-    /// [`GpuOptions::fault`]). Construction probes run disarmed;
-    /// fleet-level calibration probes disarm around their own work.
+    /// [`GpuOptions::fault`]).
     pub fn set_fault_armed(&mut self, armed: bool) {
-        if let Some(inj) = self.injector.as_mut() {
-            if armed {
-                inj.arm();
-            } else {
-                inj.disarm();
-            }
-        }
-    }
-
-    pub fn shape(&self) -> UniformShape {
-        self.shape
+        self.0.set_fault_armed(armed);
     }
 
     pub fn device(&self) -> &DeviceSpec {
-        &self.device
+        self.0.device()
     }
 
     /// Modeled-cost statistics accumulated so far.
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        self.0.stats()
     }
 
     pub fn reset_stats(&mut self) {
-        self.stats = PipelineStats::default();
+        self.0.reset_stats();
     }
 
     /// Launch reports of the most recent evaluation (the monomial
     /// kernel, then the sum kernel).
     pub fn last_reports(&self) -> &[LaunchReport] {
-        &self.last_reports
+        self.0.last_reports()
     }
 
-    /// Bytes of constant memory in use (the capacity the paper's §4
-    /// discussion revolves around).
+    /// Bytes of constant memory the system's supports occupy (the
+    /// capacity the paper's §4 discussion revolves around).
     pub fn constant_bytes_used(&self) -> usize {
-        self.constant.used()
+        self.0.constant_bytes_used()
     }
 
     /// Evaluate at `x` with typed errors: dimension violations,
@@ -461,122 +390,13 @@ impl<R: Real> GpuEvaluator<R> {
     /// results but charges the completed operations plus the fault's
     /// detection latency to the modeled wall clock.
     pub fn try_evaluate(&mut self, x: &[Complex<R>]) -> Result<SystemEval<R>, BatchError> {
-        let shape = self.shape;
-        if x.len() != shape.n {
-            return Err(BatchError::DimensionMismatch {
-                point: 0,
-                got: x.len(),
-                expected: shape.n,
-            });
-        }
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let h2d = transfer_seconds(&self.device, shape.n * elem);
-        // This device's clock before the round trip — the origin of the
-        // spans emitted below.
-        let wall0 = self.stats.wall_seconds;
-        let mut elapsed = 0.0;
-        self.fault_check(OpClass::HostToDevice, h2d, elapsed)?;
-        self.global.host_write(self.vars, 0, x);
-        elapsed += h2d;
-        let mut transfer = h2d;
-
-        let monomial_cfg = LaunchConfig::cover(shape.total_monomials(), self.opts.block_dim);
-        let output_cfg = LaunchConfig::cover(shape.outputs(), self.opts.block_dim);
-        // Clear before launching (reusing the vector's storage) so a
-        // failed launch leaves no stale reports behind.
-        self.last_reports.clear();
-        self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let monomial = launch(
-            &self.device,
-            &self.monomial,
-            monomial_cfg,
-            &mut self.global,
-            &self.constant,
-            self.opts.launch,
-        )?;
-        elapsed += monomial.timing.total_seconds();
-        self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let sum = launch(
-            &self.device,
-            &self.sum,
-            output_cfg,
-            &mut self.global,
-            &self.constant,
-            self.opts.launch,
-        )?;
-        elapsed += sum.timing.total_seconds();
-
-        let d2h = transfer_seconds(&self.device, shape.outputs() * elem);
-        self.fault_check(OpClass::DeviceToHost, d2h, elapsed)?;
-        transfer += d2h;
-        // `host_read` is a zero-copy borrow of the simulated buffer;
-        // unpack straight into the result without a staging copy.
-        let eval = unpack_eval(self.global.host_read(self.out), 0, shape.rows, shape.n);
-
-        self.stats.evaluations += 1;
-        self.stats.batches += 1;
-        self.stats.transfer_seconds += transfer;
-        self.stats.h2d_bytes += (shape.n * elem) as u64;
-        self.stats.d2h_bytes += (shape.outputs() * elem) as u64;
-        // Reuse the report vector's storage instead of allocating a
-        // fresh vector on every evaluation (this method is the hot loop
-        // of Newton correction and path tracking); it was cleared
-        // before the launches.
-        self.last_reports.push(monomial);
-        self.last_reports.push(sum);
-        for r in &self.last_reports {
-            self.stats.counters += r.counters;
-            self.stats.kernel_seconds += r.timing.kernel_seconds;
-            self.stats.overhead_seconds += r.timing.overhead_seconds;
-            // Single-point round trips have nothing to overlap with:
-            // the wall clock is the serialized sum.
-            self.stats.wall_seconds += r.timing.total_seconds();
-        }
-        self.stats.wall_seconds += transfer;
-
-        if self.opts.trace.enabled() {
-            let tr = &self.opts.trace;
-            tr.lane(Lane::H2D)
-                .emit(SpanKind::Upload, wall0, h2d, 4, &[]);
-            let mut t = wall0 + h2d;
-            for r in &self.last_reports {
-                let d = r.timing.total_seconds();
-                tr.lane(Lane::Compute).emit(SpanKind::Launch, t, d, 4, &[]);
-                t += d;
-            }
-            tr.lane(Lane::D2H).emit(SpanKind::Download, t, d2h, 4, &[]);
-            tr.emit(
-                SpanKind::Batch,
-                wall0,
-                self.stats.wall_seconds - wall0,
-                3,
-                &[("points", MetaValue::U64(1))],
-            );
-        }
-        Ok(eval)
-    }
-
-    fn fault_check(
-        &mut self,
-        class: OpClass,
-        op_seconds: f64,
-        elapsed: f64,
-    ) -> Result<(), BatchError> {
-        inject(
-            &mut self.injector,
-            &mut self.stats,
-            &self.device,
-            class,
-            op_seconds,
-            elapsed,
-            &self.opts.trace,
-        )
+        self.0.try_evaluate(x)
     }
 }
 
 impl<R: Real> SystemEvaluator<R> for GpuEvaluator<R> {
     fn dim(&self) -> usize {
-        self.shape.n
+        self.0.dim()
     }
 
     /// Evaluate at `x`. Configuration errors were ruled out by the

@@ -46,6 +46,7 @@ proptest! {
     #[test]
     fn kernel2_flops_follow_5k_minus_4(params in shapes()) {
         let system = random_system::<f64>(&params);
+        let d = system.uniform_shape().unwrap().d as usize;
         let mut gpu = GpuEvaluator::new(&system, GpuOptions::default()).unwrap();
         let x = random_point::<f64>(params.n, 1);
         let _ = gpu.evaluate(&x);
@@ -57,7 +58,7 @@ proptest! {
         let monomials = (params.n * params.m) as u64;
         let blocks = report.config.grid_dim as u64;
         let expect = (monomials * (cost::common_factor_muls(params.k) + cost::kernel2_muls(params.k))
-            + blocks * cost::power_stage_muls_per_block(params.n, gpu.shape().d as usize)) * 6;
+            + blocks * cost::power_stage_muls_per_block(params.n, d)) * 6;
         prop_assert_eq!(report.counters.flops, expect,
             "kernel2 flops for {:?}", params);
     }

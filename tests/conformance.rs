@@ -567,40 +567,63 @@ fn correct_params() -> CorrectParams {
 /// Corrector contract: `try_correct_batch` on every backend — fused
 /// device-resident overrides and host defaults alike — produces
 /// endpoints, statuses, and full residual histories **bit-identical**
-/// to the CPU reference's host loop, in precision `R`.
+/// to the CPU reference's host loop, in precision `R`: on the uniform
+/// system under the default keys, and on the ragged one under packed
+/// keys.
 fn run_correct_suite<R: Real>() {
-    let sys = test_system::<R>();
     let points = test_points::<R>(POINTS);
     let params = correct_params();
-    let mut want_pts = points.clone();
-    let want_st = build::<R>(&Backend::CpuReference, &sys)
-        .try_correct_batch(&mut want_pts, &mut IdentityCombine, &params)
-        .unwrap();
-    for (name, backend) in backend_cases() {
-        let mut engine = build::<R>(&backend, &sys);
-        let mut got_pts = points.clone();
-        let got_st = engine
-            .try_correct_batch(&mut got_pts, &mut IdentityCombine, &params)
+    for (keys, sys, encoding) in [
+        ("uniform", test_system::<R>(), EncodingKind::Direct),
+        ("ragged", sparse_test_system::<R>(), EncodingKind::Packed),
+    ] {
+        let engine_for = |backend: &Backend| {
+            Engine::builder()
+                .backend(backend.clone())
+                .per_device_capacity(PER_DEVICE)
+                .encoding(encoding)
+                .build(&sys)
+                .unwrap_or_else(|e| panic!("{keys}: conformance system must build: {e}"))
+        };
+        let mut want_pts = points.clone();
+        let want_st = engine_for(&Backend::CpuReference)
+            .try_correct_batch(&mut want_pts, &mut IdentityCombine, &params)
             .unwrap();
-        for i in 0..POINTS {
-            assert_eq!(
-                got_pts[i], want_pts[i],
-                "{name} point {i}: corrected endpoint must be bit-identical to the host loop"
-            );
-            assert_eq!(
-                got_st[i], want_st[i],
-                "{name} point {i}: status and residual history must match"
-            );
-        }
-        // Only the fused overrides charge the corrector counters; the
-        // host-default backends pay through their evaluate round trips.
-        if matches!(name, "gpu-batch" | "cluster") {
+        for (name, backend) in backend_cases() {
+            let mut engine = engine_for(&backend);
+            let mut got_pts = points.clone();
+            let got_st = engine
+                .try_correct_batch(&mut got_pts, &mut IdentityCombine, &params)
+                .unwrap();
+            for i in 0..POINTS {
+                assert_eq!(
+                    got_pts[i], want_pts[i],
+                    "{keys} {name} point {i}: corrected endpoint must be bit-identical to the host loop"
+                );
+                assert_eq!(
+                    got_st[i], want_st[i],
+                    "{keys} {name} point {i}: status and residual history must match"
+                );
+            }
+            // Only the fused overrides charge the corrector counters;
+            // the host-default backends pay through their evaluate
+            // round trips.
             let stats = engine.engine_stats();
-            assert_eq!(
-                stats.corrections, POINTS as u64,
-                "{name}: corrections counted"
-            );
-            assert!(stats.corrector_iterations > 0, "{name}: iterations counted");
+            if matches!(name, "gpu-batch" | "cluster") {
+                assert_eq!(
+                    stats.corrections, POINTS as u64,
+                    "{keys} {name}: corrections counted"
+                );
+                assert!(
+                    stats.corrector_iterations > 0,
+                    "{keys} {name}: iterations counted"
+                );
+            } else {
+                assert_eq!(
+                    stats.corrections, 0,
+                    "{keys} {name}: the host corrector charges no fused corrections"
+                );
+            }
         }
     }
 }
@@ -695,8 +718,8 @@ impl<R: Real> CorrectOps<R> for ChargeLog<'_, R> {
     }
 }
 
-/// Launch-budget contract of the fused corrector, on the dense batch
-/// engine (Direct keys) and the sparse batch engine (packed keys): a
+/// Launch-budget contract of the fused corrector, on the batch engine
+/// with a uniform system on Direct keys and a ragged one on packed keys: a
 /// `try_correct_batch` pays exactly two evaluation launches per round
 /// plus **one** factor-and-solve launch per round that factors. The
 /// engine's launch count is read off its modeled overhead and
