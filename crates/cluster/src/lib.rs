@@ -18,7 +18,10 @@
 //!   batching, is a performance transformation, never a numerical one;
 //! * [`ClusterStats`] models the cluster wall clock as the **max** over
 //!   devices per batch (devices run concurrently), and reports the
-//!   overlap savings and the load-imbalance ratio.
+//!   overlap savings and the load-imbalance ratio;
+//! * fault recovery (retry, backoff, failover, CPU fallback) is one
+//!   executor, in the private `fleet` module (`src/fleet.rs`), that
+//!   this point fleet and the row fleet ([`rows`]) share.
 //!
 //! ```
 //! use polygpu_cluster::{ClusterOptions, ShardedBatchEvaluator};
@@ -36,6 +39,7 @@
 //! assert!(cluster.cluster_stats().wall_seconds > 0.0);
 //! ```
 
+mod fleet;
 pub mod rows;
 pub mod shard;
 
@@ -48,19 +52,17 @@ pub use shard::{plan, DeviceWeight, Shard, ShardPolicy};
 pub use polygpu_core::engine::SystemShardPolicy;
 pub use polygpu_gpusim::stream::TransferPath;
 
+use fleet::{device_options, Evaluate, Executor, Job, Ledger, Work};
 use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{
-    AnyEvaluator, BuildError, ClusterPolicy, ClusterProvider, ClusterSpec, CpuReferenceEngine,
-    Engine, EngineBuilder, EngineCaps, ShardMode,
+    validate_batch, AnyEvaluator, BuildError, ClusterPolicy, ClusterProvider, ClusterSpec, Engine,
+    EngineBuilder, EngineCaps, ShardMode,
 };
-use polygpu_core::pipeline::{FaultConfig, GpuOptions, PipelineStats, SetupError};
-use polygpu_core::{
-    BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus, OffsetCombine,
-};
+use polygpu_core::pipeline::{GpuOptions, PipelineStats, SetupError};
+use polygpu_core::{BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus};
 use polygpu_gpusim::prelude::{DeviceSpec, FaultKind, FaultStats, RecoveryPolicy};
-use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink, Track};
+use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink};
 use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator};
-use rayon::prelude::*;
 use std::fmt;
 
 /// Configuration of a [`ShardedBatchEvaluator`].
@@ -74,9 +76,9 @@ pub struct ClusterOptions {
     /// the modeled kernel/transfer ratio.
     pub overlap_chunks: Option<usize>,
     /// Base options for every device (`device` is replaced per spec,
-    /// `overlap_chunks` by the field above, and any
-    /// [`FaultConfig::device_index`] by the device's own index so every
-    /// device draws an independent fault schedule from the shared plan).
+    /// `overlap_chunks` by the field above, and the device index of any
+    /// [`GpuOptions::fault`] by the device's own index so every device
+    /// draws an independent fault schedule from the shared plan).
     pub base: GpuOptions,
     /// How the fleet reacts to injected faults: per-shard retries with
     /// exponential backoff, then failover re-planning onto survivors,
@@ -189,32 +191,59 @@ pub struct ShardedBatchEvaluator<R: Real> {
     policy: ShardPolicy,
     stats: ClusterStats,
     n: usize,
-    /// Sticky per-device loss flags: a device that reports
-    /// [`FaultKind::DeviceLost`] is excluded from every later plan.
-    lost: Vec<bool>,
-    recovery: RecoveryPolicy,
-    /// Retained for the CPU-reference fallback, which is bit-identical
-    /// to the GPU path in double precision.
-    system: System<R>,
-    /// Cluster-level span sink ([`Track::Cluster`]); each device engine
-    /// carries its own sink retargeted to its [`Track::Device`].
-    trace: TraceSink,
+    /// Recovery; its loss flags exclude a device that reported
+    /// [`FaultKind::DeviceLost`] from every later plan.
+    exec: Executor<R>,
 }
 
-/// What one device reported for its shard in one recovery round.
-struct ShardOutcome<R: Real> {
-    device: usize,
-    /// Original point indices the device was asked to evaluate.
-    indices: Shard,
-    /// Evaluations for the leading `done.len()` indices; the rest (if
-    /// any) were lost to the fault in `err`.
-    done: Vec<SystemEval<R>>,
-    err: Option<BatchError>,
-    retries: u64,
-    backoff: f64,
-    /// Modeled device wall-clock delta for this round, detection
-    /// latency included.
-    wall: f64,
+impl Ledger for ClusterStats {
+    fn book(&mut self, seconds: f64, fault: &FaultStats) {
+        self.fault.merge(fault);
+        self.wall_seconds += seconds;
+    }
+}
+
+/// The fused corrector. Its [`CombineMap`] is a single host object, so
+/// a round's devices run one after another (the [`Work`] default). The
+/// fused loop never commits on `Err`, so a retried chunk starts from
+/// the same iterates and its eventual success is bit-identical to a
+/// fault-free run.
+struct Correct<'a, R: Real> {
+    points: &'a [Vec<Complex<R>>],
+    combine: &'a mut dyn CombineMap<R>,
+    params: &'a CorrectParams,
+}
+
+impl<R: Real> Work<R> for Correct<'_, R> {
+    /// A corrected point and its status.
+    type Out = (Vec<Complex<R>>, CorrectStatus);
+    const EVALUATES: bool = false;
+
+    fn run(
+        &mut self,
+        engine: &mut dyn AnyEvaluator<R>,
+        chunk: &[usize],
+    ) -> Result<Vec<Self::Out>, BatchError> {
+        /// Remaps a chunk-local index to the point's position in the
+        /// call's batch — the sparse sibling of `OffsetCombine` for
+        /// chunks whose indices are not contiguous.
+        struct GatherCombine<'a, R: Real> {
+            inner: &'a mut dyn CombineMap<R>,
+            indices: &'a [usize],
+        }
+        impl<R: Real> CombineMap<R> for GatherCombine<'_, R> {
+            fn apply(&mut self, index: usize, x: &[Complex<R>], eval: &mut SystemEval<R>) {
+                self.inner.apply(self.indices[index], x, eval);
+            }
+        }
+        let mut pts = fleet::gather(self.points, chunk);
+        let mut combine = GatherCombine {
+            inner: &mut *self.combine,
+            indices: chunk,
+        };
+        let statuses = engine.try_correct_batch(&mut pts, &mut combine, self.params)?;
+        Ok(pts.into_iter().zip(statuses).collect())
+    }
 }
 
 impl<R: Real> ShardedBatchEvaluator<R> {
@@ -234,21 +263,14 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         let mut devices = Vec::with_capacity(specs.len());
         let mut weights = Vec::with_capacity(specs.len());
         let n = system.dim();
+        let base = GpuOptions {
+            overlap_chunks: opts.overlap_chunks,
+            ..opts.base.clone()
+        };
         for (d, spec) in specs.iter().enumerate() {
-            let gopts = GpuOptions {
-                device: spec.clone(),
-                overlap_chunks: opts.overlap_chunks,
-                // Each device draws its own schedule from the shared
-                // fault plan; the base's device index is a placeholder.
-                fault: opts.base.fault.map(|f| FaultConfig {
-                    plan: f.plan,
-                    device_index: d,
-                }),
-                // Silenced during calibration; retargeted to this
-                // device's track below.
-                trace: TraceSink::noop(),
-                ..opts.base.clone()
-            };
+            let mut gopts = device_options(&base, spec, d);
+            // Silenced during calibration; restored below.
+            let trace = std::mem::replace(&mut gopts.trace, TraceSink::noop());
             let mut dev = BatchGpuEvaluator::new(system, per_device_capacity, gopts)?;
             // Calibration probe: modeled seconds for one point, used
             // only as a relative work-stealing weight. Runs with the
@@ -260,7 +282,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
             dev.set_fault_armed(true);
             let spp = dev.stats().wall_clock_seconds();
             dev.reset_stats();
-            dev.set_trace(opts.base.trace.on(Track::Device(d as u32)));
+            dev.set_trace(trace);
             devices.push(dev);
             weights.push(DeviceWeight {
                 capacity: per_device_capacity,
@@ -269,14 +291,11 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         }
         Ok(ShardedBatchEvaluator {
             stats: ClusterStats::new(devices.len()),
-            lost: vec![false; devices.len()],
+            exec: Executor::new(opts.recovery, &opts.base.trace, system, devices.len()),
             devices,
             weights,
             policy: opts.policy,
             n,
-            recovery: opts.recovery,
-            system: system.clone(),
-            trace: opts.base.trace.on(Track::Cluster),
         })
     }
 
@@ -299,7 +318,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         for d in &self.devices {
             s.fault.merge(&d.stats().fault);
         }
-        s.devices_lost = self.lost.iter().filter(|&&l| l).count();
+        s.devices_lost = self.exec.lost_count();
         s
     }
 
@@ -344,218 +363,8 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         &mut self,
         points: &[Vec<Complex<R>>],
     ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        let p = points.len();
-        let capacity = self.max_batch();
-        if p == 0 {
-            return Err(BatchError::Empty);
-        }
-        if p > capacity {
-            return Err(BatchError::CapacityExceeded {
-                points: p,
-                capacity,
-            });
-        }
-        for (i, x) in points.iter().enumerate() {
-            if x.len() != self.n {
-                return Err(BatchError::DimensionMismatch {
-                    point: i,
-                    got: x.len(),
-                    expected: self.n,
-                });
-            }
-        }
-
-        // Recovery proceeds in rounds. Round 0 runs the normal plan
-        // over every live device; if a device faults past its retry
-        // budget, its unfinished points are re-planned over the
-        // survivors in the next round. Devices that fail within a call
-        // are excluded for the rest of that call; `DeviceLost` failures
-        // are excluded permanently.
-        let ndev = self.devices.len();
-        let mut merged: Vec<Option<SystemEval<R>>> = (0..p).map(|_| None).collect();
-        let mut excluded = self.lost.clone();
-        let mut fault = FaultStats::default();
-        let mut batch_wall = 0.0f64;
-        let mut todo: Vec<usize> = (0..p).collect();
-        let recovery = self.recovery;
-        // Cluster-track spans run on the cluster's own modeled clock
-        // (rounds are sequential, so `wall0 + batch_wall` is the current
-        // round's start).
-        let wall0 = self.stats.wall_seconds;
-
-        while !todo.is_empty() {
-            let live: Vec<usize> = (0..ndev).filter(|&d| !excluded[d]).collect();
-            if live.is_empty() {
-                // Whole fleet gone mid-call: finish on the CPU
-                // reference (bit-identical to the device kernels in
-                // double precision) when the policy allows, else
-                // surface the degradation as a typed error.
-                if recovery.cpu_fallback {
-                    fault.failovers += 1;
-                    self.trace.emit(
-                        SpanKind::Fallback,
-                        wall0 + batch_wall,
-                        0.0,
-                        4,
-                        &[("points", MetaValue::U64(todo.len() as u64))],
-                    );
-                    let mut cpu = cpu_fallback(&self.system);
-                    for &i in &todo {
-                        merged[i] = Some(cpu.evaluate(&points[i]));
-                    }
-                    todo.clear();
-                    break;
-                }
-                let lost = excluded.iter().filter(|&&l| l).count();
-                self.stats.fault.merge(&fault);
-                self.stats.wall_seconds += batch_wall;
-                return Err(BatchError::DegradedFleet {
-                    devices: ndev,
-                    lost,
-                });
-            }
-
-            let live_weights: Vec<DeviceWeight> = live.iter().map(|&d| self.weights[d]).collect();
-            let shards = plan(self.policy, todo.len(), &live_weights);
-            // Translate planner output (indices into `todo`) back to
-            // original point indices and hand each live device its
-            // shard; shards execute in parallel on the host pool (the
-            // rayon shim preserves input order, so merging below is
-            // deterministic).
-            let mut want: Vec<Option<Shard>> = (0..ndev).map(|_| None).collect();
-            for (&d, s) in live.iter().zip(shards) {
-                if !s.is_empty() {
-                    want[d] = Some(s.iter().map(|&j| todo[j]).collect());
-                }
-            }
-            let work: Vec<(usize, &mut BatchGpuEvaluator<R>, Shard)> = self
-                .devices
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(d, dev)| want[d].take().map(|s| (d, dev, s)))
-                .collect();
-            let outcomes: Vec<ShardOutcome<R>> = work
-                .into_par_iter()
-                .map(|(d, dev, shard)| {
-                    let wall_before = dev.stats().wall_seconds;
-                    let cap = dev.capacity().max(1);
-                    let mut out = Vec::with_capacity(shard.len());
-                    let mut err = None;
-                    let mut retries = 0u64;
-                    let mut backoff = 0.0f64;
-                    // A shard larger than the device capacity evaluates
-                    // in capacity-sized chunks (several round trips);
-                    // a faulted chunk retries in place with exponential
-                    // backoff, so completed chunks never re-run.
-                    'chunks: for chunk in shard.chunks(cap) {
-                        let pts: Vec<Vec<Complex<R>>> =
-                            chunk.iter().map(|&i| points[i].clone()).collect();
-                        let mut attempt = 0u32;
-                        loop {
-                            match dev.try_evaluate_batch(&pts) {
-                                Ok(evals) => {
-                                    out.extend(evals);
-                                    break;
-                                }
-                                Err(BatchError::Fault(fe)) => {
-                                    // A lost device stays lost: retries
-                                    // would only burn modeled time.
-                                    if fe.kind == FaultKind::DeviceLost
-                                        || attempt >= recovery.max_retries
-                                    {
-                                        err = Some(BatchError::Fault(fe));
-                                        break 'chunks;
-                                    }
-                                    backoff += recovery.backoff_seconds(attempt);
-                                    attempt += 1;
-                                    retries += 1;
-                                }
-                                Err(e) => {
-                                    err = Some(e);
-                                    break 'chunks;
-                                }
-                            }
-                        }
-                    }
-                    let wall = dev.stats().wall_seconds - wall_before;
-                    ShardOutcome {
-                        device: d,
-                        indices: shard,
-                        done: out,
-                        err,
-                        retries,
-                        backoff,
-                        wall,
-                    }
-                })
-                .collect();
-
-            // Merge device results back into input order (each outcome
-            // carries its own shard, so merging cannot drift from the
-            // plan the work ran under) and collect the points stranded
-            // by terminal faults for the next round.
-            todo.clear();
-            let mut round_wall = 0.0f64;
-            for o in outcomes {
-                let completed = o.done.len();
-                let shard_points = o.indices.len();
-                for (&i, e) in o.indices.iter().zip(o.done) {
-                    merged[i] = Some(e);
-                }
-                fault.retries += o.retries;
-                fault.recovery_seconds += o.backoff;
-                let dev_wall = o.wall + o.backoff;
-                self.trace_shard(
-                    wall0 + batch_wall,
-                    o.device,
-                    shard_points,
-                    o.wall,
-                    o.retries,
-                    o.backoff,
-                );
-                round_wall = round_wall.max(dev_wall);
-                self.stats.device_wall[o.device] += dev_wall;
-                self.stats.device_evals[o.device] += completed as u64;
-                if let Some(e) = o.err {
-                    match e {
-                        BatchError::Fault(fe) => {
-                            excluded[o.device] = true;
-                            if fe.kind == FaultKind::DeviceLost {
-                                self.lost[o.device] = true;
-                            }
-                            fault.failovers += 1;
-                            todo.extend(&o.indices[completed..]);
-                        }
-                        // Non-fault errors are contract violations, not
-                        // recoverable hardware events.
-                        other => {
-                            self.stats.fault.merge(&fault);
-                            self.stats.wall_seconds += batch_wall + round_wall;
-                            return Err(other);
-                        }
-                    }
-                }
-            }
-            // Rounds are sequential on the modeled clock: survivors
-            // only learn of stranded points after the round completes.
-            batch_wall += round_wall;
-        }
-
-        self.trace.emit(
-            SpanKind::Batch,
-            wall0,
-            batch_wall,
-            3,
-            &[("points", MetaValue::U64(p as u64))],
-        );
-        self.stats.fault.merge(&fault);
-        self.stats.evaluations += p as u64;
-        self.stats.batches += 1;
-        self.stats.wall_seconds += batch_wall;
-        Ok(merged
-            .into_iter()
-            .map(|e| e.expect("every index is evaluated or re-planned"))
-            .collect())
+        validate_batch(self.n, self.max_batch(), points)?;
+        self.run_rounds(&mut Evaluate(points), points.len())
     }
 
     /// Fused device-resident Newton correction across the fleet.
@@ -569,263 +378,132 @@ impl<R: Real> ShardedBatchEvaluator<R> {
     /// is still the **max** over participating devices: the devices
     /// would run concurrently, only the simulation is serialized.
     ///
-    /// Recovery mirrors the evaluate path: a faulted shard retries on
-    /// its own device with backoff, a device that exhausts retries (or
-    /// is lost) strands its unfinished points for re-planning over the
-    /// survivors, and with [`RecoveryPolicy::cpu_fallback`] a dead
-    /// fleet finishes on the bit-identical CPU reference. Retries,
-    /// backoff and the modeled time of a call that fails typed are
-    /// traced and charged as on the evaluate path. Corrections
-    /// commit into `points` only when every index has a status, so on
-    /// `Err` the inputs are untouched and a caller-level retry replays
-    /// bit for bit.
+    /// Recovery is the evaluate path's, retries, backoff, failover and
+    /// [`RecoveryPolicy::cpu_fallback`] included, and so are its traces
+    /// and its charging of a call that fails typed. Corrections commit
+    /// into `points` only when every index has a status, so on `Err`
+    /// the inputs are untouched and a caller-level retry replays bit
+    /// for bit.
     pub fn try_correct_batch(
         &mut self,
         points: &mut [Vec<Complex<R>>],
         combine: &mut dyn CombineMap<R>,
         params: &CorrectParams,
     ) -> Result<Vec<CorrectStatus>, BatchError> {
-        /// Remaps a device-local index to the point's position in the
-        /// original batch — the sparse sibling of [`OffsetCombine`]
-        /// for shards whose indices are not contiguous.
-        struct GatherCombine<'a, R: Real> {
-            inner: &'a mut dyn CombineMap<R>,
-            indices: &'a [usize],
-        }
-        impl<R: Real> CombineMap<R> for GatherCombine<'_, R> {
-            fn apply(&mut self, index: usize, x: &[Complex<R>], eval: &mut SystemEval<R>) {
-                self.inner.apply(self.indices[index], x, eval);
-            }
-        }
+        validate_batch(self.n, self.max_batch(), points)?;
+        let work = &mut Correct {
+            points,
+            combine,
+            params,
+        };
+        let corrected = self.run_rounds(work, points.len())?;
+        Ok(points
+            .iter_mut()
+            .zip(corrected)
+            .map(|(x, (end, status))| {
+                *x = end;
+                status
+            })
+            .collect())
+    }
 
-        let p = points.len();
-        if p == 0 {
-            return Err(BatchError::Empty);
-        }
-        let capacity = self.max_batch();
-        if p > capacity {
-            return Err(BatchError::CapacityExceeded {
-                points: p,
-                capacity,
-            });
-        }
-        for (i, x) in points.iter().enumerate() {
-            if x.len() != self.n {
-                return Err(BatchError::DimensionMismatch {
-                    point: i,
-                    got: x.len(),
-                    expected: self.n,
-                });
-            }
-        }
-
+    /// The point fleet's round loop. Round 0 plans all `p` points over
+    /// every device not lost. A device whose fault outlives its retries
+    /// is excluded for the rest of the call — for good when the fault
+    /// is [`FaultKind::DeviceLost`] — and the points it stranded are
+    /// re-planned over the survivors in the next round.
+    fn run_rounds<W: Work<R>>(
+        &mut self,
+        work: &mut W,
+        p: usize,
+    ) -> Result<Vec<W::Out>, BatchError> {
         let ndev = self.devices.len();
-        let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
-        let mut statuses: Vec<Option<CorrectStatus>> = (0..p).map(|_| None).collect();
-        let mut excluded = self.lost.clone();
-        let mut fault = FaultStats::default();
-        let mut batch_wall = 0.0f64;
+        let policy = self.exec.policy;
+        let mut out: Vec<Option<W::Out>> = (0..p).map(|_| None).collect();
+        let mut excluded = self.exec.lost.clone();
+        self.exec.begin(self.stats.wall_seconds);
         let mut todo: Vec<usize> = (0..p).collect();
-        let recovery = self.recovery;
-        let wall0 = self.stats.wall_seconds;
-
         while !todo.is_empty() {
             let live: Vec<usize> = (0..ndev).filter(|&d| !excluded[d]).collect();
             if live.is_empty() {
-                if recovery.cpu_fallback {
-                    fault.failovers += 1;
-                    self.trace.emit(
-                        SpanKind::Fallback,
-                        wall0 + batch_wall,
-                        0.0,
-                        4,
-                        &[("points", MetaValue::U64(todo.len() as u64))],
-                    );
-                    let mut cpu = cpu_fallback(&self.system);
-                    for &i in &todo {
-                        let one = std::slice::from_mut(&mut scratch[i]);
-                        let st = cpu.try_correct_batch(
-                            one,
-                            &mut OffsetCombine {
-                                inner: combine,
-                                offset: i,
-                            },
-                            params,
-                        )?;
-                        statuses[i] = st.into_iter().next();
-                    }
-                    todo.clear();
-                    break;
+                let mut cpu = self.exec.dead_fleet(&mut self.stats, todo.len(), ndev)?;
+                for &i in &todo {
+                    out[i] = work.run(&mut cpu, &[i])?.pop();
                 }
-                let lost = excluded.iter().filter(|&&l| l).count();
-                self.stats.fault.merge(&fault);
-                self.stats.wall_seconds += batch_wall;
-                return Err(BatchError::DegradedFleet {
-                    devices: ndev,
-                    lost,
-                });
+                break;
             }
-
+            // Translate planner output (indices into `todo`) back to
+            // point indices and hand each live device its shard.
             let live_weights: Vec<DeviceWeight> = live.iter().map(|&d| self.weights[d]).collect();
-            let shards: Vec<Shard> = plan(self.policy, todo.len(), &live_weights)
-                .into_iter()
-                .map(|s| s.iter().map(|&j| todo[j]).collect())
+            let mut want: Vec<Option<Shard>> = vec![None; ndev];
+            for (&d, s) in live
+                .iter()
+                .zip(plan(self.policy, todo.len(), &live_weights))
+            {
+                if !s.is_empty() {
+                    want[d] = Some(s.iter().map(|&j| todo[j]).collect());
+                }
+            }
+            let jobs: Vec<Job<'_, R>> = self
+                .devices
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(d, dev)| want[d].take().map(|s| (d, dev, s)))
                 .collect();
             todo.clear();
-            let mut round_wall = 0.0f64;
-            for (&d, shard) in live.iter().zip(&shards) {
-                if shard.is_empty() {
-                    continue;
+            let (exec, stats) = (&mut self.exec, &mut self.stats);
+            let round = work.round(jobs, &policy, &mut |d, shard, share| {
+                exec.charge(
+                    d,
+                    ("points", shard.len()),
+                    &share,
+                    &mut stats.device_wall[d],
+                );
+                let completed = share.done.len();
+                if W::EVALUATES {
+                    stats.device_evals[d] += completed as u64;
                 }
-                let dev = &mut self.devices[d];
-                let wall_before = dev.stats().wall_seconds;
-                let cap = dev.capacity().max(1);
-                let mut retries = 0u64;
-                let mut backoff = 0.0f64;
-                let mut err = None;
-                let mut done = 0usize;
-                'chunks: for chunk in shard.chunks(cap) {
-                    // The fused loop never commits on `Err`, so the
-                    // gathered iterates stay valid across retries and
-                    // the eventual success is bit-identical to a
-                    // fault-free run.
-                    let mut pts: Vec<Vec<Complex<R>>> =
-                        chunk.iter().map(|&i| scratch[i].clone()).collect();
-                    let mut attempt = 0u32;
-                    loop {
-                        let mut gather = GatherCombine {
-                            inner: combine,
-                            indices: chunk,
-                        };
-                        match dev.try_correct_batch(&mut pts, &mut gather, params) {
-                            Ok(st) => {
-                                for ((&i, x), s) in chunk.iter().zip(pts).zip(st) {
-                                    scratch[i] = x;
-                                    statuses[i] = Some(s);
-                                }
-                                done += chunk.len();
-                                break;
-                            }
-                            Err(BatchError::Fault(fe)) => {
-                                if fe.kind == FaultKind::DeviceLost
-                                    || attempt >= recovery.max_retries
-                                {
-                                    err = Some(BatchError::Fault(fe));
-                                    break 'chunks;
-                                }
-                                backoff += recovery.backoff_seconds(attempt);
-                                attempt += 1;
-                                retries += 1;
-                            }
-                            Err(e) => {
-                                err = Some(e);
-                                break 'chunks;
-                            }
-                        }
-                    }
+                for (&i, v) in shard.iter().zip(share.done) {
+                    out[i] = Some(v);
                 }
-                let wall = dev.stats().wall_seconds - wall_before;
-                let dev_wall = wall + backoff;
-                fault.retries += retries;
-                fault.recovery_seconds += backoff;
-                self.trace_shard(wall0 + batch_wall, d, shard.len(), wall, retries, backoff);
-                round_wall = round_wall.max(dev_wall);
-                self.stats.device_wall[d] += dev_wall;
-                match err {
+                match share.err {
                     None => {}
                     Some(BatchError::Fault(fe)) => {
                         excluded[d] = true;
                         if fe.kind == FaultKind::DeviceLost {
-                            self.lost[d] = true;
+                            exec.lost[d] = true;
                         }
-                        fault.failovers += 1;
-                        todo.extend(&shard[done..]);
+                        exec.fault.failovers += 1;
+                        todo.extend(&shard[completed..]);
                     }
-                    // Non-fault errors are contract violations or
-                    // launch limits, not recoverable hardware events;
-                    // the round's modeled time is charged as on the
-                    // evaluate path.
-                    Some(other) => {
-                        self.stats.fault.merge(&fault);
-                        self.stats.wall_seconds += batch_wall + round_wall;
-                        return Err(other);
-                    }
+                    // Contract violations and launch limits are not
+                    // recoverable hardware events.
+                    Some(other) => return Err(other),
                 }
-            }
-            batch_wall += round_wall;
+                Ok(())
+            });
+            round.map_err(|err| self.exec.fail(&mut self.stats, err))?;
+            self.exec.end_round();
         }
 
-        self.trace.emit(
-            SpanKind::Correct,
-            wall0,
-            batch_wall,
-            3,
-            &[("points", MetaValue::U64(p as u64))],
-        );
-        self.stats.fault.merge(&fault);
-        self.stats.wall_seconds += batch_wall;
-        for (dst, src) in points.iter_mut().zip(scratch) {
-            *dst = src;
+        let kind = if W::EVALUATES {
+            SpanKind::Batch
+        } else {
+            SpanKind::Correct
+        };
+        let (wall0, elapsed) = (self.exec.wall0, self.exec.elapsed);
+        let meta = [("points", MetaValue::U64(p as u64))];
+        self.exec.trace.emit(kind, wall0, elapsed, 3, &meta);
+        self.stats.book(elapsed, &self.exec.fault);
+        if W::EVALUATES {
+            self.stats.evaluations += p as u64;
+            self.stats.batches += 1;
         }
-        Ok(statuses
+        Ok(out
             .into_iter()
-            .map(|s| s.expect("every index is corrected or re-planned"))
+            .map(|v| v.expect("every point is run or re-planned"))
             .collect())
     }
-
-    /// The cluster-track spans of one device's share of a round
-    /// starting at `t0`: its `Shard` span over the device wall `wall`
-    /// plus any `backoff`, then — where it retried — the `Retry`
-    /// marker and the `Backoff` window, both placed after the device's
-    /// own work.
-    fn trace_shard(
-        &self,
-        t0: f64,
-        device: usize,
-        points: usize,
-        wall: f64,
-        retries: u64,
-        backoff: f64,
-    ) {
-        self.trace.emit(
-            SpanKind::Shard,
-            t0,
-            wall + backoff,
-            4,
-            &[
-                ("device", MetaValue::U64(device as u64)),
-                ("points", MetaValue::U64(points as u64)),
-            ],
-        );
-        if retries > 0 {
-            self.trace.emit(
-                SpanKind::Retry,
-                t0 + wall,
-                0.0,
-                5,
-                &[
-                    ("device", MetaValue::U64(device as u64)),
-                    ("attempts", MetaValue::U64(retries)),
-                ],
-            );
-        }
-        if backoff > 0.0 {
-            self.trace.emit(
-                SpanKind::Backoff,
-                t0 + wall,
-                backoff,
-                5,
-                &[("device", MetaValue::U64(device as u64))],
-            );
-        }
-    }
-}
-
-/// A fleet's last resort once every device is gone: the CPU
-/// reference, bit-identical to the device kernels on every system a
-/// device accepts.
-pub(crate) fn cpu_fallback<R: Real>(system: &System<R>) -> CpuReferenceEngine<R> {
-    CpuReferenceEngine::new(system).expect("the CPU reference runs every system a device encodes")
 }
 
 impl<R: Real> SystemEvaluator<R> for ShardedBatchEvaluator<R> {
@@ -876,27 +554,18 @@ impl<R: Real> AnyEvaluator<R> for ShardedBatchEvaluator<R> {
     /// devices.
     fn engine_stats(&self) -> PipelineStats {
         let mut agg = PipelineStats {
+            fault: self.stats.fault,
+            ..Default::default()
+        };
+        for d in &self.devices {
+            agg.merge(&d.stats());
+        }
+        PipelineStats {
             evaluations: self.stats.evaluations,
             batches: self.stats.batches,
             wall_seconds: self.stats.wall_seconds,
-            ..Default::default()
-        };
-        agg.fault = self.stats.fault;
-        for d in &self.devices {
-            let s = d.stats();
-            agg.counters += s.counters;
-            agg.kernel_seconds += s.kernel_seconds;
-            agg.overhead_seconds += s.overhead_seconds;
-            agg.transfer_seconds += s.transfer_seconds;
-            agg.factor_seconds += s.factor_seconds;
-            agg.backsub_seconds += s.backsub_seconds;
-            agg.h2d_bytes += s.h2d_bytes;
-            agg.d2h_bytes += s.d2h_bytes;
-            agg.corrections += s.corrections;
-            agg.corrector_iterations += s.corrector_iterations;
-            agg.fault.merge(&s.fault);
+            ..agg
         }
-        agg
     }
 
     fn reset_engine_stats(&mut self) {
@@ -988,7 +657,7 @@ pub fn engine_builder() -> EngineBuilder<Sharded> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polygpu_core::BatchGpuEvaluator;
+    use polygpu_core::pipeline::FaultConfig;
     use polygpu_polysys::{random_points, random_system, BenchmarkParams};
 
     // The parallel shard execution moves `&mut` device engines across
@@ -1013,7 +682,7 @@ mod tests {
 
     /// A fleet with a slower clock on half the devices: heterogeneity
     /// without changing any functional behavior.
-    fn hetero_specs(d: usize) -> Vec<DeviceSpec> {
+    pub(crate) fn hetero_specs(d: usize) -> Vec<DeviceSpec> {
         (0..d)
             .map(|i| {
                 let mut s = DeviceSpec::tesla_c2050();
@@ -1192,63 +861,94 @@ mod tests {
         ));
     }
 
-    /// Chaos, Points mode: under a seeded fault plan the fleet retries,
-    /// fails over, and (with CPU fallback on) always completes — and
-    /// every recovered batch is **bit-identical** to the fault-free
-    /// run. Sweeping seeds guarantees the schedule actually strikes.
+    /// Chaos, Points mode, on a dense and on a ragged (packed) system:
+    /// sharded results are bit-identical to the single-device engine,
+    /// and under a seeded fault plan the fleet retries, fails over and
+    /// (with CPU fallback on) always completes — every recovered batch
+    /// **bit-identical** to the fault-free one, the sparse CPU fallback
+    /// included. Sweeping seeds guarantees the schedule actually
+    /// strikes.
     #[test]
     fn fleet_recovery_is_bit_identical_under_faults() {
+        use polygpu_core::layout::encoding::EncodingKind;
         use polygpu_gpusim::prelude::FaultPlan;
-        let prm = small_params(5);
-        let sys = random_system::<f64>(&prm);
-        let points = random_points::<f64>(8, 24, 11);
-        let mut clean =
-            ShardedBatchEvaluator::new(&sys, &hetero_specs(3), 8, ClusterOptions::default())
-                .unwrap();
-        let want = clean.evaluate_batch(&points);
-        let mut strikes = 0u64;
-        let mut failovers = 0u64;
-        for seed in 0..24u64 {
-            let mut opts = ClusterOptions {
-                recovery: RecoveryPolicy {
-                    cpu_fallback: true,
-                    ..RecoveryPolicy::default()
-                },
-                ..Default::default()
-            };
-            opts.base.fault = Some(FaultConfig {
-                plan: FaultPlan::new(seed, 40_000),
-                device_index: 0,
-            });
-            let mut chaos = ShardedBatchEvaluator::new(&sys, &hetero_specs(3), 8, opts).unwrap();
-            let got = chaos
-                .try_evaluate_batch(&points)
-                .expect("cpu_fallback makes every schedule recoverable");
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.values, w.values, "seed {seed}, point {i}");
-                assert_eq!(
-                    g.jacobian.as_slice(),
-                    w.jacobian.as_slice(),
-                    "seed {seed}, point {i}"
-                );
+        use polygpu_polysys::{random_sparse_system, SparseBenchmarkParams};
+        let ragged = random_sparse_system::<f64>(&SparseBenchmarkParams {
+            n: 8,
+            m_min: 1,
+            m_max: 5,
+            k_min: 0,
+            k_max: 4,
+            d: 3,
+            seed: 11,
+        });
+        assert!(ragged.uniform_shape().is_err(), "the family must be ragged");
+        let packed = GpuOptions {
+            encoding: EncodingKind::Packed,
+            ..GpuOptions::default()
+        };
+        let cases = [
+            (
+                random_system::<f64>(&small_params(5)),
+                GpuOptions::default(),
+                24,
+                11,
+            ),
+            (ragged, packed, 21, 5),
+        ];
+        for (sys, base, p, seed) in cases {
+            let points = random_points::<f64>(8, p, seed);
+            let mut single = BatchGpuEvaluator::new(&sys, p, base.clone()).unwrap();
+            let want = single.try_evaluate_batch(&points).unwrap();
+            let (mut strikes, mut failovers) = (0u64, 0u64);
+            let plans = (0..24).map(|seed| Some(FaultPlan::new(seed, 40_000)));
+            for plan in std::iter::once(None).chain(plans) {
+                let mut opts = ClusterOptions {
+                    base: base.clone(),
+                    recovery: RecoveryPolicy {
+                        cpu_fallback: true,
+                        ..RecoveryPolicy::default()
+                    },
+                    ..Default::default()
+                };
+                opts.base.fault = plan.map(|plan| FaultConfig {
+                    plan,
+                    device_index: 0,
+                });
+                let mut fleet =
+                    ShardedBatchEvaluator::new(&sys, &hetero_specs(3), 8, opts).unwrap();
+                let got = fleet
+                    .try_evaluate_batch(&points)
+                    .expect("cpu_fallback makes every schedule recoverable");
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.values, w.values, "{plan:?}, point {i}");
+                    assert_eq!(
+                        g.jacobian.as_slice(),
+                        w.jacobian.as_slice(),
+                        "{plan:?}, point {i}"
+                    );
+                }
+                let s = fleet.cluster_stats();
+                if s.fault.faults > 0 {
+                    strikes += 1;
+                    assert!(
+                        s.fault.recovery_seconds > 0.0,
+                        "{plan:?}: faults without charged recovery time"
+                    );
+                }
+                failovers += s.fault.failovers;
             }
-            let s = chaos.cluster_stats();
-            if s.fault.faults > 0 {
-                strikes += 1;
-                assert!(
-                    s.fault.recovery_seconds > 0.0,
-                    "seed {seed}: faults without charged recovery time"
-                );
-            }
-            failovers += s.fault.failovers;
+            assert!(strikes > 0, "40000 ppm over 24 seeds must strike");
+            assert!(failovers > 0, "some schedule must exhaust retries");
         }
-        assert!(strikes > 0, "40000 ppm over 24 seeds must strike");
-        assert!(failovers > 0, "some schedule must exhaust retries");
     }
 
     /// Chaos, Points mode: at a 100% fault rate every device dies; the
     /// outcome is the typed `DegradedFleet` error — or, with the CPU
-    /// fallback enabled, a bit-identical result. Never a panic.
+    /// fallback enabled, a bit-identical result. Never a panic. The
+    /// fused corrector takes the same road: a failed call leaves the
+    /// points untouched, and the fallback corrects bit-identically to
+    /// the CPU reference.
     #[test]
     fn total_fleet_loss_is_typed_or_falls_back_to_cpu() {
         use polygpu_gpusim::prelude::FaultPlan;
@@ -1289,15 +989,42 @@ mod tests {
             assert_eq!(g.jacobian.as_slice(), w.jacobian.as_slice());
         }
         assert!(saved.cluster_stats().fault.failovers > 0);
+
+        use polygpu_core::{engine::CpuReferenceEngine, IdentityCombine};
+        let params = CorrectParams::default();
+        let mut want_points = points.clone();
+        let want_statuses = CpuReferenceEngine::new(&sys)
+            .unwrap()
+            .try_correct_batch(&mut want_points, &mut IdentityCombine, &params)
+            .unwrap();
+        let mut pts = points.clone();
+        match make(false).try_correct_batch(&mut pts, &mut IdentityCombine, &params) {
+            Err(BatchError::DegradedFleet {
+                devices: 2,
+                lost: 2,
+            }) => {}
+            Err(other) => panic!("expected DegradedFleet, got {other}"),
+            Ok(_) => panic!("expected DegradedFleet, got a result"),
+        }
+        assert_eq!(pts, points, "a failed call leaves the points untouched");
+        let statuses = make(true)
+            .try_correct_batch(&mut pts, &mut IdentityCombine, &params)
+            .unwrap();
+        assert_eq!(statuses, want_statuses);
+        assert_eq!(pts, want_points);
     }
 
-    /// Satellite: ratio helpers must be total on empty runs.
+    /// Both fleets' ratio helpers are total on empty runs.
     #[test]
     fn empty_cluster_stats_ratios_are_total() {
         let s = ClusterStats::default();
         assert_eq!(s.throughput_evals_per_sec(), 0.0);
         assert_eq!(s.imbalance(), 1.0);
         assert!(!format!("{s}").is_empty());
+        let r = RowClusterStats::default();
+        assert_eq!(r.throughput_evals_per_sec(), 0.0);
+        assert_eq!(r.gather_fraction(), 0.0);
+        assert!(!format!("{r}").is_empty());
     }
 
     /// Cluster spans: the Batch span on `Track::Cluster` covers the
@@ -1346,79 +1073,6 @@ mod tests {
         }
         let (again, _) = run();
         assert_eq!(chrome_trace_json(&spans), chrome_trace_json(&again));
-    }
-
-    /// Sparse (ragged) systems shard across the fleet under the packed
-    /// encoding, bit-identical to the single-device engine — and
-    /// seeded chaos schedules recover bit-identically, the sparse CPU
-    /// fallback included.
-    #[test]
-    fn sparse_points_sharding_is_bit_identical_and_recovers() {
-        use polygpu_core::layout::encoding::EncodingKind;
-        use polygpu_gpusim::prelude::FaultPlan;
-        use polygpu_polysys::{random_sparse_system, SparseBenchmarkParams};
-        let prm = SparseBenchmarkParams {
-            n: 8,
-            m_min: 1,
-            m_max: 5,
-            k_min: 0,
-            k_max: 4,
-            d: 3,
-            seed: 11,
-        };
-        let sys = random_sparse_system::<f64>(&prm);
-        assert!(sys.uniform_shape().is_err(), "the family must be ragged");
-        let points = random_points::<f64>(8, 21, 5);
-        let packed = GpuOptions {
-            encoding: EncodingKind::Packed,
-            ..GpuOptions::default()
-        };
-        let mut single = BatchGpuEvaluator::new(&sys, 21, packed.clone()).unwrap();
-        let want = single.try_evaluate_batch(&points).unwrap();
-        let mut cluster = ShardedBatchEvaluator::new(
-            &sys,
-            &hetero_specs(3),
-            8,
-            ClusterOptions {
-                base: packed.clone(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let got = cluster.evaluate_batch(&points);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.values, w.values, "point {i}");
-            assert_eq!(g.jacobian.as_slice(), w.jacobian.as_slice(), "point {i}");
-        }
-        let mut strikes = 0u64;
-        for seed in 0..12u64 {
-            let mut opts = ClusterOptions {
-                base: packed.clone(),
-                recovery: RecoveryPolicy {
-                    cpu_fallback: true,
-                    ..RecoveryPolicy::default()
-                },
-                ..Default::default()
-            };
-            opts.base.fault = Some(FaultConfig {
-                plan: FaultPlan::new(seed, 40_000),
-                device_index: 0,
-            });
-            let mut chaos = ShardedBatchEvaluator::new(&sys, &hetero_specs(3), 8, opts).unwrap();
-            let got = chaos
-                .try_evaluate_batch(&points)
-                .expect("cpu_fallback makes every schedule recoverable");
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.values, w.values, "seed {seed}, point {i}");
-                assert_eq!(
-                    g.jacobian.as_slice(),
-                    w.jacobian.as_slice(),
-                    "seed {seed}, point {i}"
-                );
-            }
-            strikes += chaos.cluster_stats().fault.faults;
-        }
-        assert!(strikes > 0, "40000 ppm over 12 seeds must strike");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use crate::correct::{
     correct_resident, Charges, CombineMap, CorrectParams, CorrectStatus, FusedEngine,
 };
+use crate::engine::validate_batch;
 use crate::kernels::batch::{BatchLayout, BatchMonomialKernel, BatchSumKernel};
 use crate::kernels::sparse::{SparseMonomialKernel, SparseSumKernel};
 use crate::layout::coeffs::build_coeffs;
@@ -399,24 +400,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
     ) -> Result<Vec<SystemEval<R>>, BatchError> {
         let shape = self.shape;
         let p = points.len();
-        if p == 0 {
-            return Err(BatchError::Empty);
-        }
-        if p > self.layout.capacity {
-            return Err(BatchError::CapacityExceeded {
-                points: p,
-                capacity: self.layout.capacity,
-            });
-        }
-        for (i, x) in points.iter().enumerate() {
-            if x.len() != shape.n {
-                return Err(BatchError::DimensionMismatch {
-                    point: i,
-                    got: x.len(),
-                    expected: shape.n,
-                });
-            }
-        }
+        validate_batch(shape.n, self.layout.capacity, points)?;
         // This device's clock before the round trip — the origin of the
         // spans emitted below.
         let wall0 = self.stats.wall_seconds;

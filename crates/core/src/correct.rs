@@ -24,6 +24,7 @@
 //! and one flag download.
 
 use crate::batch::BatchError;
+use crate::engine::validate_batch;
 use crate::pipeline::{inject, PipelineStats};
 use polygpu_complex::lu::lu_decompose;
 use polygpu_complex::{Complex, Real};
@@ -332,25 +333,7 @@ pub(crate) fn correct_resident<R: Real>(
 ) -> Result<Vec<CorrectStatus>, BatchError> {
     let n = engine.dim();
     let p = points.len();
-    if p == 0 {
-        return Err(BatchError::Empty);
-    }
-    let capacity = engine.max_batch();
-    if p > capacity {
-        return Err(BatchError::CapacityExceeded {
-            points: p,
-            capacity,
-        });
-    }
-    for (i, x) in points.iter().enumerate() {
-        if x.len() != n {
-            return Err(BatchError::DimensionMismatch {
-                point: i,
-                got: x.len(),
-                expected: n,
-            });
-        }
-    }
+    validate_batch(n, engine.max_batch(), points)?;
     let bytes = p * n * <Complex<R> as DeviceValue>::DEVICE_BYTES;
     let wall0 = engine.charges().stats.wall_seconds;
     engine.charges().transfer(OpClass::HostToDevice, bytes)?;

@@ -310,10 +310,23 @@ pub trait AnyEvaluator<R: Real>: BatchSystemEvaluator<R> {
     fn caps(&self) -> EngineCaps;
 }
 
-/// Shared dimension validation for loop-batching engines.
-fn validate_batch<R: Real>(n: usize, points: &[Vec<Complex<R>>]) -> Result<(), BatchError> {
+/// The batch contract every engine checks before it touches any state:
+/// at least one point, at most `capacity` points, each of dimension
+/// `n`. Violations come back typed, in that order. Engines without a
+/// batch bound pass `usize::MAX`.
+pub fn validate_batch<R: Real>(
+    n: usize,
+    capacity: usize,
+    points: &[Vec<Complex<R>>],
+) -> Result<(), BatchError> {
     if points.is_empty() {
         return Err(BatchError::Empty);
+    }
+    if points.len() > capacity {
+        return Err(BatchError::CapacityExceeded {
+            points: points.len(),
+            capacity,
+        });
     }
     for (i, x) in points.iter().enumerate() {
         if x.len() != n {
@@ -415,7 +428,7 @@ impl<R: Real> AnyEvaluator<R> for CpuReferenceEngine<R> {
         &mut self,
         points: &[Vec<Complex<R>>],
     ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        validate_batch(self.dim(), points)?;
+        validate_batch(self.dim(), usize::MAX, points)?;
         Ok(self.evaluate_batch(points))
     }
 
@@ -449,7 +462,7 @@ impl<R: Real> AnyEvaluator<R> for GpuEvaluator<R> {
         &mut self,
         points: &[Vec<Complex<R>>],
     ) -> Result<Vec<SystemEval<R>>, BatchError> {
-        validate_batch(self.dim(), points)?;
+        validate_batch(self.dim(), usize::MAX, points)?;
         // Loop the typed single-point path so injected faults surface
         // as `BatchError::Fault` values, never as panics.
         points

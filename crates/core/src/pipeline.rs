@@ -174,6 +174,25 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Add `other`'s counts, seconds and bytes to these, field by field
+    /// (the fault counts through [`FaultStats::merge`]).
+    pub fn merge(&mut self, other: &PipelineStats) {
+        self.evaluations += other.evaluations;
+        self.batches += other.batches;
+        self.counters += other.counters;
+        self.kernel_seconds += other.kernel_seconds;
+        self.overhead_seconds += other.overhead_seconds;
+        self.transfer_seconds += other.transfer_seconds;
+        self.h2d_bytes += other.h2d_bytes;
+        self.d2h_bytes += other.d2h_bytes;
+        self.factor_seconds += other.factor_seconds;
+        self.backsub_seconds += other.backsub_seconds;
+        self.corrections += other.corrections;
+        self.corrector_iterations += other.corrector_iterations;
+        self.wall_seconds += other.wall_seconds;
+        self.fault.merge(&other.fault);
+    }
+
     /// Total modeled resource seconds (kernels + overhead + transfers,
     /// summed as if fully serialized).
     pub fn total_seconds(&self) -> f64 {

@@ -323,6 +323,9 @@ impl fmt::Display for FaultStats {
 /// struck work with exponential backoff in **modeled** time, then fail
 /// over, then — when permitted — fall back to the bit-identical CPU
 /// reference. All knobs are deterministic; there is no jitter.
+///
+/// [`RecoveryPolicy::retry_backoff`] is the one retry decision every
+/// recovering caller makes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries per struck shard/round before failover (0 = fail over
@@ -364,6 +367,16 @@ impl RecoveryPolicy {
     /// Modeled backoff before retry number `attempt` (0-based).
     pub fn backoff_seconds(&self, attempt: u32) -> f64 {
         self.backoff_base * self.backoff_factor.powi(attempt as i32)
+    }
+
+    /// Whether work struck by a fault of `kind` on its `attempt`-th
+    /// retry (0-based) runs again, and the modeled backoff to wait
+    /// first. [`FaultKind::DeviceLost`] is never retried — a lost
+    /// device stays lost, so a retry could only fail identically — and
+    /// no work retries more than `max_retries` times.
+    pub fn retry_backoff(&self, kind: FaultKind, attempt: u32) -> Option<f64> {
+        (kind != FaultKind::DeviceLost && attempt < self.max_retries)
+            .then(|| self.backoff_seconds(attempt))
     }
 }
 
@@ -524,6 +537,13 @@ mod tests {
         assert_eq!(p.backoff_seconds(0), p.backoff_base);
         assert_eq!(p.backoff_seconds(2), p.backoff_base * 4.0);
         assert_eq!(RecoveryPolicy::none().backoff_seconds(5), 0.0);
+        // The retry decision: backoff per attempt until the budget is
+        // spent, and never for a lost device.
+        let corrupt = FaultKind::TransferCorrupt;
+        assert_eq!(p.retry_backoff(corrupt, 1), Some(p.backoff_seconds(1)));
+        assert_eq!(p.retry_backoff(corrupt, p.max_retries), None);
+        assert_eq!(p.retry_backoff(FaultKind::DeviceLost, 0), None);
+        assert_eq!(RecoveryPolicy::none().retry_backoff(corrupt, 0), None);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use polygpu_complex::{Complex, Real};
 use polygpu_core::engine::{AnyEvaluator, CpuReferenceEngine};
 use polygpu_core::{
     host_correct, BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus,
-    FaultKind, FaultStats, GpuEvaluator, RecoveryPolicy,
+    FaultStats, GpuEvaluator, RecoveryPolicy,
 };
 use polygpu_obs::MetricsRegistry;
 use polygpu_polysys::{
@@ -255,7 +255,8 @@ impl fmt::Display for FaultReport {
 }
 
 /// Run `round` until it succeeds or recovery is exhausted, charging
-/// modeled backoff between attempts. [`FaultKind::DeviceLost`] is
+/// modeled backoff between attempts, as
+/// [`RecoveryPolicy::retry_backoff`] decides. `DeviceLost` is
 /// never retried at this level — a lost device stays lost, so the
 /// retry could only fail identically; it surfaces immediately (an
 /// engine with its own failover, e.g. a sharded cluster, handles
@@ -278,10 +279,10 @@ pub fn retry_round<T>(
             }
             Err(BatchError::Fault(fe)) => {
                 report.faults += 1;
-                if fe.kind == FaultKind::DeviceLost || attempt >= recovery.max_retries {
+                let Some(backoff) = recovery.retry_backoff(fe.kind, attempt) else {
                     return Err(BatchError::Fault(fe));
-                }
-                report.backoff_seconds += recovery.backoff_seconds(attempt);
+                };
+                report.backoff_seconds += backoff;
                 report.retried_rounds += 1;
                 attempt += 1;
             }
@@ -313,7 +314,7 @@ impl<R: Real, EG: TryBatchEvaluator<R>, EF: TryBatchEvaluator<R>> BatchHomotopy<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polygpu_core::FaultError;
+    use polygpu_core::{FaultError, FaultKind};
 
     // Compile-time proof which types carry the fallible surface.
     fn assert_try_batch<R: Real, E: TryBatchEvaluator<R>>() {}

@@ -1199,20 +1199,7 @@ impl<R: Real> Pass<R> {
         self.stats.steps_accepted += other.stats.steps_accepted;
         self.stats.steps_rejected += other.stats.steps_rejected;
         self.stats.corrector_iterations += other.stats.corrector_iterations;
-        self.engine.evaluations += other.engine.evaluations;
-        self.engine.batches += other.engine.batches;
-        self.engine.counters += other.engine.counters;
-        self.engine.kernel_seconds += other.engine.kernel_seconds;
-        self.engine.overhead_seconds += other.engine.overhead_seconds;
-        self.engine.transfer_seconds += other.engine.transfer_seconds;
-        self.engine.h2d_bytes += other.engine.h2d_bytes;
-        self.engine.d2h_bytes += other.engine.d2h_bytes;
-        self.engine.factor_seconds += other.engine.factor_seconds;
-        self.engine.backsub_seconds += other.engine.backsub_seconds;
-        self.engine.corrections += other.engine.corrections;
-        self.engine.corrector_iterations += other.engine.corrector_iterations;
-        self.engine.wall_seconds += other.engine.wall_seconds;
-        self.engine.fault.merge(&other.engine.fault);
+        self.engine.merge(&other.engine);
         self.fault.faults += other.fault.faults;
         self.fault.retried_rounds += other.fault.retried_rounds;
         self.fault.recovered_rounds += other.fault.recovered_rounds;
