@@ -209,6 +209,10 @@ fn solve(model_ok: &mut bool) {
             sweep.endpoints_identical,
         ),
         (
+            "evaluation check (every pass evaluates paths + corrector iterations + attempts points)",
+            sweep.evaluations_exact,
+        ),
+        (
             "occupancy check (auto-sized queue front > 0.8 occupied on the D = 4 cluster)",
             sweep.queue_occupancy_d4 > 0.8,
         ),

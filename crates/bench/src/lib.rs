@@ -771,6 +771,11 @@ pub struct SolveSweep {
     pub rows: Vec<SolveRow>,
     /// Per-path and queue endpoints bit-identical across every backend.
     pub endpoints_identical: bool,
+    /// Every row's precision pass evaluated exactly `paths + corrector
+    /// iterations + attempts` points: the host corrector's budget, in
+    /// which a path pays one predictor evaluation and every attempt
+    /// `iterations + 1`.
+    pub evaluations_exact: bool,
     /// Queue occupancy of the `SlotPolicy::Auto` front on the D = 4
     /// cluster (the bar is > 0.8).
     pub queue_occupancy_d4: f64,
@@ -784,6 +789,7 @@ impl SolveSweep {
     /// All model-side acceptance bars of `repro solve` in one place.
     pub fn passes(&self) -> bool {
         self.endpoints_identical
+            && self.evaluations_exact
             && self.queue_occupancy_d4 > 0.8
             && self.escalation_retried > 0
             && self.escalation_rescued > 0
@@ -843,8 +849,13 @@ pub fn solve_sweep() -> SolveSweep {
         },
     ];
 
+    // The host corrector's evaluation budget of one precision pass.
+    let budget = |paths: usize, s: &QueueStats| {
+        (paths + s.corrector_iterations + s.steps_accepted + s.steps_rejected) as u64
+    };
     let mut rows = Vec::new();
     let mut endpoints_identical = true;
+    let mut evaluations_exact = true;
     let mut queue_occupancy_d4 = 0.0;
     let mut reference: Option<Vec<PathEndpoint>> = None;
     for (name, builder) in &backends {
@@ -873,6 +884,12 @@ pub fn solve_sweep() -> SolveSweep {
                 None => reference = Some(endpoints),
                 Some(want) => endpoints_identical &= &endpoints == want,
             }
+            evaluations_exact &= report.engine.evaluations
+                == budget(report.paths.len(), &report.stats)
+                && report
+                    .escalation
+                    .as_ref()
+                    .is_none_or(|e| e.engine.evaluations == budget(e.retried, &e.stats));
             if *name == "cluster" && scheduler == schedulers[1] {
                 queue_occupancy_d4 = report.occupancy();
             }
@@ -907,6 +924,7 @@ pub fn solve_sweep() -> SolveSweep {
     SolveSweep {
         rows,
         endpoints_identical,
+        evaluations_exact,
         queue_occupancy_d4,
         escalation_retried: retried,
         escalation_rescued: rescued,
@@ -3065,6 +3083,7 @@ mod tests {
         let sweep = solve_sweep();
         assert_eq!(sweep.rows.len(), 6, "2 schedulers x 3 backends");
         assert!(sweep.endpoints_identical, "{sweep:?}");
+        assert!(sweep.evaluations_exact, "{sweep:?}");
         assert!(
             sweep.queue_occupancy_d4 > 0.8,
             "auto-front occupancy at D = 4: {:.3}",

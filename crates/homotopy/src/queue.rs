@@ -11,13 +11,23 @@
 //! [`TrackParams::corrector_mode`] picks the corrector:
 //!
 //! * [`CorrectorMode::Host`] — each round performs exactly one
-//!   evaluation per occupied slot (a predictor, one Newton iteration,
-//!   or the corrector's final residual check), all gathered into one
-//!   batched evaluation, and solves on the host;
+//!   evaluation per occupied slot (a path's first predictor, one Newton
+//!   iteration, or the corrector's final residual check), all gathered
+//!   into one batched evaluation, and solves on the host;
 //! * [`CorrectorMode::DeviceResident`] — each round runs one batched
-//!   predictor over the occupied slots, then **one**
-//!   [`correct_resident`] call over the slots that just predicted, each
+//!   predictor over the slots that need one, then **one**
+//!   [`correct_resident`] call over every slot that has predicted, each
 //!   at its own `t`: the whole Newton corrector runs on the engine.
+//!
+//! A slot keeps `H`'s evaluation (Jacobian and `∂H/∂t`) at its
+//! accepted point `(x, t)` whenever a round already downloaded it: the
+//! predictor's own, which a rejection leaves valid since it changes
+//! only `dt`, or, under the host corrector, the corrector's converging
+//! evaluation, which is at the point the step accepts. The next
+//! prediction runs on it on the host, so the device sees only slots
+//! that need a new point. Under the host corrector every attempt then
+//! costs `iterations + 1` evaluations, and every path one predictor
+//! evaluation more.
 //!
 //! Scheduling is a performance transformation only: each slot replays
 //! the *exact* control flow and arithmetic of the single-path tracker
@@ -27,7 +37,7 @@
 //! independent of the slot count, the corrector mode, the batch
 //! composition, or how many devices the evaluator shards over.
 
-use crate::fallible::{retry_round, FaultReport, Infallible, TryBatchEvaluator};
+use crate::fallible::{retry_round, FaultReport, HomotopyEval, Infallible, TryBatchEvaluator};
 use crate::lockstep::{BatchHomotopy, LockstepPath};
 use crate::lu::lu_decompose;
 use crate::newton::NewtonParams;
@@ -117,18 +127,23 @@ impl SlotPolicy {
 /// queues).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Scheduler rounds (one batched evaluation of all occupied slots
-    /// each, plus one fused corrector call under
-    /// [`CorrectorMode::DeviceResident`]).
+    /// Scheduler rounds. Under [`CorrectorMode::Host`] each is one
+    /// batched evaluation of all occupied slots; under
+    /// [`CorrectorMode::DeviceResident`] one batched evaluation of the
+    /// slots without a held evaluation to predict from (skipped when
+    /// there are none), then one fused corrector call.
     pub rounds: usize,
     /// Batched device calls issued: evaluations, plus fused corrector
     /// calls in device-resident mode (`>= rounds`; more when the slot
-    /// count exceeds the evaluator capacity and rounds chunk).
+    /// count exceeds the evaluator capacity and rounds chunk). A
+    /// device-resident round whose slots all predict from held
+    /// evaluations issues only its fused call.
     pub batch_rounds: usize,
     /// Slots refilled from the queue after a path finished.
     pub refills: usize,
     /// Sum over rounds of occupied slots — the numerator of
-    /// [`QueueStats::occupancy`].
+    /// [`QueueStats::occupancy`]. A slot that predicts from a held
+    /// evaluation counts in the round of its next device work.
     pub point_rounds: usize,
     /// Slots the scheduler ran with.
     pub slots: usize,
@@ -212,7 +227,11 @@ impl<R: Real> QueueResult<R> {
 /// What a slot does with its next evaluation.
 #[derive(Clone, Copy, PartialEq)]
 enum Phase {
-    /// Euler predictor at `(x, t)`.
+    /// Euler predictor at `(x, t)`, waiting for the device only because
+    /// the slot holds no evaluation there: a path's first step, or,
+    /// under the fused corrector, the step after an acceptance. A slot
+    /// that holds one predicts as soon as its previous attempt
+    /// concludes and never waits in this phase.
     Predict,
     /// Newton corrector iteration `iter` at `(y, t_new)`.
     Correct { iter: usize },
@@ -231,6 +250,8 @@ struct Slot<R> {
     path: usize,
     /// Last accepted point.
     x: Vec<Complex<R>>,
+    /// `H`'s evaluation at `(x, t)`, once a round has downloaded it.
+    held: Option<HomotopyEval<R>>,
     /// Corrector iterate (valid outside `Predict`).
     y: Vec<Complex<R>>,
     t: f64,
@@ -247,6 +268,7 @@ impl<R: Real> Slot<R> {
         Slot {
             path,
             x: x0,
+            held: None,
             y: Vec::new(),
             t: 0.0,
             dt: params.initial_dt,
@@ -267,14 +289,20 @@ impl<R: Real> Slot<R> {
         }
     }
 
-    /// Euler predictor: `J_H dx = -dH/dt` at `(x, t)`, then on to the
-    /// corrector at `t_new` — or, on a singular Jacobian, the outcome
-    /// that retires the path, as in `track`.
-    fn predict(&mut self, eval: SystemEval<R>, dt_vec: &[Complex<R>]) -> Option<TrackOutcome> {
+    /// Euler predictor on the held evaluation: `J_H dx = -dH/dt` at
+    /// `(x, t)`, then on to the corrector at `t_new` — or, on a
+    /// singular Jacobian, the outcome that retires the path, as in
+    /// `track`. The evaluation stays held for a rejected attempt's
+    /// retry.
+    fn predict(&mut self, p: &NewtonParams) -> Option<TrackOutcome> {
+        let (eval, dt_vec) = self
+            .held
+            .as_ref()
+            .expect("predicting slots hold H at (x, t)");
         self.dt_clamped = self.dt.min(1.0 - self.t);
         self.t_new = self.t + self.dt_clamped;
         let rhs: Vec<Complex<R>> = dt_vec.iter().map(|v| -*v).collect();
-        match lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) {
+        match lu_decompose(eval.jacobian.clone()).and_then(|lu| lu.solve(&rhs)) {
             Ok(dxdt) => {
                 self.y = self
                     .x
@@ -282,7 +310,13 @@ impl<R: Real> Slot<R> {
                     .zip(&dxdt)
                     .map(|(xi, di)| *xi + di.scale(R::from_f64(self.dt_clamped)))
                     .collect();
-                self.phase = Phase::Correct { iter: 0 };
+                // With no iteration budget `newton` goes straight to
+                // its MaxIters evaluation.
+                self.phase = if p.max_iters == 0 {
+                    Phase::MaxItersCheck
+                } else {
+                    Phase::Correct { iter: 0 }
+                };
                 None
             }
             Err(_) => Some(TrackOutcome::SingularJacobian {
@@ -293,7 +327,7 @@ impl<R: Real> Slot<R> {
 
     /// One step of `newton` on the evaluation at `(y, t_new)`: the
     /// corrector's verdict `(converged, iterations)` once it ends.
-    fn newton_step(&mut self, eval: SystemEval<R>, p: &NewtonParams) -> Option<(bool, usize)> {
+    fn newton_step(&mut self, eval: &SystemEval<R>, p: &NewtonParams) -> Option<(bool, usize)> {
         match self.phase {
             Phase::Predict => unreachable!("predicting slots do not correct"),
             Phase::Correct { iter } => {
@@ -301,7 +335,8 @@ impl<R: Real> Slot<R> {
                     return Some((true, iter));
                 }
                 let rhs: Vec<Complex<R>> = eval.values.iter().map(|v| -*v).collect();
-                let Ok(dx) = lu_decompose(eval.jacobian).and_then(|lu| lu.solve(&rhs)) else {
+                let Ok(dx) = lu_decompose(eval.jacobian.clone()).and_then(|lu| lu.solve(&rhs))
+                else {
                     return Some((false, iter));
                 };
                 for (yi, di) in self.y.iter_mut().zip(&dx) {
@@ -332,10 +367,15 @@ impl<R: Real> Slot<R> {
     /// `track`'s step control after the corrector's verdict: accept
     /// (moving to `y`, growing the step after an easy correction) or
     /// halve the step, then the outcome that retires the path, if any.
+    /// `at_y` is `H` at `(y, t_new)` when the corrector downloaded it
+    /// there; an acceptance holds it, a rejection keeps the
+    /// predictor's. A path that goes on predicts at once when it holds
+    /// an evaluation.
     fn conclude(
         &mut self,
         converged: bool,
         iterations: usize,
+        at_y: Option<HomotopyEval<R>>,
         params: &TrackParams,
         stats: &mut QueueStats,
     ) -> Option<TrackOutcome> {
@@ -343,6 +383,7 @@ impl<R: Real> Slot<R> {
         if converged {
             std::mem::swap(&mut self.x, &mut self.y);
             self.t = self.t_new;
+            self.held = at_y;
             stats.steps_accepted += 1;
             if iterations <= params.easy_iters {
                 self.dt = (self.dt * params.grow).min(params.max_dt);
@@ -367,6 +408,8 @@ impl<R: Real> Slot<R> {
             })
         } else if self.attempts >= params.max_steps {
             Some(TrackOutcome::StepLimit)
+        } else if self.held.is_some() {
+            self.predict(&params.corrector)
         } else {
             self.phase = Phase::Predict;
             None
@@ -400,9 +443,11 @@ fn retire<R>(
 /// Per path, control flow and arithmetic replicate
 /// [`crate::tracker::track`] exactly — in host mode each scheduler
 /// round performs precisely one evaluation per occupied slot, all
-/// gathered into one batched evaluation — so with a bit-exact batch
-/// evaluator the endpoints equal the single-path tracker's bit for bit,
-/// for **any** slot count and **any** device sharding underneath.
+/// gathered into one batched evaluation, and a prediction at a point
+/// the slot has already evaluated runs on that evaluation — so with a
+/// bit-exact batch evaluator the endpoints equal the single-path
+/// tracker's bit for bit, for **any** slot count and **any** device
+/// sharding underneath.
 pub fn track_queue<R: Real, EG, EF>(
     h: &mut BatchHomotopy<R, EG, EF>,
     starts: &[Vec<Complex<R>>],
@@ -425,8 +470,10 @@ where
 
 /// [`track_queue`] over fallible evaluators: each scheduler round's
 /// engine calls retry under `recovery` with modeled backoff. Slot
-/// state — each slot's `(t, dt, x)` and phase — is committed only
-/// after the round's results return, so the front *is* the checkpoint:
+/// state — each slot's `(t, dt, x)`, phase and held evaluation — is
+/// committed only after the round's results return (predictions from
+/// held evaluations run then, before the next round's device call), so
+/// the front *is* the checkpoint:
 /// a retry replays only the faulted call (same chunk boundaries, same
 /// arithmetic), and a recovered run's endpoints are **bit-identical**
 /// to the fault-free run; only the engine's modeled wall clock pays for
@@ -469,6 +516,23 @@ where
     let n_paths = starts.len();
     let cap = h.max_batch().max(1);
     let slots = slots.into().resolve(cap, n_paths);
+    if params.max_steps == 0 {
+        // `track`'s attempt loop never runs: every path stops at its
+        // start before its first evaluation.
+        let paths = starts
+            .iter()
+            .map(|x0| LockstepPath {
+                outcome: TrackOutcome::StepLimit,
+                x: x0.clone(),
+                t: 0.0,
+            })
+            .collect();
+        let stats = QueueStats {
+            slots,
+            ..Default::default()
+        };
+        return Ok((QueueResult { paths, stats }, fault));
+    }
     let mut queue = PathQueue::from_starts(starts);
     let mut front: Vec<Option<Slot<R>>> = (0..slots)
         .map(|_| queue.pop().map(|(i, x0)| Slot::start(i, x0, &params)))
@@ -487,11 +551,18 @@ where
         stats.rounds += 1;
         stats.point_rounds += occupied.len();
 
-        // One evaluation per occupied slot, at that slot's own point
-        // and t, batched (and chunked by the evaluator capacity).
-        let mut points: Vec<Vec<Complex<R>>> = Vec::with_capacity(occupied.len());
-        let mut ts: Vec<R> = Vec::with_capacity(occupied.len());
-        for &s in &occupied {
+        // One evaluation per slot that needs a new point, at that
+        // slot's own point and t, batched (and chunked by the evaluator
+        // capacity): every occupied slot under the host corrector; only
+        // the slots still waiting to predict under the fused one.
+        let evaluating: Vec<usize> = occupied
+            .iter()
+            .copied()
+            .filter(|&s| !resident || front[s].as_ref().expect("occupied").phase == Phase::Predict)
+            .collect();
+        let mut points: Vec<Vec<Complex<R>>> = Vec::with_capacity(evaluating.len());
+        let mut ts: Vec<R> = Vec::with_capacity(evaluating.len());
+        for &s in &evaluating {
             let (x, t) = front[s].as_ref().expect("occupied").request();
             points.push(x.clone());
             ts.push(R::from_f64(t));
@@ -513,13 +584,16 @@ where
             Ok(evals)
         })?;
 
-        for (&s, (eval, dt_vec)) in occupied.iter().zip(evals) {
+        for (&s, eval) in evaluating.iter().zip(evals) {
             let slot = front[s].as_mut().expect("occupied");
             let outcome = if slot.phase == Phase::Predict {
-                slot.predict(eval, &dt_vec)
+                slot.held = Some(eval);
+                slot.predict(&params.corrector)
             } else {
-                slot.newton_step(eval, &params.corrector)
-                    .and_then(|(ok, iters)| slot.conclude(ok, iters, &params, &mut stats))
+                slot.newton_step(&eval.0, &params.corrector)
+                    .and_then(|(ok, iters)| {
+                        slot.conclude(ok, iters, ok.then_some(eval), &params, &mut stats)
+                    })
             };
             if let Some(outcome) = outcome {
                 retire(&mut front, &mut results, s, outcome);
@@ -527,8 +601,10 @@ where
         }
 
         if resident {
-            // The whole corrector of every slot that just predicted, in
-            // one fused call, each point at its own t_new.
+            // The whole corrector of every slot that has predicted, in
+            // one fused call, each point at its own t_new. The fused
+            // call hands back no evaluation, so an accepted slot
+            // predicts from the device next round.
             let correcting: Vec<usize> = occupied
                 .iter()
                 .copied()
@@ -557,8 +633,13 @@ where
             for ((s, y), status) in correcting.into_iter().zip(preds).zip(statuses) {
                 let slot = front[s].as_mut().expect("occupied");
                 slot.y = y;
-                let outcome =
-                    slot.conclude(status.converged, status.iterations, &params, &mut stats);
+                let outcome = slot.conclude(
+                    status.converged,
+                    status.iterations,
+                    None,
+                    &params,
+                    &mut stats,
+                );
                 if let Some(outcome) = outcome {
                     retire(&mut front, &mut results, s, outcome);
                 }
@@ -624,7 +705,7 @@ mod tests {
     use crate::start::StartSystem;
     use crate::tracker::{track, TrackParams};
     use polygpu_complex::C64;
-    use polygpu_polysys::{random_system, AdEvaluator, BenchmarkParams};
+    use polygpu_polysys::{random_system, AdEvaluator, BenchmarkParams, SystemEvaluator};
 
     fn fixture(
         seed: u64,
@@ -643,50 +724,138 @@ mod tests {
         (sys, start, starts)
     }
 
+    /// A target evaluator that counts the points it evaluates.
+    struct Counting {
+        inner: AdEvaluator<f64>,
+        points: usize,
+    }
+
+    impl SystemEvaluator<f64> for Counting {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn evaluate(&mut self, x: &[C64]) -> SystemEval<f64> {
+            self.points += 1;
+            self.inner.evaluate(x)
+        }
+    }
+
+    impl BatchSystemEvaluator<f64> for Counting {
+        fn max_batch(&self) -> usize {
+            self.inner.max_batch()
+        }
+
+        fn evaluate_batch(&mut self, points: &[Vec<C64>]) -> Vec<SystemEval<f64>> {
+            self.points += points.len();
+            self.inner.evaluate_batch(points)
+        }
+    }
+
     /// The defining property: for every slot count and either
     /// corrector, each path's endpoint, outcome and final t are
     /// **bit-for-bit** what the single-path tracker produces, and the
-    /// aggregate step counts are the sums over the single-path runs.
+    /// aggregate step counts are the sums over the single-path runs —
+    /// also at the edges of the budgets: no corrector iterations (every
+    /// attempt is `newton`'s MaxIters evaluation alone) and no attempts
+    /// (every path stops at its start).
     #[test]
     fn queue_is_bitwise_identical_to_per_path_tracking() {
         let (sys, start, starts) = fixture(3, 4);
-        let params = TrackParams::default();
+        let defaults = TrackParams::default();
+        let no_iters = TrackParams {
+            corrector: NewtonParams {
+                residual_tol: 1e-1,
+                max_iters: 0,
+                ..defaults.corrector
+            },
+            max_steps: 200,
+            ..defaults
+        };
+        let no_steps = TrackParams {
+            max_steps: 0,
+            ..defaults
+        };
 
-        // Reference: one `track` run per path.
-        let mut want = Vec::new();
-        let (mut sum_acc, mut sum_rej, mut sum_corr) = (0usize, 0usize, 0usize);
-        for x0 in &starts {
-            let f = AdEvaluator::new(sys.clone()).unwrap();
-            let mut h = Homotopy::with_random_gamma(start.clone(), f, 7);
-            let r = track(&mut h, x0, params);
-            sum_acc += r.steps_accepted;
-            sum_rej += r.steps_rejected;
-            sum_corr += r.corrector_iterations;
-            want.push(r);
-        }
+        for params in [defaults, no_iters, no_steps] {
+            // Reference: one `track` run per path.
+            let mut want = Vec::new();
+            let (mut sum_acc, mut sum_rej, mut sum_corr) = (0usize, 0usize, 0usize);
+            for x0 in &starts {
+                let f = AdEvaluator::new(sys.clone()).unwrap();
+                let mut h = Homotopy::with_random_gamma(start.clone(), f, 7);
+                let r = track(&mut h, x0, params);
+                sum_acc += r.steps_accepted;
+                sum_rej += r.steps_rejected;
+                sum_corr += r.corrector_iterations;
+                want.push(r);
+            }
 
-        for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
-            let params = TrackParams {
-                corrector_mode: mode,
-                ..params
-            };
-            for slots in [1usize, 2, 3, 4, 7] {
-                let mut h = BatchHomotopy::with_random_gamma(
-                    start.clone(),
-                    AdEvaluator::new(sys.clone()).unwrap(),
-                    7,
-                );
-                let r = track_queue(&mut h, &starts, params, slots);
-                let case = format!("{mode:?}, slots {slots}");
-                assert_eq!(r.paths.len(), starts.len());
-                for (i, (got, w)) in r.paths.iter().zip(&want).enumerate() {
-                    assert_eq!(got.outcome, w.outcome, "outcome, path {i}, {case}");
-                    assert_eq!(got.x, w.end().x, "endpoint, path {i}, {case}");
-                    assert_eq!(got.t, w.end().t, "final t, path {i}, {case}");
+            for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+                let params = TrackParams {
+                    corrector_mode: mode,
+                    ..params
+                };
+                for slots in [1usize, 2, 3, 4, 7] {
+                    let mut h = BatchHomotopy::with_random_gamma(
+                        start.clone(),
+                        AdEvaluator::new(sys.clone()).unwrap(),
+                        7,
+                    );
+                    let r = track_queue(&mut h, &starts, params, slots);
+                    let case = format!(
+                        "{mode:?}, slots {slots}, max_iters {}, max_steps {}",
+                        params.corrector.max_iters, params.max_steps
+                    );
+                    assert_eq!(r.paths.len(), starts.len());
+                    for (i, (got, w)) in r.paths.iter().zip(&want).enumerate() {
+                        assert_eq!(got.outcome, w.outcome, "outcome, path {i}, {case}");
+                        assert_eq!(got.x, w.end().x, "endpoint, path {i}, {case}");
+                        assert_eq!(got.t, w.end().t, "final t, path {i}, {case}");
+                    }
+                    assert_eq!(r.stats.steps_accepted, sum_acc, "{case}");
+                    assert_eq!(r.stats.steps_rejected, sum_rej, "{case}");
+                    assert_eq!(r.stats.corrector_iterations, sum_corr, "{case}");
                 }
-                assert_eq!(r.stats.steps_accepted, sum_acc, "{case}");
-                assert_eq!(r.stats.steps_rejected, sum_rej, "{case}");
-                assert_eq!(r.stats.corrector_iterations, sum_corr, "{case}");
+            }
+        }
+    }
+
+    /// The evaluation budget. A slot predicts from the evaluation it
+    /// already holds at its accepted point, so under the host corrector
+    /// a path pays one predictor evaluation and every attempt its
+    /// `iterations + 1` corrector evaluations, whatever the outcome.
+    /// The fused corrector hands back no evaluation, so there every
+    /// accepted step that the path goes on from costs one predictor
+    /// evaluation, and a path that succeeds ends on one.
+    #[test]
+    fn predictor_reuses_held_evaluations() {
+        for seed in [3, 11, 19] {
+            let (sys, start, starts) = fixture(seed, 4);
+            for mode in [CorrectorMode::Host, CorrectorMode::DeviceResident] {
+                let params = TrackParams {
+                    corrector_mode: mode,
+                    ..TrackParams::default()
+                };
+                for slots in [1usize, 4] {
+                    let f = Counting {
+                        inner: AdEvaluator::new(sys.clone()).unwrap(),
+                        points: 0,
+                    };
+                    let mut h = BatchHomotopy::with_random_gamma(start.clone(), f, 7);
+                    let r = track_queue(&mut h, &starts, params, slots);
+                    let s = r.stats;
+                    let attempts = s.steps_accepted + s.steps_rejected;
+                    let case = format!("seed {seed}, {mode:?}, slots {slots}");
+                    let want = match mode {
+                        CorrectorMode::Host => starts.len() + s.corrector_iterations + attempts,
+                        CorrectorMode::DeviceResident => {
+                            assert_eq!(r.successes(), starts.len(), "{case}");
+                            s.steps_accepted + s.corrector_iterations + attempts
+                        }
+                    };
+                    assert_eq!(h.f.points, want, "{case}");
+                }
             }
         }
     }

@@ -5,6 +5,15 @@
 //! at the new `t`, and step-size control that halves on rejection and
 //! grows on easy acceptances — the classical scheme the paper's
 //! evaluation engine is built to accelerate.
+//!
+//! [`track`] is the scalar reference and evaluates `H` at every
+//! predictor, even at an `(x, t)` it has already evaluated: after a
+//! rejection, which changes only `dt`, and after an acceptance, whose
+//! corrector converged on an evaluation at that very point. The path
+//! queue ([`crate::queue`]) skips those redundant evaluations (under
+//! the fused corrector only the ones after a rejection) and runs the
+//! same arithmetic on the evaluations it holds, so its trajectories
+//! stay bit-identical to this function's.
 
 use crate::homotopy::Homotopy;
 use crate::lu::lu_decompose;

@@ -7,7 +7,9 @@
 //!   cluster backends, under both correctors — for arbitrary requests.
 //!   Both run the one path queue, so a front whose size does not depend
 //!   on the backend also reports the same scheduler statistics
-//!   everywhere.
+//!   everywhere. Under the host corrector every backend's engine
+//!   evaluates exactly `paths + corrector iterations + attempts`
+//!   points.
 //! * `SlotPolicy::Auto` sizes the queue front to `D ×` per-device
 //!   capacity through `EngineCaps` and keeps it > 0.8 occupied at
 //!   D ∈ {2, 4}.
@@ -86,6 +88,21 @@ proptest! {
                         let want_stats = *stats.get_or_insert(report.stats);
                         prop_assert_eq!(report.stats, want_stats,
                             "stats: {:?} / {:?} on {:?}", scheduler, mode, backend);
+                    }
+                    // The host corrector's evaluation budget: one
+                    // predictor evaluation per path, `iterations + 1`
+                    // per attempt, counted by every engine.
+                    if mode == CorrectorMode::Host {
+                        let mut passes =
+                            vec![(report.paths.len(), report.stats, report.engine.evaluations)];
+                        passes.extend(report.escalation.as_ref()
+                            .map(|e| (e.retried, e.stats, e.engine.evaluations)));
+                        for (paths, s, evaluations) in passes {
+                            let attempts = s.steps_accepted + s.steps_rejected;
+                            prop_assert_eq!(evaluations,
+                                (paths + s.corrector_iterations + attempts) as u64,
+                                "evaluations: {:?} on {:?}", scheduler, backend);
+                        }
                     }
                 }
             }
