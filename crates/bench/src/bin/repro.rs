@@ -12,7 +12,7 @@
 //! repro cluster             C1: multi-device scaling over D in {1,2,4,8} at P = 256
 //! repro session             S1: multi-system residency table and setup amortization
 //! repro solve               Solver: scheduler x backend table (paths/s, occupancy, escalation)
-//! repro newton              N1: device-resident Newton — corrector mode table, flag-only D2H + launch audit
+//! repro newton              N1: device-resident Newton — corrector mode table, flag, hand-back and launch audits
 //! repro syshard             R1: system (row) sharding — over-budget build + D-sweep
 //! repro chaos               F1: fault injection — solves under device loss/corruption
 //! repro trace               T1: deterministic tracing — span replay, stat reconciliation
@@ -251,13 +251,17 @@ fn newton(model_ok: &mut bool) {
          per Newton iteration two evaluation launches, one factor-and-solve\n\
          launch and one download of the O(P) convergence-flag vector\n\
          (FLAG_BYTES per live point) instead of every value and Jacobian.\n\
-         The arithmetic is the shared host driver's either way, so endpoints\n\
-         stay bit-identical to CorrectorMode::Host on every scheduler and\n\
-         backend; the probe reconciles the engine's modeled D2H counter\n\
-         byte-for-byte, and its launch count exactly, against the driver's\n\
-         charge log. `wall vs host` is a diagnostic, not a gate: the modeled\n\
-         clock charges nothing for the Host corrector's host-side LU, so at\n\
-         dim 2 Host still finishes first.\n"
+         The final download brings back the endpoints and each converged\n\
+         point's evaluation there, which the path queue predicts from, so a\n\
+         path asks the device for a predictor evaluation only at its first\n\
+         step and every solve evaluates paths + iterations + attempts points\n\
+         under either corrector. The arithmetic is the shared host driver's\n\
+         either way, so endpoints stay bit-identical to CorrectorMode::Host\n\
+         on every scheduler and backend; both probes reconcile the engine's\n\
+         modeled D2H counter byte-for-byte, and its launch count exactly,\n\
+         against the driver's charge log. `wall vs host` is a diagnostic, not\n\
+         a gate: the modeled clock charges nothing for the Host corrector's\n\
+         host-side LU, so at dim 2 Host still finishes first.\n"
     );
 }
 

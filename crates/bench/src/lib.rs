@@ -998,6 +998,59 @@ pub struct NewtonRow {
     pub backsub_seconds: f64,
 }
 
+/// One fused `try_correct_batch` call on the batched backend, audited
+/// against the charges the shared driver reports when it replays the
+/// same correction host-side.
+#[derive(Debug, Clone)]
+pub struct FusedProbe {
+    /// Points corrected.
+    pub points: usize,
+    /// Points the call declared converged on `ResidualTol` …
+    pub residual_stops: usize,
+    /// … and on `StepTol`.
+    pub step_stops: usize,
+    /// The one-time endpoint upload/download size (`P·n` elements),
+    /// read off the engine's H2D counter.
+    pub endpoint_bytes: u64,
+    /// Everything the engine downloaded.
+    pub d2h_bytes: u64,
+    /// The flag traffic the driver reported charging
+    /// (`Σ live · FLAG_BYTES` over the rounds).
+    pub expected_flag_bytes: u64,
+    /// Each converged point's evaluation in the final download:
+    /// `converged · (n + n²)` elements, from the returned statuses.
+    pub evaluation_bytes: u64,
+    /// The launches the fused engine paid, read off its modeled launch
+    /// overhead …
+    pub launches: f64,
+    /// … and the launches the driver's charge log implies: two
+    /// evaluation launches per round plus one factor-and-solve launch
+    /// per round that factors.
+    pub expected_launches: u64,
+}
+
+impl FusedProbe {
+    /// Bytes the engine downloaded beyond the endpoints and the
+    /// converged points' evaluations: what crossed per iteration.
+    pub fn flag_bytes(&self) -> u64 {
+        self.d2h_bytes
+            .saturating_sub(self.endpoint_bytes + self.evaluation_bytes)
+    }
+
+    /// The engine's download equals the endpoints, the flags the driver
+    /// charged and the converged points' evaluations, byte for byte.
+    pub fn downloads_reconcile(&self) -> bool {
+        self.expected_flag_bytes > 0
+            && self.d2h_bytes
+                == self.endpoint_bytes + self.expected_flag_bytes + self.evaluation_bytes
+    }
+
+    /// The engine's launch count equals the driver log's, exactly.
+    pub fn launches_reconcile(&self) -> bool {
+        self.expected_launches > 0 && (self.launches - self.expected_launches as f64).abs() < 1e-6
+    }
+}
+
 /// The corrector-mode sweep plus its deterministic acceptance checks.
 #[derive(Debug, Clone)]
 pub struct NewtonSweep {
@@ -1008,33 +1061,25 @@ pub struct NewtonSweep {
     /// The resident solve downloads strictly fewer modeled bytes than
     /// the host-loop solve on every pair.
     pub d2h_reduced: bool,
-    /// Micro-audit of one fused `try_correct_batch` call on the
-    /// batched backend: points corrected, …
-    pub points: usize,
-    /// … bytes the fused loop downloaded *beyond* the one final
-    /// endpoint download (i.e. everything that crossed per iteration),
-    pub flag_bytes: u64,
-    /// … the exact flag traffic the driver reported charging
-    /// (`Σ live · FLAG_BYTES` over the rounds), replayed host-side,
-    pub expected_flag_bytes: u64,
-    /// … the one-time endpoint upload/download size (`P·n` elements),
-    pub endpoint_bytes: u64,
-    /// … what the host loop downloads for the *same* correction
-    /// (values + Jacobians, every iteration),
+    /// Every row's engine evaluated exactly
+    /// `paths + corrector_iterations + attempts` points.
+    pub evaluations_exact: bool,
+    /// Micro-audit of a fused call whose points all stop on `MaxIters`:
+    /// its per-iteration traffic is the flag vector alone.
+    pub probe: FusedProbe,
+    /// What the host loop downloads for `probe`'s correction (values
+    /// and Jacobians, every iteration).
     pub host_loop_d2h: u64,
-    /// … the launches the fused engine paid, read off its modeled
-    /// launch overhead,
-    pub launches: f64,
-    /// … and the launches the driver's charge log implies: two
-    /// evaluation launches per round plus one factor-and-solve launch
-    /// per round that factors.
-    pub expected_launches: u64,
+    /// Micro-audit of a fused call whose points converge on both
+    /// stops: its final download also carries their evaluations.
+    pub converging: FusedProbe,
 }
 
 impl NewtonSweep {
     /// All model-side acceptance bars of `repro newton`, with the
     /// strings the binary prints.
-    pub fn checks(&self) -> [(String, bool); 5] {
+    pub fn checks(&self) -> [(String, bool); 7] {
+        let (probe, converging) = (&self.probe, &self.converging);
         [
             (
                 "identity check (DeviceResident endpoints bit-identical to Host, every scheduler x backend)".into(),
@@ -1046,18 +1091,28 @@ impl NewtonSweep {
             ),
             (
                 "flag check (per-iteration download is exactly the O(P) convergence-flag vector)".into(),
-                self.expected_flag_bytes > 0 && self.flag_bytes == self.expected_flag_bytes,
+                probe.evaluation_bytes == 0 && probe.downloads_reconcile(),
             ),
             (
                 "loop check (fused total download undercuts the host loop's per-iteration traffic)".into(),
-                self.endpoint_bytes + self.flag_bytes < self.host_loop_d2h,
+                probe.d2h_bytes < self.host_loop_d2h,
             ),
             (
                 format!(
                     "launch check ({EVAL_LAUNCHES} evaluation launches per round + 1 factor-and-solve launch per factoring round)"
                 ),
-                self.expected_launches > 0
-                    && (self.launches - self.expected_launches as f64).abs() < 1e-6,
+                probe.launches_reconcile(),
+            ),
+            (
+                "evaluation check (every row evaluates exactly paths + corrector iterations + attempts points)".into(),
+                self.evaluations_exact,
+            ),
+            (
+                "hand-back check (converging probe: D2H = endpoints + flags + each converged point's evaluation; launches exact; ResidualTol and StepTol stops)".into(),
+                converging.residual_stops > 0
+                    && converging.step_stops > 0
+                    && converging.downloads_reconcile()
+                    && converging.launches_reconcile(),
             ),
         ]
     }
@@ -1072,17 +1127,18 @@ impl NewtonSweep {
 /// request (36 total-degree paths of a dim-2 system) through every
 /// scheduler on the batched-GPU and point-sharded-cluster backends,
 /// once with [`polygpu_core::CorrectorMode::Host`] and once with
-/// [`polygpu_core::CorrectorMode::DeviceResident`], plus a micro-audit
-/// of one fused
-/// `try_correct_batch` call that reconciles its modeled download
-/// byte-for-byte, and its launch count exactly, against the charges
-/// the driver reports. Fully modeled, hence deterministic.
+/// [`polygpu_core::CorrectorMode::DeviceResident`], plus two
+/// micro-audits of one fused `try_correct_batch` call each — one whose
+/// points iterate to the cap, one whose points converge — that
+/// reconcile the modeled download byte-for-byte, and the launch count
+/// exactly, against the charges the driver reports. Fully modeled,
+/// hence deterministic.
 pub fn newton_sweep() -> NewtonSweep {
     use polygpu_cluster::Sharded;
     use polygpu_core::engine::{AnyEvaluator, EngineBuilder};
     use polygpu_core::{
-        drive_correct, BatchError, CorrectCharge, CorrectOps, CorrectParams, CorrectorMode,
-        IdentityCombine, FLAG_BYTES,
+        drive_correct, BatchError, CorrectCharge, CorrectOps, CorrectParams, CorrectStop,
+        CorrectorMode, IdentityCombine, FLAG_BYTES,
     };
     use polygpu_homotopy::prelude::*;
     use polygpu_polysys::SystemEval;
@@ -1125,9 +1181,16 @@ pub fn newton_sweep() -> NewtonSweep {
         },
     ];
 
+    // The evaluation budget of one precision pass, under either
+    // corrector.
+    let budget = |paths: usize, s: &QueueStats| {
+        (paths + s.corrector_iterations + s.steps_accepted + s.steps_rejected) as u64
+    };
     let mut rows = Vec::new();
     let mut endpoints_identical = true;
     let mut d2h_reduced = true;
+    let mut evaluations_exact = true;
+    let mut roots: Vec<Vec<C64>> = Vec::new();
     for (name, builder) in &backends {
         for scheduler in schedulers {
             let mut pair: Vec<(Vec<PathEndpoint>, u64, f64)> = Vec::new();
@@ -1154,6 +1217,20 @@ pub fn newton_sweep() -> NewtonSweep {
                     factor_seconds: report.engine.factor_seconds,
                     backsub_seconds: report.engine.backsub_seconds,
                 });
+                evaluations_exact &= report.engine.evaluations
+                    == budget(report.paths.len(), &report.stats)
+                    && report
+                        .escalation
+                        .as_ref()
+                        .is_none_or(|e| e.engine.evaluations == budget(e.retried, &e.stats));
+                if roots.is_empty() {
+                    roots = report
+                        .paths
+                        .iter()
+                        .filter(|p| p.outcome == TrackOutcome::Success)
+                        .map(|p| p.endpoint.to_f64())
+                        .collect();
+                }
                 pair.push((
                     report.paths.iter().map(|p| p.endpoint.clone()).collect(),
                     report.engine.d2h_bytes,
@@ -1165,16 +1242,15 @@ pub fn newton_sweep() -> NewtonSweep {
         }
     }
 
-    // Micro-audit: one fused correction of P points, reconciled
-    // against the charges the shared driver reports. The fused call
-    // uploads the iterates once and downloads them once (the same
-    // `P·n` elements each way), so everything the engine downloaded
-    // beyond its upload size is per-iteration traffic — which must
-    // equal the flag words the driver charged, byte for byte. Every
-    // launch pays the same fixed overhead, so the engine's launch count
-    // is its overhead over one launch's, which must equal two
-    // evaluation launches per round plus one factor-and-solve launch
-    // per round that factors.
+    // Micro-audits: one fused correction of P points each, reconciled
+    // against the charges the shared driver reports when it replays
+    // the correction on the CPU reference. The fused call uploads the
+    // iterates once; it downloads them once (the same `P·n` elements),
+    // each converged point's evaluation (`n + n²` elements), and per
+    // round the flag words the driver charged. Every launch pays the
+    // same fixed overhead, so the engine's launch count is its overhead
+    // over one launch's, which must equal two evaluation launches per
+    // round plus one factor-and-solve launch per round that factors.
     struct ChargeRecorder<'a> {
         engine: &'a mut dyn AnyEvaluator<f64>,
         flag_bytes: u64,
@@ -1211,36 +1287,55 @@ pub fn newton_sweep() -> NewtonSweep {
         }
     }
 
+    let n = sys.dim();
+    let elem = <C64 as DeviceValue>::DEVICE_BYTES as u64;
+    let audit = |points: &[Vec<C64>], cparams: &CorrectParams| {
+        let mut cpu = polygpu_cluster::engine_builder()
+            .backend(polygpu_core::Backend::CpuReference)
+            .build(&sys)
+            .expect("cpu reference always builds");
+        let mut recorder = ChargeRecorder {
+            engine: cpu.as_mut(),
+            flag_bytes: 0,
+            rounds: 0,
+            factor_rounds: 0,
+        };
+        let mut ref_pts = points.to_vec();
+        drive_correct(&mut recorder, &mut IdentityCombine, &mut ref_pts, cparams)
+            .expect("host replay of the probe correction succeeds");
+
+        let mut fused = backends[0].1.clone().build(&sys).expect("probe fits");
+        fused.reset_engine_stats();
+        let mut fused_pts = points.to_vec();
+        let statuses = fused
+            .try_correct_batch(&mut fused_pts, &mut IdentityCombine, cparams)
+            .expect("fused probe correction succeeds");
+        let stats = fused.engine_stats();
+        let stops = |stop| {
+            statuses
+                .iter()
+                .filter(|s| s.converged && s.stop == stop)
+                .count()
+        };
+        let converged = statuses.iter().filter(|s| s.converged).count() as u64;
+        let probe = FusedProbe {
+            points: points.len(),
+            residual_stops: stops(CorrectStop::ResidualTol),
+            step_stops: stops(CorrectStop::StepTol),
+            endpoint_bytes: stats.h2d_bytes,
+            d2h_bytes: stats.d2h_bytes,
+            expected_flag_bytes: recorder.flag_bytes,
+            evaluation_bytes: converged * (n * (n + 1)) as u64 * elem,
+            launches: stats.overhead_seconds / DeviceSpec::tesla_c2050().launch_overhead,
+            expected_launches: EVAL_LAUNCHES as u64 * recorder.rounds + recorder.factor_rounds,
+        };
+        (probe, fused_pts == ref_pts, fused_pts)
+    };
+
+    // Random points far from every root: all of them iterate to the cap.
     let probe_points: Vec<Vec<C64>> = random_points::<f64>(2, 8, 31);
     let cparams = CorrectParams::default();
-
-    let mut cpu = polygpu_cluster::engine_builder()
-        .backend(polygpu_core::Backend::CpuReference)
-        .build(&sys)
-        .expect("cpu reference always builds");
-    let mut recorder = ChargeRecorder {
-        engine: cpu.as_mut(),
-        flag_bytes: 0,
-        rounds: 0,
-        factor_rounds: 0,
-    };
-    let mut ref_pts = probe_points.clone();
-    drive_correct(&mut recorder, &mut IdentityCombine, &mut ref_pts, &cparams)
-        .expect("host replay of the probe correction succeeds");
-    let expected_flag_bytes = recorder.flag_bytes;
-    let expected_launches = EVAL_LAUNCHES as u64 * recorder.rounds + recorder.factor_rounds;
-
-    let mut fused = backends[0].1.clone().build(&sys).expect("probe fits");
-    fused.reset_engine_stats();
-    let mut fused_pts = probe_points.clone();
-    fused
-        .try_correct_batch(&mut fused_pts, &mut IdentityCombine, &cparams)
-        .expect("fused probe correction succeeds");
-    let fused_stats = fused.engine_stats();
-    let endpoint_bytes = fused_stats.h2d_bytes;
-    let flag_bytes = fused_stats.d2h_bytes.saturating_sub(endpoint_bytes);
-    let launches = fused_stats.overhead_seconds / DeviceSpec::tesla_c2050().launch_overhead;
-
+    let (probe, identical, fused_pts) = audit(&probe_points, &cparams);
     let mut host = backends[0].1.clone().build(&sys).expect("probe fits");
     host.reset_engine_stats();
     let mut host_pts = probe_points.clone();
@@ -1252,19 +1347,32 @@ pub fn newton_sweep() -> NewtonSweep {
     )
     .expect("host-loop probe correction succeeds");
     let host_loop_d2h = host.engine_stats().d2h_bytes;
-    endpoints_identical &= fused_pts == host_pts && fused_pts == ref_pts;
+    endpoints_identical &= identical && fused_pts == host_pts;
+
+    // The sweep's first roots, perturbed: every point converges. The
+    // roots are singular, so Newton converges only linearly there, and
+    // under a loose step tolerance some points stop on their step size
+    // and the rest on their residual.
+    let near_roots: Vec<Vec<C64>> = roots
+        .iter()
+        .take(probe_points.len())
+        .map(|x| x.iter().map(|z| z.scale(1.0 + 1e-6)).collect())
+        .collect();
+    let loose_step = CorrectParams {
+        step_tol: 0.05,
+        ..cparams
+    };
+    let (converging, identical, _) = audit(&near_roots, &loose_step);
+    endpoints_identical &= identical;
 
     NewtonSweep {
         rows,
         endpoints_identical,
         d2h_reduced,
-        points: probe_points.len(),
-        flag_bytes,
-        expected_flag_bytes,
-        endpoint_bytes,
+        evaluations_exact,
+        probe,
         host_loop_d2h,
-        launches,
-        expected_launches,
+        converging,
     }
 }
 
@@ -1304,17 +1412,34 @@ pub fn format_newton_sweep(sweep: &NewtonSweep) -> String {
             kernels,
         ));
     }
+    let probe = &sweep.probe;
     s.push_str(&format!(
         "\nfused probe ({} points): {} B endpoint upload+download, {} B flag downloads \
          (driver charged {} B); the host loop moves {} B D2H for the same correction; \
          {:.0} launches (driver log implies {})\n",
-        sweep.points,
-        sweep.endpoint_bytes,
-        sweep.flag_bytes,
-        sweep.expected_flag_bytes,
+        probe.points,
+        probe.endpoint_bytes,
+        probe.flag_bytes(),
+        probe.expected_flag_bytes,
         sweep.host_loop_d2h,
-        sweep.launches,
-        sweep.expected_launches
+        probe.launches,
+        probe.expected_launches
+    ));
+    let c = &sweep.converging;
+    s.push_str(&format!(
+        "converging probe ({} points near the roots, {} converged on ResidualTol, {} on StepTol): \
+         {} B D2H = {} B endpoints + {} B flags (driver charged {} B) + {} B converged evaluations; \
+         {:.0} launches (driver log implies {})\n",
+        c.points,
+        c.residual_stops,
+        c.step_stops,
+        c.d2h_bytes,
+        c.endpoint_bytes,
+        c.flag_bytes(),
+        c.expected_flag_bytes,
+        c.evaluation_bytes,
+        c.launches,
+        c.expected_launches
     ));
     s
 }
@@ -3115,11 +3240,23 @@ mod tests {
         assert_eq!(sweep.rows.len(), 8, "2 schedulers x 2 backends x 2 modes");
         assert!(sweep.endpoints_identical, "{sweep:?}");
         assert!(sweep.d2h_reduced, "{sweep:?}");
-        assert!(sweep.expected_flag_bytes > 0);
-        assert_eq!(sweep.flag_bytes, sweep.expected_flag_bytes);
-        assert!(sweep.endpoint_bytes + sweep.flag_bytes < sweep.host_loop_d2h);
-        assert!(sweep.expected_launches > 0);
-        assert!((sweep.launches - sweep.expected_launches as f64).abs() < 1e-6);
+        assert!(sweep.evaluations_exact, "{sweep:?}");
+        let probe = &sweep.probe;
+        assert!(probe.expected_flag_bytes > 0);
+        assert_eq!(probe.flag_bytes(), probe.expected_flag_bytes);
+        assert!(probe.d2h_bytes < sweep.host_loop_d2h);
+        assert!(probe.launches_reconcile(), "{probe:?}");
+        // Every point of the first probe iterates to the cap; every
+        // point of the second converges, on both stops, and the final
+        // download carries each one's evaluation.
+        assert_eq!(probe.residual_stops + probe.step_stops, 0, "{probe:?}");
+        assert_eq!(probe.evaluation_bytes, 0);
+        let c = &sweep.converging;
+        assert!(c.residual_stops > 0 && c.step_stops > 0, "{c:?}");
+        assert_eq!(c.residual_stops + c.step_stops, c.points, "{c:?}");
+        assert_eq!(c.evaluation_bytes, (c.points * (2 + 4) * 16) as u64);
+        assert_eq!(c.flag_bytes(), c.expected_flag_bytes);
+        assert!(c.downloads_reconcile() && c.launches_reconcile(), "{c:?}");
         assert!(sweep.passes());
         // The fused kernels are charged exactly on the resident rows.
         for r in &sweep.rows {
@@ -3136,6 +3273,7 @@ mod tests {
         let s = format_newton_sweep(&sweep);
         assert!(s.contains("| queue | cluster | resident |"));
         assert!(s.contains("flag downloads"));
+        assert!(s.contains("converged evaluations"));
     }
 
     /// The `repro syshard` gates: the over-budget system is rejected at

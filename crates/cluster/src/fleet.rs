@@ -106,9 +106,12 @@ fn run_share<R: Real, T>(
 pub(crate) trait Work<R: Real> {
     type Out: Send;
     /// Whether the work is an evaluation: counted in a point fleet's
-    /// `evaluations`, `batches` and `device_evals` and traced as a
-    /// `Batch` span, where the fused corrector traces a `Correct` span.
+    /// `batches` and traced as a `Batch` span, where the fused
+    /// corrector traces a `Correct` span.
     const EVALUATES: bool;
+    /// The point evaluations that produced `out`, which a point fleet
+    /// counts in `evaluations` and `device_evals`.
+    fn evaluations(out: &Self::Out) -> u64;
     /// Run the points `chunk` names on a device, or on the CPU
     /// reference once the whole fleet is dead.
     fn run(
@@ -141,6 +144,10 @@ pub(crate) struct Evaluate<'a, R: Real>(pub(crate) &'a [Vec<Complex<R>>]);
 impl<R: Real> Work<R> for Evaluate<'_, R> {
     type Out = SystemEval<R>;
     const EVALUATES: bool = true;
+
+    fn evaluations(_: &SystemEval<R>) -> u64 {
+        1
+    }
 
     fn run(
         &mut self,

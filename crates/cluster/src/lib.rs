@@ -105,7 +105,8 @@ impl Default for ClusterOptions {
 /// device's own [`PipelineStats`].
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
-    /// Points evaluated (a batch of `P` counts `P`).
+    /// Points evaluated (a batch of `P` counts `P`, and a fused
+    /// correction every evaluation of its points).
     pub evaluations: u64,
     /// Cluster-level batches (one per `evaluate_batch` call).
     pub batches: u64,
@@ -115,7 +116,7 @@ pub struct ClusterStats {
     /// Cumulative modeled wall seconds per device (aligned with the
     /// device list).
     pub device_wall: Vec<f64>,
-    /// Points evaluated per device.
+    /// Points evaluated per device, counted as in `evaluations`.
     pub device_evals: Vec<u64>,
     /// Injected-fault accounting: strikes and detection latency from
     /// the devices, plus the cluster's own retries, failovers, and
@@ -218,6 +219,11 @@ impl<R: Real> Work<R> for Correct<'_, R> {
     /// A corrected point and its status.
     type Out = (Vec<Complex<R>>, CorrectStatus);
     const EVALUATES: bool = false;
+
+    /// One per residual: `CorrectStatus` records one per evaluation.
+    fn evaluations((_, status): &Self::Out) -> u64 {
+        status.residuals.len() as u64
+    }
 
     fn run(
         &mut self,
@@ -460,9 +466,7 @@ impl<R: Real> ShardedBatchEvaluator<R> {
                     &mut stats.device_wall[d],
                 );
                 let completed = share.done.len();
-                if W::EVALUATES {
-                    stats.device_evals[d] += completed as u64;
-                }
+                stats.device_evals[d] += share.done.iter().map(W::evaluations).sum::<u64>();
                 for (&i, v) in shard.iter().zip(share.done) {
                     out[i] = Some(v);
                 }
@@ -495,14 +499,15 @@ impl<R: Real> ShardedBatchEvaluator<R> {
         let meta = [("points", MetaValue::U64(p as u64))];
         self.exec.trace.emit(kind, wall0, elapsed, 3, &meta);
         self.stats.book(elapsed, &self.exec.fault);
-        if W::EVALUATES {
-            self.stats.evaluations += p as u64;
-            self.stats.batches += 1;
-        }
-        Ok(out
+        let out: Vec<W::Out> = out
             .into_iter()
             .map(|v| v.expect("every point is run or re-planned"))
-            .collect())
+            .collect();
+        self.stats.evaluations += out.iter().map(W::evaluations).sum::<u64>();
+        if W::EVALUATES {
+            self.stats.batches += 1;
+        }
+        Ok(out)
     }
 }
 

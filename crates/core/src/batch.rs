@@ -625,7 +625,11 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// update entirely on the (simulated) device, downloading only the
     /// `O(P)` convergence-flag vector
     /// ([`FLAG_BYTES`](crate::correct::FLAG_BYTES) per live point); the
-    /// corrected endpoints come back in one final transfer.
+    /// corrected endpoints come back in one final transfer. A converged
+    /// point's last `combine.apply` is at its returned point, and that
+    /// final transfer also carries its evaluation there (`n + n²`
+    /// elements), so a caller that keeps what `combine` formed needs no
+    /// further round trip to predict from the point.
     ///
     /// Endpoints and statuses are **bit-identical** to the host
     /// corrector (the trait default of

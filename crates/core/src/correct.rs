@@ -5,9 +5,10 @@
 //! point upload every Newton iteration — PCIe latency, not compute,
 //! dominates the inner loop. Verschelde–Yu run the entire Newton step
 //! on the device; this module models that regime: one upload of the
-//! iterates at the start, one download of the endpoints at the end,
-//! and per iteration only an `O(P)` convergence-flag/residual-norm
-//! vector crosses the bus ([`FLAG_BYTES`] per point).
+//! iterates at the start, one final download of the endpoints plus
+//! each converged point's evaluation there, and per iteration only an
+//! `O(P)` convergence-flag/residual-norm vector crosses the bus
+//! ([`FLAG_BYTES`] per point).
 //!
 //! The numeric core is [`drive_correct`]: a batched Newton driver with
 //! **exactly** the per-point semantics of `newton()` in
@@ -22,6 +23,11 @@
 //! Newton iteration two evaluation launches, **one** fused
 //! factor-and-solve launch (`polygpu_gpusim::linalg::factor_solve_cost`)
 //! and one flag download.
+//!
+//! A converged point's last evaluation is at the point the call
+//! returns, so a caller that keeps what its [`CombineMap`] formed there
+//! holds the corrected point's evaluation without another round trip;
+//! the device path charges it as part of the final download.
 
 use crate::batch::BatchError;
 use crate::engine::validate_batch;
@@ -128,6 +134,12 @@ pub struct CorrectStatus {
 /// `index` is the point's position in the original batch (stable
 /// across rounds, so per-point state like each path's `t` can be
 /// looked up), `x` the *current* iterate.
+///
+/// Invariant: [`drive_correct`] applies the map once per evaluation,
+/// and a point it declares converged has its last `apply` at the point
+/// the call returns. The map can therefore keep the evaluation it
+/// formed there; the device-resident corrector charges that
+/// evaluation in its final download.
 pub trait CombineMap<R: Real> {
     fn apply(&mut self, index: usize, x: &[Complex<R>], eval: &mut SystemEval<R>);
 }
@@ -320,7 +332,10 @@ impl<R: Real> CorrectOps<R> for ResidentOps<'_, R> {
 /// Fused device-resident Newton correction on one batched engine: upload
 /// the iterates once, run [`drive_correct`] against the resident state
 /// (per iteration two evaluation launches, one factor-and-solve
-/// launch and one flag download), download the endpoints once.
+/// launch and one flag download), then download the endpoints and,
+/// for each converged point, its raw evaluation at the returned point
+/// (`n + n²` elements, what a predictor round trip would download) in
+/// one final transfer.
 ///
 /// The driver mutates scratch; the caller's points are committed only
 /// on full success, so a fault or a [`BatchError::Launch`] leaves them
@@ -334,13 +349,18 @@ pub(crate) fn correct_resident<R: Real>(
     let n = engine.dim();
     let p = points.len();
     validate_batch(n, engine.max_batch(), points)?;
-    let bytes = p * n * <Complex<R> as DeviceValue>::DEVICE_BYTES;
+    let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
+    let bytes = p * n * elem;
     let wall0 = engine.charges().stats.wall_seconds;
     engine.charges().transfer(OpClass::HostToDevice, bytes)?;
     let mut scratch: Vec<Vec<Complex<R>>> = points.to_vec();
     let statuses = drive_correct(&mut ResidentOps(engine), combine, &mut scratch, params)?;
+    let converged = statuses.iter().filter(|s| s.converged).count();
     let mut c = engine.charges();
-    c.transfer(OpClass::DeviceToHost, bytes)?;
+    c.transfer(
+        OpClass::DeviceToHost,
+        bytes + converged * n * (n + 1) * elem,
+    )?;
 
     for (dst, src) in points.iter_mut().zip(scratch) {
         *dst = src;
@@ -407,6 +427,14 @@ impl PointState {
 /// hold partially-updated scratch in that case, so callers that can
 /// retry must call on a scratch copy and commit on success (as the
 /// engine wrappers do).
+///
+/// Every evaluation passes through `combine` once, and a converged
+/// point is evaluated last at the point it returns: a `ResidualTol`
+/// stop applies no update after its final evaluation, and a `StepTol`
+/// stop evaluates the updated iterate once more. A converged point's
+/// last `apply` is therefore at its returned point, and the
+/// device-resident corrector's final download carries that
+/// evaluation.
 pub fn drive_correct<R: Real>(
     ops: &mut dyn CorrectOps<R>,
     combine: &mut dyn CombineMap<R>,
@@ -745,6 +773,56 @@ mod tests {
         assert!(seen.contains("ResidualTol"));
         assert!(seen.contains("Singular"));
         assert!(seen.contains("MaxIters"));
+    }
+
+    /// The hand-back invariant: a point that converges — on either
+    /// converging stop — has its last `apply` at the point the call
+    /// returns.
+    #[test]
+    fn converged_points_are_applied_last_at_their_returned_point() {
+        struct LastAt(Vec<Option<Vec<C64>>>);
+        impl CombineMap<f64> for LastAt {
+            fn apply(&mut self, index: usize, x: &[C64], _eval: &mut SystemEval<f64>) {
+                self.0[index] = Some(x.to_vec());
+            }
+        }
+        let starts: Vec<Vec<C64>> = vec![
+            vec![C64::from_f64(1.0, 0.0), C64::from_f64(2.0, 0.0)],
+            vec![C64::from_f64(1.1, 0.1), C64::from_f64(2.2, -0.1)],
+            vec![C64::from_f64(5.0, 3.0), C64::from_f64(-7.0, 1.0)],
+            vec![C64::from_f64(1.5, 0.0), C64::from_f64(2.5, 0.0)],
+        ];
+        // The defaults, and a residual bar no iterate clears, so that
+        // points stop on their step size and converge on the relaxed bar.
+        let step_stops = CorrectParams {
+            residual_tol: 1e-300,
+            step_tol_relax: 1e290,
+            ..params(25)
+        };
+        let mut stops = std::collections::BTreeSet::new();
+        for p in [params(25), step_stops] {
+            let mut pts = starts.clone();
+            let mut ops = QuadOps {
+                sys: Quad,
+                rounds: 0,
+                charges: Vec::new(),
+            };
+            let mut last = LastAt(vec![None; starts.len()]);
+            let stats = drive_correct(&mut ops, &mut last, &mut pts, &p).unwrap();
+            for (i, st) in stats.iter().enumerate().filter(|(_, st)| st.converged) {
+                stops.insert(format!("{:?}", st.stop));
+                assert_eq!(
+                    last.0[i].as_ref(),
+                    Some(&pts[i]),
+                    "point {i}, {:?}",
+                    st.stop
+                );
+            }
+        }
+        assert!(
+            stops.contains("ResidualTol") && stops.contains("StepTol"),
+            "{stops:?}"
+        );
     }
 
     #[test]

@@ -280,6 +280,10 @@ pub trait AnyEvaluator<R: Real>: BatchSystemEvaluator<R> {
     /// bit-identical endpoints, since both run
     /// [`crate::correct::drive_correct`].
     ///
+    /// Either way a converged point's last `combine.apply` is at its
+    /// returned point, so `combine` can keep the evaluation there; the
+    /// device-resident loop's final download carries it.
+    ///
     /// On `Err` the contents of `points` are unspecified (the
     /// overrides guarantee untouched inputs; the host default may have
     /// applied updates) — retry from the caller's own copy.

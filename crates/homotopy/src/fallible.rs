@@ -67,7 +67,11 @@ pub trait TryBatchEvaluator<R: Real>: BatchSystemEvaluator<R> {
     /// [`BatchSystemEvaluator::max_batch`]. Engines with a
     /// device-resident corrector forward to it; endpoints are
     /// bit-identical either way, since both run
-    /// [`polygpu_core::drive_correct`].
+    /// [`polygpu_core::drive_correct`]. A converged point's last
+    /// `combine.apply` is at its returned point, and a device-resident
+    /// engine's final download carries that evaluation — how
+    /// [`crate::resident::HomotopyCombine`] hands it back to the path
+    /// queue.
     ///
     /// On `Err` the contents of `points` are unspecified (the host loop
     /// may have applied updates) — retry from the caller's own copy, as

@@ -37,6 +37,37 @@ pub struct HomotopyEval<R> {
     pub dt: Vec<Complex<R>>,
 }
 
+/// `H(·, t)` and `∂H/∂t` at one point from the endpoint evaluations
+/// there, `ge = G(x)` and `fe = F(x)`. Every evaluation of `H` in this
+/// crate — scalar, batched, and inside the fused corrector — is formed
+/// here, so all of them agree bit for bit.
+pub(crate) fn combine_at<R: Real>(
+    gamma: Complex<R>,
+    t: R,
+    ge: &SystemEval<R>,
+    fe: SystemEval<R>,
+) -> HomotopyEval<R> {
+    let n = fe.values.len();
+    let one_minus_t = R::one() - t;
+    let gscale = gamma.scale(one_minus_t);
+    let mut values = Vec::with_capacity(n);
+    let mut dt = Vec::with_capacity(n);
+    for i in 0..n {
+        values.push(gscale * ge.values[i] + fe.values[i].scale(t));
+        dt.push(fe.values[i] - gamma * ge.values[i]);
+    }
+    let mut jacobian = fe.jacobian;
+    for i in 0..n {
+        for j in 0..n {
+            jacobian[(i, j)] = gscale * ge.jacobian[(i, j)] + jacobian[(i, j)].scale(t);
+        }
+    }
+    HomotopyEval {
+        eval: SystemEval { values, jacobian },
+        dt,
+    }
+}
+
 impl<R: Real, EG: SystemEvaluator<R>, EF: SystemEvaluator<R>> Homotopy<R, EG, EF> {
     /// Build with an explicit gamma (pass a random unit complex; see
     /// [`Homotopy::with_random_gamma`]).
@@ -60,27 +91,9 @@ impl<R: Real, EG: SystemEvaluator<R>, EF: SystemEvaluator<R>> Homotopy<R, EG, EF
 
     /// Evaluate `H`, its Jacobian, and `∂H/∂t` at `(x, t)`.
     pub fn eval_at(&mut self, x: &[Complex<R>], t: R) -> HomotopyEval<R> {
-        let n = self.dim();
         let ge = self.g.evaluate(x);
         let fe = self.f.evaluate(x);
-        let one_minus_t = R::one() - t;
-        let gscale = self.gamma.scale(one_minus_t);
-        let mut values = Vec::with_capacity(n);
-        let mut dt = Vec::with_capacity(n);
-        for i in 0..n {
-            values.push(gscale * ge.values[i] + fe.values[i].scale(t));
-            dt.push(fe.values[i] - self.gamma * ge.values[i]);
-        }
-        let mut jacobian = fe.jacobian;
-        for i in 0..n {
-            for j in 0..n {
-                jacobian[(i, j)] = gscale * ge.jacobian[(i, j)] + jacobian[(i, j)].scale(t);
-            }
-        }
-        HomotopyEval {
-            eval: SystemEval { values, jacobian },
-            dt,
-        }
+        combine_at(self.gamma, t, &ge, fe)
     }
 
     /// View the homotopy at fixed `t` as a [`SystemEvaluator`] (for the

@@ -16,7 +16,7 @@
 //! evaluator every point's evaluation is **bit-for-bit** the
 //! single-point one.
 
-use crate::homotopy::random_gamma;
+use crate::homotopy::{combine_at, random_gamma};
 use crate::tracker::TrackOutcome;
 use polygpu_complex::{Complex, Real};
 use polygpu_polysys::{BatchSystemEvaluator, SystemEval};
@@ -97,26 +97,12 @@ impl<R: Real, EG: BatchSystemEvaluator<R>, EF: BatchSystemEvaluator<R>> BatchHom
         fes: Vec<SystemEval<R>>,
         ts: &[R],
     ) -> Vec<(SystemEval<R>, Vec<Complex<R>>)> {
-        let n = self.dim();
-        ges.into_iter()
+        ges.iter()
             .zip(fes)
             .zip(ts)
             .map(|((ge, fe), &t)| {
-                let one_minus_t = R::one() - t;
-                let gscale = self.gamma.scale(one_minus_t);
-                let mut values = Vec::with_capacity(n);
-                let mut dt = Vec::with_capacity(n);
-                for i in 0..n {
-                    values.push(gscale * ge.values[i] + fe.values[i].scale(t));
-                    dt.push(fe.values[i] - self.gamma * ge.values[i]);
-                }
-                let mut jacobian = fe.jacobian;
-                for i in 0..n {
-                    for j in 0..n {
-                        jacobian[(i, j)] = gscale * ge.jacobian[(i, j)] + jacobian[(i, j)].scale(t);
-                    }
-                }
-                (SystemEval { values, jacobian }, dt)
+                let h = combine_at(self.gamma, t, ge, fe);
+                (h.eval, h.dt)
             })
             .collect()
     }

@@ -15,19 +15,21 @@
 //!   iteration, or the corrector's final residual check), all gathered
 //!   into one batched evaluation, and solves on the host;
 //! * [`CorrectorMode::DeviceResident`] — each round runs one batched
-//!   predictor over the slots that need one, then **one**
-//!   [`correct_resident`] call over every slot that has predicted, each
-//!   at its own `t`: the whole Newton corrector runs on the engine.
+//!   predictor evaluation over the slots at their first step, then
+//!   **one** [`correct_resident`] call over every slot that has
+//!   predicted, each at its own `t`: the whole Newton corrector runs on
+//!   the engine.
 //!
 //! A slot keeps `H`'s evaluation (Jacobian and `∂H/∂t`) at its
-//! accepted point `(x, t)` whenever a round already downloaded it: the
-//! predictor's own, which a rejection leaves valid since it changes
-//! only `dt`, or, under the host corrector, the corrector's converging
-//! evaluation, which is at the point the step accepts. The next
-//! prediction runs on it on the host, so the device sees only slots
-//! that need a new point. Under the host corrector every attempt then
-//! costs `iterations + 1` evaluations, and every path one predictor
-//! evaluation more.
+//! accepted point `(x, t)`: the predictor's own, which a rejection
+//! leaves valid since it changes only `dt`, or the corrector's
+//! converging evaluation, which is at the point the step accepts —
+//! under the host corrector the round's, under the fused one what
+//! [`correct_resident`] hands back from its final download. The next
+//! prediction runs on it on the host, so the device is asked for a
+//! predictor evaluation only at a path's first step. Under either
+//! corrector every attempt costs `iterations + 1` evaluations, and
+//! every path one predictor evaluation more.
 //!
 //! Scheduling is a performance transformation only: each slot replays
 //! the *exact* control flow and arithmetic of the single-path tracker
@@ -129,15 +131,15 @@ impl SlotPolicy {
 pub struct QueueStats {
     /// Scheduler rounds. Under [`CorrectorMode::Host`] each is one
     /// batched evaluation of all occupied slots; under
-    /// [`CorrectorMode::DeviceResident`] one batched evaluation of the
-    /// slots without a held evaluation to predict from (skipped when
-    /// there are none), then one fused corrector call.
+    /// [`CorrectorMode::DeviceResident`] one batched predictor
+    /// evaluation of the slots at their first step (skipped when there
+    /// are none), then one fused corrector call.
     pub rounds: usize,
     /// Batched device calls issued: evaluations, plus fused corrector
     /// calls in device-resident mode (`>= rounds`; more when the slot
     /// count exceeds the evaluator capacity and rounds chunk). A
-    /// device-resident round whose slots all predict from held
-    /// evaluations issues only its fused call.
+    /// device-resident round in which no slot is at its first step
+    /// issues only its fused call.
     pub batch_rounds: usize,
     /// Slots refilled from the queue after a path finished.
     pub refills: usize,
@@ -228,8 +230,7 @@ impl<R: Real> QueueResult<R> {
 #[derive(Clone, Copy, PartialEq)]
 enum Phase {
     /// Euler predictor at `(x, t)`, waiting for the device only because
-    /// the slot holds no evaluation there: a path's first step, or,
-    /// under the fused corrector, the step after an acceptance. A slot
+    /// the slot holds no evaluation there: a path's first step. A slot
     /// that holds one predicts as soon as its previous attempt
     /// concludes and never waits in this phase.
     Predict,
@@ -367,10 +368,10 @@ impl<R: Real> Slot<R> {
     /// `track`'s step control after the corrector's verdict: accept
     /// (moving to `y`, growing the step after an easy correction) or
     /// halve the step, then the outcome that retires the path, if any.
-    /// `at_y` is `H` at `(y, t_new)` when the corrector downloaded it
-    /// there; an acceptance holds it, a rejection keeps the
-    /// predictor's. A path that goes on predicts at once when it holds
-    /// an evaluation.
+    /// `at_y` is `H` at `(y, t_new)` when the corrector converged, as
+    /// both correctors hand it back; an acceptance holds it, a
+    /// rejection keeps the held evaluation at `(x, t)`. A path that
+    /// goes on predicts at once when it holds an evaluation.
     fn conclude(
         &mut self,
         converged: bool,
@@ -554,7 +555,7 @@ where
         // One evaluation per slot that needs a new point, at that
         // slot's own point and t, batched (and chunked by the evaluator
         // capacity): every occupied slot under the host corrector; only
-        // the slots still waiting to predict under the fused one.
+        // the slots at their first step under the fused one.
         let evaluating: Vec<usize> = occupied
             .iter()
             .copied()
@@ -602,9 +603,10 @@ where
 
         if resident {
             // The whole corrector of every slot that has predicted, in
-            // one fused call, each point at its own t_new. The fused
-            // call hands back no evaluation, so an accepted slot
-            // predicts from the device next round.
+            // one fused call, each point at its own t_new. The call
+            // hands back `H` at each converged point, so an accepted
+            // slot predicts from it at once and joins the next round's
+            // fused call without a device evaluation.
             let correcting: Vec<usize> = occupied
                 .iter()
                 .copied()
@@ -621,7 +623,7 @@ where
                 preds.push(std::mem::take(&mut slot.y));
                 ts_new.push(R::from_f64(slot.t_new));
             }
-            let statuses = correct_resident(
+            let corrected = correct_resident(
                 h,
                 &mut preds,
                 &ts_new,
@@ -630,13 +632,13 @@ where
                 recovery,
                 &mut fault,
             )?;
-            for ((s, y), status) in correcting.into_iter().zip(preds).zip(statuses) {
+            for ((s, y), (status, at_y)) in correcting.into_iter().zip(preds).zip(corrected) {
                 let slot = front[s].as_mut().expect("occupied");
                 slot.y = y;
                 let outcome = slot.conclude(
                     status.converged,
                     status.iterations,
-                    None,
+                    at_y,
                     &params,
                     &mut stats,
                 );
@@ -822,12 +824,12 @@ mod tests {
     }
 
     /// The evaluation budget. A slot predicts from the evaluation it
-    /// already holds at its accepted point, so under the host corrector
-    /// a path pays one predictor evaluation and every attempt its
-    /// `iterations + 1` corrector evaluations, whatever the outcome.
-    /// The fused corrector hands back no evaluation, so there every
-    /// accepted step that the path goes on from costs one predictor
-    /// evaluation, and a path that succeeds ends on one.
+    /// holds at its accepted point — the predictor's own after a
+    /// rejection, the corrector's converging one after an acceptance,
+    /// which the fused corrector hands back too — so under either
+    /// corrector a path pays one predictor evaluation and every attempt
+    /// its `iterations + 1` corrector evaluations, whatever the
+    /// outcome.
     #[test]
     fn predictor_reuses_held_evaluations() {
         for seed in [3, 11, 19] {
@@ -846,15 +848,11 @@ mod tests {
                     let r = track_queue(&mut h, &starts, params, slots);
                     let s = r.stats;
                     let attempts = s.steps_accepted + s.steps_rejected;
-                    let case = format!("seed {seed}, {mode:?}, slots {slots}");
-                    let want = match mode {
-                        CorrectorMode::Host => starts.len() + s.corrector_iterations + attempts,
-                        CorrectorMode::DeviceResident => {
-                            assert_eq!(r.successes(), starts.len(), "{case}");
-                            s.steps_accepted + s.corrector_iterations + attempts
-                        }
-                    };
-                    assert_eq!(h.f.points, want, "{case}");
+                    assert_eq!(
+                        h.f.points,
+                        starts.len() + s.corrector_iterations + attempts,
+                        "seed {seed}, {mode:?}, slots {slots}"
+                    );
                 }
             }
         }

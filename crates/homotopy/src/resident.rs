@@ -18,8 +18,16 @@
 //! to [`BatchHomotopy::eval_batch_at`](crate::lockstep::BatchHomotopy) —
 //! so endpoints are **bit-identical** to the host-mode corrector; only
 //! the modeled transfer traffic differs.
+//!
+//! The fused loop evaluates a point it declares converged last at the
+//! point it returns, and the engine's final download carries that
+//! evaluation. [`HomotopyCombine`] keeps the `(H, ∂H/∂t)` it formed
+//! there, and [`correct_resident`] hands it back with the point's
+//! status, so the path queue predicts the next step from it on the
+//! host instead of asking the device again.
 
-use crate::fallible::{retry_round, FaultReport, TryBatchEvaluator};
+use crate::fallible::{retry_round, FaultReport, HomotopyEval, TryBatchEvaluator};
+use crate::homotopy::combine_at;
 use crate::lockstep::BatchHomotopy;
 use crate::newton::NewtonParams;
 use polygpu_complex::{Complex, Real};
@@ -31,32 +39,45 @@ use polygpu_polysys::{SystemEval, SystemEvaluator};
 /// `F`-evaluation into the homotopy evaluation `H(·, t)` at that
 /// point's `t`, with per-element arithmetic identical to
 /// [`BatchHomotopy::combine`](crate::lockstep::BatchHomotopy) — the
-/// basis of the host/device bit-identity contract.
+/// basis of the host/device bit-identity contract. It keeps the last
+/// `(H, ∂H/∂t)` it formed at each point ([`HomotopyCombine::take_last`]).
 pub struct HomotopyCombine<'a, R: Real, G: SystemEvaluator<R>> {
     /// The start system `G`, evaluated analytically on the host (free
     /// in the cost model, exactly as in the host corrector).
-    pub g: &'a mut G,
-    pub gamma: Complex<R>,
+    g: &'a mut G,
+    gamma: Complex<R>,
     /// One `t` per point of the fused call, indexed by batch position.
-    pub ts: &'a [R],
+    ts: &'a [R],
+    /// The last `(H, ∂H/∂t)` formed at each point, one slot per `t`.
+    last: Vec<Option<HomotopyEval<R>>>,
+}
+
+impl<'a, R: Real, G: SystemEvaluator<R>> HomotopyCombine<'a, R, G> {
+    /// The map for a fused call over `ts.len()` points.
+    pub fn new(g: &'a mut G, gamma: Complex<R>, ts: &'a [R]) -> Self {
+        HomotopyCombine {
+            g,
+            gamma,
+            ts,
+            last: (0..ts.len()).map(|_| None).collect(),
+        }
+    }
+
+    /// The last `(H, ∂H/∂t)` this map formed at point `index`, if any.
+    /// For a point the fused corrector declared converged, that is
+    /// `H`'s evaluation at the returned point and its `t`.
+    pub fn take_last(&mut self, index: usize) -> Option<HomotopyEval<R>> {
+        self.last[index].take()
+    }
 }
 
 impl<R: Real, G: SystemEvaluator<R>> CombineMap<R> for HomotopyCombine<'_, R, G> {
     fn apply(&mut self, index: usize, x: &[Complex<R>], eval: &mut SystemEval<R>) {
-        let t = self.ts[index];
         let ge = self.g.evaluate(x);
-        let one_minus_t = R::one() - t;
-        let gscale = self.gamma.scale(one_minus_t);
-        let n = eval.values.len();
-        for i in 0..n {
-            eval.values[i] = gscale * ge.values[i] + eval.values[i].scale(t);
-        }
-        for i in 0..n {
-            for j in 0..n {
-                eval.jacobian[(i, j)] =
-                    gscale * ge.jacobian[(i, j)] + eval.jacobian[(i, j)].scale(t);
-            }
-        }
+        let fe = std::mem::replace(eval, SystemEval::zeros(0));
+        let h = combine_at(self.gamma, self.ts[index], &ge, fe);
+        *eval = h.eval.clone();
+        self.last[index] = Some((h.eval, h.dt));
     }
 }
 
@@ -70,6 +91,11 @@ pub fn correct_params(p: &NewtonParams) -> CorrectParams {
     }
 }
 
+/// One point's outcome of [`correct_resident`]: the corrector's status
+/// and, when the point converged, `H`'s evaluation at the corrected
+/// point and its `t`.
+pub type Corrected<R> = (CorrectStatus, Option<HomotopyEval<R>>);
+
 /// Run the engine's fused corrector over `points` at per-point `ts`,
 /// chunked by the engine's batch capacity
 /// ([`max_batch`](polygpu_polysys::BatchSystemEvaluator::max_batch)),
@@ -78,6 +104,11 @@ pub fn correct_params(p: &NewtonParams) -> CorrectParams {
 /// for bit; chunks already committed are never re-run. `batch_rounds`
 /// counts fused calls issued (including retried attempts, matching the
 /// host corrector's convention).
+///
+/// Each point comes back with its status and, when it converged, `H`'s
+/// evaluation (values, Jacobian and `∂H/∂t`) at the corrected point and
+/// its `t`: bit for bit what
+/// [`BatchHomotopy::try_eval_batch_at_each`] returns there.
 pub fn correct_resident<R, EG, EF>(
     h: &mut BatchHomotopy<R, EG, EF>,
     points: &mut [Vec<Complex<R>>],
@@ -86,7 +117,7 @@ pub fn correct_resident<R, EG, EF>(
     batch_rounds: &mut usize,
     recovery: &RecoveryPolicy,
     fault: &mut FaultReport,
-) -> Result<Vec<CorrectStatus>, BatchError>
+) -> Result<Vec<Corrected<R>>, BatchError>
 where
     R: Real,
     EG: TryBatchEvaluator<R>,
@@ -100,13 +131,8 @@ where
     let mut base = 0usize;
     while base < points.len() {
         let end = (base + cap).min(points.len());
-        let g = &mut h.g;
         let f = &mut h.f;
-        let mut combine = HomotopyCombine {
-            g,
-            gamma,
-            ts: &ts[base..end],
-        };
+        let mut combine = HomotopyCombine::new(&mut h.g, gamma, &ts[base..end]);
         let chunk = &mut points[base..end];
         let (corrected, statuses) = retry_round(recovery, fault, || {
             *batch_rounds += 1;
@@ -117,7 +143,17 @@ where
         for (dst, src) in chunk.iter_mut().zip(corrected) {
             *dst = src;
         }
-        out.extend(statuses);
+        // A faulted attempt, here or inside a fleet, applied a point
+        // before the attempt that delivered it, so the map's last
+        // evaluation of each point is the delivering attempt's.
+        out.extend(statuses.into_iter().enumerate().map(|(i, status)| {
+            let held = if status.converged {
+                combine.take_last(i)
+            } else {
+                None
+            };
+            (status, held)
+        }));
         base = end;
     }
     Ok(out)

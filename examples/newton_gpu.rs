@@ -91,8 +91,10 @@ fn main() {
     // ------------------------------------------------------------------
     // Act two: the device-resident corrector. Same Newton arithmetic,
     // but the whole iterate → factor → solve → update loop runs fused
-    // on the engine: one upload, one endpoint download, and per
-    // iteration only the O(P) convergence-flag vector crosses the bus.
+    // on the engine: one upload, per iteration only the O(P)
+    // convergence-flag vector, and one final download of the endpoints
+    // plus each converged point's evaluation, which the tracker's next
+    // prediction runs on.
     // ------------------------------------------------------------------
     let params = BenchmarkParams {
         n: 2,

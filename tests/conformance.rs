@@ -18,6 +18,7 @@
 //! A new backend added to the builder gets the whole contract for the
 //! price of one entry in [`backend_cases`].
 
+use polygpu::core::pipeline::FaultConfig;
 use polygpu::core::CorrectCharge;
 use polygpu::prelude::*;
 use polygpu::qd::Dd;
@@ -636,6 +637,121 @@ fn all_backends_correct_bit_identically_in_double() {
 #[test]
 fn all_backends_correct_bit_identically_in_double_double() {
     run_correct_suite::<Dd>();
+}
+
+/// Runs `homotopy::correct_resident` on `f` at mixed `t` from the
+/// start system's roots and checks the hand-back contract: every
+/// converged point comes back with `H`'s evaluation at its returned
+/// point and `t` — values, Jacobian and `∂H/∂t` bit for bit what
+/// `BatchHomotopy::try_eval_batch_at_each` returns there on the CPU
+/// reference — and no other point does. Also checks that `f` counted
+/// one evaluation per residual. Returns how many points converged.
+fn assert_hands_back<R: Real>(name: &str, f: &mut dyn AnyEvaluator<R>) -> usize {
+    let start = StartSystem::uniform(8, 2);
+    let mut points: Vec<Vec<Complex<R>>> = (0..POINTS as u128)
+        .map(|i| start.solution_by_index(i))
+        .collect();
+    let ts: Vec<R> = [0.0, 1e-3, 4e-3, 1e-2].map(R::from_f64).to_vec();
+    f.reset_engine_stats();
+    let mut h = BatchHomotopy::with_random_gamma(start.clone(), &mut *f, 7);
+    let corrected = correct_resident(
+        &mut h,
+        &mut points,
+        &ts,
+        &NewtonParams::default(),
+        &mut 0,
+        &RecoveryPolicy::default(),
+        &mut FaultReport::default(),
+    )
+    .unwrap_or_else(|e| panic!("{name}: the correction must succeed: {e}"));
+    let evaluations: usize = corrected.iter().map(|(s, _)| s.residuals.len()).sum();
+    assert_eq!(
+        h.f.engine_stats().evaluations,
+        evaluations as u64,
+        "{name}: one evaluation per residual"
+    );
+
+    let cpu = build::<R>(&Backend::CpuReference, &test_system::<R>());
+    let mut reference = BatchHomotopy::with_random_gamma(start, cpu, 7);
+    let mut converged = 0;
+    for (i, (status, held)) in corrected.into_iter().enumerate() {
+        if !status.converged {
+            assert!(
+                held.is_none(),
+                "{name} point {i}: only converged points hand back"
+            );
+            continue;
+        }
+        converged += 1;
+        let (got, got_dt) =
+            held.unwrap_or_else(|| panic!("{name} point {i}: a converged point hands back"));
+        let (want, want_dt) = reference
+            .try_eval_batch_at_each(&points[i..=i], &ts[i..=i])
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(got.values, want.values, "{name} point {i}: values");
+        assert_eq!(
+            got.jacobian.as_slice(),
+            want.jacobian.as_slice(),
+            "{name} point {i}: Jacobian"
+        );
+        assert_eq!(got_dt, want_dt, "{name} point {i}: dH/dt");
+    }
+    converged
+}
+
+/// Hand-back contract of the fused corrector on every backend, and on
+/// a point fleet that fails over from a lost device or falls back on
+/// the CPU reference.
+fn run_hand_back_suite<R: Real>() {
+    let sys = test_system::<R>();
+    for (name, backend) in backend_cases() {
+        let converged = assert_hands_back(name, build::<R>(&backend, &sys).as_mut());
+        assert!(converged > 1, "{name}: {converged} points converged");
+    }
+    // The point fleet again. Under the first schedule a device is lost
+    // mid-call and the survivors correct the points it stranded; under
+    // the second every operation faults, no device survives, and the
+    // CPU reference corrects every point.
+    for (name, rate, survivors) in [
+        ("cluster-device-lost", 100_000, true),
+        ("cluster-cpu-fallback", 1_000_000, false),
+    ] {
+        let mut opts = ClusterOptions {
+            recovery: RecoveryPolicy {
+                cpu_fallback: true,
+                ..RecoveryPolicy::default()
+            },
+            ..Default::default()
+        };
+        opts.base.fault = Some(FaultConfig {
+            plan: FaultPlan::new(19, rate),
+            device_index: 0,
+        });
+        let specs = vec![DeviceSpec::tesla_c2050(); DEVICES];
+        let mut fleet = ShardedBatchEvaluator::new(&sys, &specs, PER_DEVICE, opts).unwrap();
+        let converged = assert_hands_back(name, &mut fleet);
+        assert!(converged > 1, "{name}: {converged} points converged");
+        let stats = fleet.cluster_stats();
+        let on_devices: u64 = stats.device_evals.iter().sum();
+        if survivors {
+            assert!(stats.devices_lost > 0, "{name}: {stats:?}");
+            assert_eq!(on_devices, stats.evaluations, "{name}: {stats:?}");
+        } else {
+            assert_eq!(on_devices, 0, "{name}: {stats:?}");
+        }
+    }
+}
+
+#[test]
+fn fused_corrector_hands_back_converged_evaluations_in_double() {
+    run_hand_back_suite::<f64>();
+}
+
+#[test]
+fn fused_corrector_hands_back_converged_evaluations_in_double_double() {
+    run_hand_back_suite::<Dd>();
 }
 
 /// Transfer contract: on the batched device backends the fused

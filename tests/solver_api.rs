@@ -7,7 +7,7 @@
 //!   cluster backends, under both correctors — for arbitrary requests.
 //!   Both run the one path queue, so a front whose size does not depend
 //!   on the backend also reports the same scheduler statistics
-//!   everywhere. Under the host corrector every backend's engine
+//!   everywhere. Under either corrector every backend's engine
 //!   evaluates exactly `paths + corrector iterations + attempts`
 //!   points.
 //! * `SlotPolicy::Auto` sizes the queue front to `D ×` per-device
@@ -89,20 +89,19 @@ proptest! {
                         prop_assert_eq!(report.stats, want_stats,
                             "stats: {:?} / {:?} on {:?}", scheduler, mode, backend);
                     }
-                    // The host corrector's evaluation budget: one
+                    // The evaluation budget under either corrector: one
                     // predictor evaluation per path, `iterations + 1`
-                    // per attempt, counted by every engine.
-                    if mode == CorrectorMode::Host {
-                        let mut passes =
-                            vec![(report.paths.len(), report.stats, report.engine.evaluations)];
-                        passes.extend(report.escalation.as_ref()
-                            .map(|e| (e.retried, e.stats, e.engine.evaluations)));
-                        for (paths, s, evaluations) in passes {
-                            let attempts = s.steps_accepted + s.steps_rejected;
-                            prop_assert_eq!(evaluations,
-                                (paths + s.corrector_iterations + attempts) as u64,
-                                "evaluations: {:?} on {:?}", scheduler, backend);
-                        }
+                    // per attempt, counted by every engine, the fused
+                    // corrector's evaluations included.
+                    let mut passes =
+                        vec![(report.paths.len(), report.stats, report.engine.evaluations)];
+                    passes.extend(report.escalation.as_ref()
+                        .map(|e| (e.retried, e.stats, e.engine.evaluations)));
+                    for (paths, s, evaluations) in passes {
+                        let attempts = s.steps_accepted + s.steps_rejected;
+                        prop_assert_eq!(evaluations,
+                            (paths + s.corrector_iterations + attempts) as u64,
+                            "evaluations: {:?} / {:?} on {:?}", scheduler, mode, backend);
                     }
                 }
             }
