@@ -276,11 +276,11 @@ fn syshard(model_ok: &mut bool) {
     }
     println!(
         "model: each device encodes only its rows' supports (~1/D of the bytes),\n\
-         so the constant-memory wall lifts D-fold; every device evaluates every\n\
-         point and the non-root rows cross to the root through the modeled\n\
-         gather (concurrent per-source egress, serialized root ingress), charged\n\
-         on top of the compute max. Row sharding trades the point-capacity\n\
-         scaling of `repro cluster` for memory scaling.\n"
+         so the constant-memory wall lifts D-fold. Every device uploads every\n\
+         point, evaluates its rows and downloads them to the host, which merges\n\
+         them; no result crosses between devices, so a batch costs its slowest\n\
+         device's round trip. Row sharding trades the point-capacity scaling of\n\
+         `repro cluster` for memory scaling.\n"
     );
 }
 

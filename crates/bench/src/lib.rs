@@ -1456,8 +1456,11 @@ pub struct SyshardRow {
     pub constant_bytes: usize,
     /// Modeled wall seconds of the evaluation batch.
     pub wall_seconds: f64,
-    /// Share of the wall clock spent on the inter-device gather.
-    pub gather_fraction: f64,
+    /// Device-to-host bytes of the batch, summed over the devices.
+    pub d2h_bytes: u64,
+    /// The batch moved only its devices' own round trips (see
+    /// [`SyshardSweep::checks`]).
+    pub traffic_ok: bool,
     /// Modeled evaluations per second.
     pub evals_per_sec: f64,
 }
@@ -1477,15 +1480,19 @@ pub struct SyshardSweep {
     /// clock vs D = 1 (same points, same system — fits one device).
     pub d1_wall_seconds: f64,
     pub d4_wall_seconds: f64,
-    /// Gather share of the D = 4 compute-bound run.
-    pub d4_gather_fraction: f64,
+    /// The slowest device's modeled wall in the D = 4 compute-bound
+    /// run.
+    pub d4_slowest_device_seconds: f64,
+    /// The D = 4 compute-bound batch moved only its devices' own round
+    /// trips.
+    pub d4_traffic_ok: bool,
 }
 
 impl SyshardSweep {
     /// The named model-side acceptance bars of `repro syshard` — the
     /// single source of truth behind both [`SyshardSweep::passes`] and
     /// the PASS/FAIL lines the `repro` binary prints.
-    pub fn checks(&self) -> [(&'static str, bool); 4] {
+    pub fn checks(&self) -> [(&'static str, bool); 5] {
         [
             (
                 "budget check (2,048-monomial k = 16 encoding rejected by one device)",
@@ -1503,12 +1510,17 @@ impl SyshardSweep {
                 "scaling check (row-sharded D = 4 beats D = 1 on the compute-bound shape)",
                 self.d4_wall_seconds < self.d1_wall_seconds,
             ),
+            (
+                "traffic check (every batch costs its slowest device; D2H = P*rows*(n+1) and H2D = D*P*n elements)",
+                self.rows.iter().filter(|r| r.built).all(|r| r.traffic_ok) && self.d4_traffic_ok,
+            ),
         ]
     }
 
     /// All acceptance bars at once: the wall stands at D = 1, falls at
-    /// D ∈ {2, 4} bit-identically, and D = 4 beats D = 1 on the
-    /// compute-bound shape despite the gather.
+    /// D ∈ {2, 4} bit-identically, D = 4 beats D = 1 on the
+    /// compute-bound shape, and every batch moves only its devices' own
+    /// round trips.
     pub fn passes(&self) -> bool {
         self.checks().iter().all(|(_, ok)| *ok)
     }
@@ -1533,6 +1545,28 @@ impl SyshardSweep {
 /// Fully modeled, hence deterministic.
 pub fn syshard_sweep() -> SyshardSweep {
     use polygpu_cluster::{RowClusterOptions, RowShardedEvaluator};
+
+    /// One row-sharded batch of `p` points: its slowest device's wall,
+    /// its D2H bytes, and whether it moved only its devices' own round
+    /// trips — its wall is that slowest device's, its D2H bytes are
+    /// `p · rows · (n + 1)` result elements (each crosses PCIe once),
+    /// its H2D bytes `D · p · n` point elements (every device takes
+    /// every point).
+    fn delivery(cluster: &RowShardedEvaluator<f64>, p: usize) -> (f64, u64, bool) {
+        let elem = <C64 as DeviceValue>::DEVICE_BYTES as u64;
+        let s = cluster.cluster_stats();
+        let devices = cluster.device_stats();
+        let slowest = s.device_wall.iter().copied().fold(0.0, f64::max);
+        let d2h: u64 = devices.iter().map(|d| d.d2h_bytes).sum();
+        let h2d: u64 = devices.iter().map(|d| d.h2d_bytes).sum();
+        let n = cluster.dim() as u64;
+        let rows = cluster.row_plan().iter().map(Vec::len).sum::<usize>() as u64;
+        let (d, p) = (devices.len() as u64, p as u64);
+        let ok = s.wall_seconds == slowest
+            && d2h == p * rows * (n + 1) * elem
+            && h2d == d * p * n * elem;
+        (slowest, d2h, ok)
+    }
 
     // Part 1: the constant-memory wall, lifted D-fold.
     let over = random_system::<f64>(&BenchmarkParams {
@@ -1561,7 +1595,8 @@ pub fn syshard_sweep() -> SyshardSweep {
                     built: false,
                     constant_bytes: 0,
                     wall_seconds: 0.0,
-                    gather_fraction: 0.0,
+                    d2h_bytes: 0,
+                    traffic_ok: false,
                     evals_per_sec: 0.0,
                 });
             }
@@ -1573,12 +1608,14 @@ pub fn syshard_sweep() -> SyshardSweep {
                 }
                 let s = cluster.cluster_stats();
                 let caps = polygpu_core::AnyEvaluator::caps(&cluster);
+                let (_, d2h_bytes, traffic_ok) = delivery(&cluster, p_small);
                 rows.push(SyshardRow {
                     d,
                     built: true,
                     constant_bytes: caps.constant_bytes,
                     wall_seconds: s.wall_seconds,
-                    gather_fraction: s.gather_fraction(),
+                    d2h_bytes,
+                    traffic_ok,
                     evals_per_sec: s.throughput_evals_per_sec(),
                 });
             }
@@ -1596,24 +1633,25 @@ pub fn syshard_sweep() -> SyshardSweep {
     });
     let p = 32usize;
     let big_points = random_points::<f64>(32, p, 13);
-    let wall = |d: usize| -> (f64, f64) {
+    let run = |d: usize| {
         let specs = vec![DeviceSpec::tesla_c2050(); d];
         let mut cluster = RowShardedEvaluator::new(&fits, &specs, p, RowClusterOptions::default())
             .expect("1,536 monomials fit one device");
         let _ = cluster.evaluate_batch(&big_points);
-        let s = cluster.cluster_stats();
-        (s.wall_seconds, s.gather_fraction())
+        cluster
     };
-    let (d1_wall_seconds, _) = wall(1);
-    let (d4_wall_seconds, d4_gather_fraction) = wall(4);
+    let d1_wall_seconds = run(1).cluster_stats().wall_seconds;
+    let d4 = run(4);
+    let (d4_slowest_device_seconds, _, d4_traffic_ok) = delivery(&d4, p);
 
     SyshardSweep {
         rows,
         over_budget_rejected_at_d1,
         identical_to_cpu,
         d1_wall_seconds,
-        d4_wall_seconds,
-        d4_gather_fraction,
+        d4_wall_seconds: d4.cluster_stats().wall_seconds,
+        d4_slowest_device_seconds,
+        d4_traffic_ok,
     }
 }
 
@@ -1623,16 +1661,16 @@ pub fn format_syshard_sweep(sweep: &SyshardSweep) -> String {
     s.push_str(
         "### System sharding — 2,048 monomials x k = 16 (65,536 support bytes, budget 65,280/device)\n\n",
     );
-    s.push_str("| D | build | constant bytes (fleet) | modeled wall | gather share | evals/s |\n");
-    s.push_str("|--:|-------|-----------------------:|-------------:|-------------:|--------:|\n");
+    s.push_str("| D | build | constant bytes (fleet) | modeled wall | D2H bytes | evals/s |\n");
+    s.push_str("|--:|-------|-----------------------:|-------------:|----------:|--------:|\n");
     for r in &sweep.rows {
         if r.built {
             s.push_str(&format!(
-                "| {} | ok | {} | {:.1} us | {:.0}% | {:.0} |\n",
+                "| {} | ok | {} | {:.1} us | {} | {:.0} |\n",
                 r.d,
                 r.constant_bytes,
                 r.wall_seconds * 1e6,
-                r.gather_fraction * 100.0,
+                r.d2h_bytes,
                 r.evals_per_sec
             ));
         } else {
@@ -1644,11 +1682,11 @@ pub fn format_syshard_sweep(sweep: &SyshardSweep) -> String {
     }
     s.push_str(&format!(
         "\ncompute-bound 1,536-monomial shape, P = 32: D = 1 wall {:.1} us, \
-         row-sharded D = 4 wall {:.1} us ({:.2}x, gather share {:.0}%)\n",
+         row-sharded D = 4 wall {:.1} us ({:.2}x, slowest device {:.1} us)\n",
         sweep.d1_wall_seconds * 1e6,
         sweep.d4_wall_seconds * 1e6,
         sweep.d4_speedup(),
-        sweep.d4_gather_fraction * 100.0
+        sweep.d4_slowest_device_seconds * 1e6
     ));
     s
 }
@@ -3277,8 +3315,9 @@ mod tests {
     }
 
     /// The `repro syshard` gates: the over-budget system is rejected at
-    /// D = 1, builds bit-identically to the CPU at D ∈ {2, 4}, and
-    /// row-sharded D = 4 beats D = 1 on the compute-bound shape.
+    /// D = 1, builds bit-identically to the CPU at D ∈ {2, 4}, row-sharded
+    /// D = 4 beats D = 1 on the compute-bound shape, and every batch
+    /// moves only its devices' own round trips.
     #[test]
     fn syshard_sweep_passes_its_gates() {
         let sweep = syshard_sweep();
@@ -3288,14 +3327,21 @@ mod tests {
         // The whole 65,536-byte encoding resides, spread over the fleet.
         assert_eq!(sweep.rows[1].constant_bytes, 65_536);
         assert_eq!(sweep.rows[2].constant_bytes, 65_536);
-        assert!(sweep.rows[1].gather_fraction > 0.0);
         assert!(
             sweep.d4_wall_seconds < sweep.d1_wall_seconds,
             "D = 4 must beat D = 1: {:.3e} vs {:.3e}",
             sweep.d4_wall_seconds,
             sweep.d1_wall_seconds
         );
-        assert!(sweep.d4_gather_fraction > 0.0 && sweep.d4_gather_fraction < 0.5);
+        // Traffic: P = 4 points of 32 rows x (32 + 1) complex doubles
+        // come down once, whatever D; each batch costs its slowest
+        // device.
+        for r in &sweep.rows[1..] {
+            assert_eq!(r.d2h_bytes, 4 * 32 * 33 * 16, "{r:?}");
+            assert!(r.traffic_ok, "{r:?}");
+        }
+        assert!(sweep.d4_traffic_ok, "{sweep:?}");
+        assert_eq!(sweep.d4_slowest_device_seconds, sweep.d4_wall_seconds);
         assert!(sweep.passes());
         let s = format_syshard_sweep(&sweep);
         assert!(s.contains("REJECTED"));

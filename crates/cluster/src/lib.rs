@@ -258,14 +258,17 @@ impl<R: Real> ShardedBatchEvaluator<R> {
     /// system). Ragged systems under the packed encoding run the ragged
     /// kernels per device, exactly as off-cluster. A one-point
     /// probe per device calibrates the modeled seconds-per-point weight
-    /// used by [`ShardPolicy::WorkStealing`].
+    /// used by [`ShardPolicy::WorkStealing`]. An empty `specs` fails
+    /// with [`SetupError::NoDevices`].
     pub fn new(
         system: &System<R>,
         specs: &[DeviceSpec],
         per_device_capacity: usize,
         opts: ClusterOptions,
     ) -> Result<Self, SetupError> {
-        assert!(!specs.is_empty(), "cluster needs at least one device");
+        if specs.is_empty() {
+            return Err(SetupError::NoDevices);
+        }
         let mut devices = Vec::with_capacity(specs.len());
         let mut weights = Vec::with_capacity(specs.len());
         let n = system.dim();
@@ -1028,8 +1031,27 @@ mod tests {
         assert!(!format!("{s}").is_empty());
         let r = RowClusterStats::default();
         assert_eq!(r.throughput_evals_per_sec(), 0.0);
-        assert_eq!(r.gather_fraction(), 0.0);
         assert!(!format!("{r}").is_empty());
+    }
+
+    /// Both fleet constructors reject an empty device list typed.
+    #[test]
+    fn empty_fleets_fail_typed() {
+        let sys = random_system::<f64>(&BenchmarkParams {
+            n: 4,
+            m: 2,
+            k: 2,
+            d: 2,
+            seed: 1,
+        });
+        assert!(matches!(
+            ShardedBatchEvaluator::new(&sys, &[], 4, ClusterOptions::default()),
+            Err(SetupError::NoDevices)
+        ));
+        assert!(matches!(
+            RowShardedEvaluator::new(&sys, &[], 4, RowClusterOptions::default()),
+            Err(SetupError::NoDevices)
+        ));
     }
 
     /// Cluster spans: the Batch span on `Track::Cluster` covers the

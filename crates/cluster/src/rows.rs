@@ -13,11 +13,10 @@
 //!   into its own constant arena (`~1/D` of the bytes) and runs the
 //!   unchanged two-launch pipeline on its rectangular row block;
 //! * every device sees **every point** of a batch (the point upload is
-//!   replicated — the price of the mode), and per-point values and
-//!   Jacobian rows are gathered to the root device through a modeled
-//!   inter-device transfer ([`gather_timeline`]: concurrent per-source
-//!   egress, serialized root ingress; D2D peer hops or D2H + H2D host
-//!   staging per [`TransferPath`]);
+//!   replicated — the price of the mode), and its own round trip
+//!   downloads its rows' values and Jacobian rows to the host, which
+//!   merges them: no result crosses between devices, so a batch costs
+//!   its slowest device's round trip plus any recovery;
 //! * merged results are **bit-for-bit** the single-device (and CPU
 //!   reference) results: each row's arithmetic touches only its own
 //!   supports, so partitioning rows changes nothing numerically.
@@ -36,11 +35,9 @@ use polygpu_core::engine::{
 };
 use polygpu_core::layout::encoding::EncodedSupports;
 use polygpu_core::layout::packed::sparse_packed_bytes;
-use polygpu_core::pipeline::{GpuOptions, PipelineStats, SetupError, EVAL_LAUNCHES};
+use polygpu_core::pipeline::{setup_seconds, GpuOptions, PipelineStats, SetupError};
 use polygpu_core::{BatchError, BatchGpuEvaluator};
-use polygpu_gpusim::obs::emit_gather_timeline;
 use polygpu_gpusim::prelude::*;
-use polygpu_gpusim::stream::{gather_timeline, transfer_legs, Timeline, TransferPath};
 use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind};
 use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator, UniformShape};
 use std::fmt;
@@ -77,8 +74,9 @@ pub fn plan_rows(policy: SystemShardPolicy, rows: usize, d: usize) -> Vec<Vec<us
 pub struct RowClusterOptions {
     /// How equations are split across devices.
     pub policy: SystemShardPolicy,
-    /// How gathered rows travel between devices (host-staged by
-    /// default — the honest model for the paper's PCIe 2.0 fleet).
+    /// Inert: each device downloads its own rows to the host, so no
+    /// result travels between devices and this changes no modeled
+    /// figure. Kept only for source compatibility.
     pub gather: TransferPath,
     /// Per-device stream-overlap chunking (see
     /// [`GpuOptions::overlap_chunks`]); `None` picks adaptively.
@@ -94,25 +92,20 @@ pub struct RowClusterOptions {
 
 /// Aggregate modeled cost of a row-sharded cluster.
 ///
-/// Per batch the devices compute concurrently (max over device walls),
-/// then the non-root shards' results cross to the root — so the batch
-/// wall clock is `max(device walls) + gather makespan`, and the gather
-/// is charged **honestly** as its own term, visible in
-/// [`RowClusterStats::gather_seconds`].
+/// Per batch the devices run concurrently and each round trip
+/// downloads its own rows to the host, so the batch wall clock is the
+/// slowest device's wall plus any recovery (backoff, re-encode).
 #[derive(Debug, Clone, Default)]
 pub struct RowClusterStats {
     /// Points evaluated (a batch of `P` counts `P`).
     pub evaluations: u64,
     /// Cluster-level batches (one per `evaluate_batch` call).
     pub batches: u64,
-    /// Modeled wall clock: per batch `max(device walls) + gather`,
-    /// summed over batches.
+    /// Modeled wall clock: per batch the slowest device's wall plus
+    /// recovery, summed over batches.
     pub wall_seconds: f64,
-    /// The compute share of the wall clock (max over devices per
-    /// batch, summed).
-    pub compute_seconds: f64,
-    /// The inter-device gather share of the wall clock (timeline
-    /// makespan per batch, summed).
+    /// Inert: always 0, because no rows cross between devices. Kept
+    /// only for source compatibility.
     pub gather_seconds: f64,
     /// Cumulative modeled wall seconds per participating device.
     /// Re-aligned (and zeroed) when a failover re-plan changes the
@@ -132,7 +125,6 @@ pub struct RowClusterStats {
 impl Ledger for RowClusterStats {
     fn book(&mut self, seconds: f64, fault: &FaultStats) {
         self.fault.merge(fault);
-        self.compute_seconds += seconds;
         self.wall_seconds += seconds;
     }
 }
@@ -155,25 +147,12 @@ impl RowClusterStats {
         }
     }
 
-    /// Fraction of the wall clock spent gathering rows across devices
-    /// — the overhead row sharding pays for lifting the memory wall.
-    pub fn gather_fraction(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.gather_seconds / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Fold this struct into a [`MetricsRegistry`] under `prefix`.
     pub fn record_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
         reg.counter(&format!("{prefix}.evaluations"), self.evaluations);
         reg.counter(&format!("{prefix}.batches"), self.batches);
         reg.counter(&format!("{prefix}.devices_lost"), self.devices_lost as u64);
         reg.gauge(&format!("{prefix}.wall_seconds"), self.wall_seconds);
-        reg.gauge(&format!("{prefix}.compute_seconds"), self.compute_seconds);
-        reg.gauge(&format!("{prefix}.gather_seconds"), self.gather_seconds);
-        reg.gauge(&format!("{prefix}.gather_fraction"), self.gather_fraction());
         self.fault.record_metrics(reg, &format!("{prefix}.fault"));
     }
 }
@@ -185,13 +164,6 @@ impl fmt::Display for RowClusterStats {
         writeln!(f, "  devices               {:>12}", self.device_rows.len())?;
         writeln!(f, "  devices lost          {:>12}", self.devices_lost)?;
         writeln!(f, "  wall seconds          {:>12.3e}", self.wall_seconds)?;
-        writeln!(f, "  compute seconds       {:>12.3e}", self.compute_seconds)?;
-        writeln!(f, "  gather seconds        {:>12.3e}", self.gather_seconds)?;
-        writeln!(
-            f,
-            "  gather fraction       {:>12.3}",
-            self.gather_fraction()
-        )?;
         write!(
             f,
             "  throughput (evals/s)  {:>12.3e}",
@@ -249,7 +221,6 @@ fn build_shards<R: Real>(
 pub struct RowShardedEvaluator<R: Real> {
     shards: Vec<RowShard<R>>,
     policy: SystemShardPolicy,
-    gather: TransferPath,
     stats: RowClusterStats,
     /// Variables (the dimension points live in).
     n: usize,
@@ -271,14 +242,17 @@ impl<R: Real> RowShardedEvaluator<R> {
     /// `D > rows` sit the computation out). Each device encodes only
     /// its rows' supports — the whole point: a system whose full
     /// encoding overflows one device's constant memory builds here as
-    /// long as every *shard* fits.
+    /// long as every *shard* fits. An empty `specs` fails with
+    /// [`SetupError::NoDevices`].
     pub fn new(
         system: &System<R>,
         specs: &[DeviceSpec],
         capacity: usize,
         opts: RowClusterOptions,
     ) -> Result<Self, SetupError> {
-        assert!(!specs.is_empty(), "cluster needs at least one device");
+        if specs.is_empty() {
+            return Err(SetupError::NoDevices);
+        }
         let base = GpuOptions {
             overlap_chunks: opts.overlap_chunks,
             ..opts.base
@@ -309,7 +283,6 @@ impl<R: Real> RowShardedEvaluator<R> {
         RowShardedEvaluator {
             stats: RowClusterStats::new(shards.iter().map(|s| s.rows.len()).collect()),
             policy: opts.policy,
-            gather: opts.gather,
             n: system.dim(),
             rows: system.rows(),
             exec: Executor::new(opts.recovery, &opts.base.trace, system, fleet),
@@ -340,9 +313,9 @@ impl<R: Real> RowShardedEvaluator<R> {
         self.shards.iter().map(|s| s.engine.stats()).collect()
     }
 
-    /// Aggregate cluster statistics (compute + gather decomposition).
-    /// Fault accounting merges the devices' strike/detection counters
-    /// with the cluster-level retry/failover/re-encode bookkeeping.
+    /// Aggregate cluster statistics. Fault accounting merges the
+    /// devices' strike/detection counters with the cluster-level
+    /// retry/failover/re-encode bookkeeping.
     pub fn cluster_stats(&self) -> RowClusterStats {
         let mut s = self.stats.clone();
         for shard in &self.shards {
@@ -359,31 +332,11 @@ impl<R: Real> RowShardedEvaluator<R> {
         self.stats = RowClusterStats::new(self.shards.iter().map(|s| s.rows.len()).collect());
     }
 
-    /// Modeled seconds of gathering one batch's non-root rows into the
-    /// root device: the [`gather_timeline`] makespan over one transfer
-    /// leg pair per non-root shard (`p · rows_d · (n + 1)` result
-    /// elements each).
-    fn gather_schedule(&self, p: usize) -> Option<Timeline> {
-        if self.shards.len() <= 1 {
-            return None;
-        }
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let root = self.shards[0].engine.device().clone();
-        let legs: Vec<(f64, f64)> = self.shards[1..]
-            .iter()
-            .map(|s| {
-                let bytes = p * s.rows.len() * (self.n + 1) * elem;
-                transfer_legs(s.engine.device(), &root, bytes, self.gather)
-            })
-            .collect();
-        Some(gather_timeline(&legs))
-    }
-
     /// Re-plan every row over the surviving devices (`keep[d]` per
     /// current shard) and rebuild their engines with the grown row
-    /// blocks. Returns the modeled re-encode seconds (supports +
-    /// coefficient re-upload and the validation launches, concurrent
-    /// across survivors), or `None` when any survivor's constant-memory
+    /// blocks. Returns the modeled re-encode seconds (each survivor's
+    /// [`setup_seconds`] for its grown block, concurrent across
+    /// survivors), or `None` when any survivor's constant-memory
     /// budget cannot hold its grown shard.
     fn rebuild_over_survivors(&mut self, keep: &[bool]) -> Option<f64> {
         let survivors: Vec<(usize, DeviceSpec)> = self
@@ -403,7 +356,6 @@ impl<R: Real> RowShardedEvaluator<R> {
         let mut setup = 0.0f64;
         for shard in &shards {
             let block = system.row_block(&shard.rows);
-            let spec = shard.engine.device();
             // Modeled re-encode bytes: a ragged block sizes by its
             // packed footprint, a uniform one by its dense encoding.
             let (supports, coeffs) = match block.uniform_shape() {
@@ -419,11 +371,11 @@ impl<R: Real> RowShardedEvaluator<R> {
                     )
                 }
             };
-            setup = setup.max(
-                transfer_seconds(spec, supports)
-                    + transfer_seconds(spec, coeffs)
-                    + EVAL_LAUNCHES as f64 * spec.launch_overhead,
-            );
+            let outputs = shard.rows.len() * (self.n + 1);
+            let device = shard.engine.device();
+            setup = setup.max(setup_seconds(
+                device, supports, coeffs, self.n, outputs, elem,
+            ));
         }
         // The rebuild replaces every engine (and drops the failed
         // devices'), so fold their strike counters into the
@@ -438,9 +390,11 @@ impl<R: Real> RowShardedEvaluator<R> {
     }
 
     /// Evaluate a batch: every participating device evaluates **all**
-    /// points of its row block in parallel; rows merge back into full
-    /// evaluations in global row order, bit-identical to a
-    /// single-device run of the unsharded system.
+    /// points of its row block in parallel and downloads its rows to
+    /// the host, where they merge back into full evaluations in global
+    /// row order, bit-identical to a single-device run of the unsharded
+    /// system. The batch costs its slowest device's round trip plus any
+    /// recovery.
     ///
     /// Injected faults are recovered per the [`RecoveryPolicy`]: a
     /// faulted shard retries on its own device with exponential
@@ -531,23 +485,13 @@ impl<R: Real> RowShardedEvaluator<R> {
         }
 
         let exec = &self.exec;
-        let gather = match self.gather_schedule(p) {
-            Some(tl) => {
-                emit_gather_timeline(&exec.trace, &tl, exec.now(), 4);
-                tl.elapsed_seconds()
-            }
-            None => 0.0,
-        };
         let meta = [("points", MetaValue::U64(p as u64))];
-        let compute = exec.elapsed;
         exec.trace
-            .emit(SpanKind::Batch, exec.wall0, compute + gather, 3, &meta);
+            .emit(SpanKind::Batch, exec.wall0, exec.elapsed, 3, &meta);
         self.stats.fault.merge(&exec.fault);
         self.stats.evaluations += p as u64;
         self.stats.batches += 1;
-        self.stats.compute_seconds += compute;
-        self.stats.gather_seconds += gather;
-        self.stats.wall_seconds += compute + gather;
+        self.stats.wall_seconds += exec.elapsed;
         Ok(merged)
     }
 }
@@ -601,13 +545,11 @@ impl<R: Real> AnyEvaluator<R> for RowShardedEvaluator<R> {
     // bit-identical to every other backend.
 
     /// Cluster-level aggregate: wall clock from [`RowClusterStats`]
-    /// (compute max + gather per batch); resource seconds and counters
-    /// summed over devices, the gather charged into
-    /// `transfer_seconds`; fault accounting merged exactly as
-    /// [`RowShardedEvaluator::cluster_stats`] reports it.
+    /// (the slowest device per batch, plus recovery); resource seconds,
+    /// bytes and counters summed over devices; fault accounting merged
+    /// exactly as [`RowShardedEvaluator::cluster_stats`] reports it.
     fn engine_stats(&self) -> PipelineStats {
         let mut agg = PipelineStats {
-            transfer_seconds: self.stats.gather_seconds,
             fault: self.stats.fault,
             ..Default::default()
         };
@@ -776,18 +718,18 @@ impl<R: Real> ClusterSession<R> {
     }
 
     /// Modeled one-time setup cost of making `shape` resident on one
-    /// device: supports upload, coefficient upload, and the validation
-    /// probe of [`EVAL_LAUNCHES`] launches with its transfers — the
-    /// same accounting as the single-device session, per shard.
+    /// device ([`setup_seconds`]) — the same accounting as the
+    /// single-device session, per shard.
     fn modeled_shard_setup(&self, device: &DeviceSpec, shape: &UniformShape) -> f64 {
         let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let supports = EncodedSupports::bytes_needed(shape, self.opts.base.encoding);
-        let coeffs = shape.total_monomials() * (shape.k + 1) * elem;
-        transfer_seconds(device, supports)
-            + transfer_seconds(device, coeffs)
-            + EVAL_LAUNCHES as f64 * device.launch_overhead
-            + transfer_seconds(device, shape.n * elem)
-            + transfer_seconds(device, shape.outputs() * elem)
+        setup_seconds(
+            device,
+            EncodedSupports::bytes_needed(shape, self.opts.base.encoding),
+            shape.total_monomials() * (shape.k + 1) * elem,
+            shape.n,
+            shape.outputs(),
+            elem,
+        )
     }
 
     /// Modeled cost of switching the active system: every device
@@ -1083,6 +1025,7 @@ mod tests {
     use super::*;
     use crate::tests::hetero_specs;
     use polygpu_core::pipeline::FaultConfig;
+    use polygpu_obs::TraceSink;
     use polygpu_polysys::{random_points, random_system, AdEvaluator, BenchmarkParams};
 
     fn params(n: usize, m: usize, k: usize, d: u16, seed: u64) -> BenchmarkParams {
@@ -1201,16 +1144,18 @@ mod tests {
                     "D={d}, point {i}"
                 );
             }
+            // Each device downloads its own rows to the host: the batch
+            // costs its slowest device, and nothing after it.
             let s = cluster.cluster_stats();
-            assert!(s.gather_seconds > 0.0, "gather must be charged at D={d}");
-            assert!(s.wall_seconds > s.gather_seconds);
+            let slowest = s.device_wall.iter().copied().fold(0.0, f64::max);
+            assert!(slowest > 0.0, "D={d}");
+            assert_eq!(s.wall_seconds, slowest, "D={d}");
         }
     }
 
     /// The perf half of the headline: on a compute-bound shape that
     /// *does* fit one device, sharding the rows over D = 4 beats D = 1
-    /// despite the gather cost (each device's kernels cover a quarter
-    /// of the equations).
+    /// (each device's kernels cover a quarter of the equations).
     #[test]
     fn four_way_row_sharding_beats_one_device_on_compute_bound_shapes() {
         let prm = params(32, 48, 16, 10, 9); // 1,536 monomials: fits one device
@@ -1228,20 +1173,14 @@ mod tests {
             )
             .unwrap();
             endpoints.push(cluster.evaluate_batch(&points));
-            let s = cluster.cluster_stats();
-            if d == 1 {
-                assert_eq!(s.gather_seconds, 0.0, "nothing to gather at D = 1");
-            } else {
-                assert!(s.gather_fraction() > 0.0 && s.gather_fraction() < 0.5);
-            }
-            walls.push(s.wall_seconds);
+            walls.push(cluster.cluster_stats().wall_seconds);
         }
         for (a, b) in endpoints[0].iter().zip(&endpoints[1]) {
             assert_eq!(a.values, b.values);
         }
         assert!(
             walls[1] < walls[0],
-            "D = 4 must beat D = 1 despite the gather: {:.3e} vs {:.3e} s",
+            "D = 4 must beat D = 1: {:.3e} vs {:.3e} s",
             walls[1],
             walls[0]
         );
@@ -1249,7 +1188,7 @@ mod tests {
 
     #[test]
     fn row_cluster_trace_reconciles_and_is_deterministic() {
-        use polygpu_obs::{chrome_trace_json, CollectingTracer, SpanKind, TraceSink, Track};
+        use polygpu_obs::{chrome_trace_json, CollectingTracer, SpanKind, Track};
         use std::sync::Arc;
         let prm = params(8, 4, 3, 2, 7);
         let sys = random_system::<f64>(&prm);
@@ -1269,15 +1208,16 @@ mod tests {
             .collect();
         assert_eq!(batch.len(), 1);
         assert!((batch[0].dur - stats.wall_seconds).abs() < 1e-12);
-        let gather_spans: f64 = spans
+        let shard_end = spans
             .iter()
-            .filter(|s| s.track == Track::Cluster && s.kind == SpanKind::Gather)
+            .filter(|s| s.track == Track::Cluster && s.kind == SpanKind::Shard)
             .map(|s| s.start + s.dur)
             .fold(0.0, f64::max);
-        // The last gather op ends exactly at the batch's wall clock.
+        // The slowest device's Shard span ends exactly at the batch's
+        // wall clock: nothing follows the devices' own round trips.
         assert!(
-            (gather_spans - (batch[0].start + batch[0].dur)).abs() < 1e-12,
-            "gather tail {gather_spans} vs batch end {}",
+            (shard_end - (batch[0].start + batch[0].dur)).abs() < 1e-12,
+            "last shard ends {shard_end} vs batch end {}",
             batch[0].start + batch[0].dur
         );
         let shards = spans
@@ -1290,95 +1230,45 @@ mod tests {
     }
 
     #[test]
-    fn gather_path_and_stats_accounting() {
+    fn row_cluster_stats_accounting() {
         let prm = params(8, 4, 3, 2, 7);
         let sys = random_system::<f64>(&prm);
         let points = random_points::<f64>(8, 5, 3);
-        let mut staged = RowShardedEvaluator::new(
-            &sys,
-            &hetero_specs(3),
-            8,
-            RowClusterOptions {
-                gather: TransferPath::HostStaged,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut peer = RowShardedEvaluator::new(
-            &sys,
-            &hetero_specs(3),
-            8,
-            RowClusterOptions {
-                gather: TransferPath::PeerToPeer,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let a = staged.evaluate_batch(&points);
-        let b = peer.evaluate_batch(&points);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.values, y.values, "gather path is timing-model only");
-        }
-        let (ss, ps) = (staged.cluster_stats(), peer.cluster_stats());
-        assert!(ss.gather_seconds > 0.0 && ps.gather_seconds > 0.0);
-        assert!(
-            ps.gather_seconds < ss.gather_seconds,
-            "peer hops must be cheaper than host staging: {:.3e} vs {:.3e}",
-            ps.gather_seconds,
-            ss.gather_seconds
-        );
-        assert_eq!(ss.batches, 1);
-        assert_eq!(ss.evaluations, 5);
-        // Wall decomposes into compute + gather exactly.
-        assert!((ss.wall_seconds - ss.compute_seconds - ss.gather_seconds).abs() < 1e-15);
+        let mut cluster =
+            RowShardedEvaluator::new(&sys, &hetero_specs(3), 8, RowClusterOptions::default())
+                .unwrap();
+        let _ = cluster.evaluate_batch(&points);
+        let s = cluster.cluster_stats();
+        assert_eq!(s.batches, 1);
+        assert_eq!(s.evaluations, 5);
+        assert_eq!(s.gather_seconds, 0.0, "no rows cross between devices");
+        // The engine view takes its wall from the cluster and its bytes
+        // from the devices: every result element crosses PCIe once.
+        let e = AnyEvaluator::engine_stats(&cluster);
+        assert_eq!(e.wall_seconds, s.wall_seconds);
+        let d2h: u64 = cluster.device_stats().iter().map(|d| d.d2h_bytes).sum();
+        assert_eq!(e.d2h_bytes, d2h);
+        assert_eq!(d2h, 5 * 8 * (8 + 1) * 16);
         // Typed contract errors, costing nothing.
         assert!(matches!(
-            staged.try_evaluate_batch(&[]),
+            cluster.try_evaluate_batch(&[]),
             Err(BatchError::Empty)
         ));
         let too_many = random_points::<f64>(8, 9, 3);
         assert!(matches!(
-            staged.try_evaluate_batch(&too_many),
+            cluster.try_evaluate_batch(&too_many),
             Err(BatchError::CapacityExceeded {
                 points: 9,
                 capacity: 8
             })
         ));
-        assert_eq!(staged.cluster_stats().batches, 1, "rejected calls are free");
-        staged.reset_stats();
-        assert_eq!(staged.cluster_stats().evaluations, 0);
-    }
-
-    /// The gather path is selectable through the public builder
-    /// (`EngineBuilder::gather_path`), not only by constructing the
-    /// evaluator directly — and peer hops model cheaper than staging.
-    #[test]
-    fn gather_path_reaches_through_the_builder() {
-        let prm = params(8, 4, 3, 2, 7);
-        let sys = random_system::<f64>(&prm);
-        let points = random_points::<f64>(8, 5, 3);
-        let build = |gather: TransferPath| {
-            crate::engine_builder()
-                .backend(polygpu_core::Backend::Cluster {
-                    devices: vec![DeviceSpec::tesla_c2050(); 3],
-                    shard: SystemShardPolicy::Contiguous.into(),
-                })
-                .per_device_capacity(8)
-                .gather_path(gather)
-                .build(&sys)
-                .unwrap()
-        };
-        let mut staged = build(TransferPath::HostStaged);
-        let mut peer = build(TransferPath::PeerToPeer);
-        let a = staged.try_evaluate_batch(&points).unwrap();
-        let b = peer.try_evaluate_batch(&points).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.values, y.values, "gather path is timing-model only");
-        }
-        assert!(
-            peer.engine_stats().wall_seconds < staged.engine_stats().wall_seconds,
-            "peer gather must model cheaper through the builder too"
+        assert_eq!(
+            cluster.cluster_stats().batches,
+            1,
+            "rejected calls are free"
         );
+        cluster.reset_stats();
+        assert_eq!(cluster.cluster_stats().evaluations, 0);
     }
 
     #[test]
@@ -1518,24 +1408,11 @@ mod tests {
         assert_eq!(eval.values.len(), 4);
     }
 
-    /// Chaos, Rows mode: when one device dies, its rows re-encode onto
-    /// the survivor (the budget allows it here) and the merged result
-    /// is bit-identical to the CPU reference. Seeds are scanned for a
-    /// schedule that kills device 1 early while leaving device 0 clean
-    /// long enough to absorb the rows.
-    #[test]
-    fn lost_rows_reencode_on_survivors_bit_identical() {
-        let prm = params(8, 3, 2, 2, 5);
-        let sys = random_system::<f64>(&prm);
-        let points = random_points::<f64>(8, 4, 11);
-        let mut cpu = AdEvaluator::new(sys.clone()).unwrap();
-        let want = cpu.evaluate_batch(&points);
-        let strict = RecoveryPolicy {
-            max_retries: 0,
-            backoff_base: 0.0,
-            backoff_factor: 1.0,
-            cpu_fallback: false,
-        };
+    /// A two-device fleet over `sys` with no retries and no CPU
+    /// fallback. Seeds are scanned for a fault schedule that kills
+    /// device 1 early while leaving device 0 clean long enough to
+    /// absorb its rows.
+    fn fleet_losing_device_1(sys: &System<f64>, trace: TraceSink) -> RowShardedEvaluator<f64> {
         let seed = (0..2_000u64)
             .find(|&seed| {
                 let plan = FaultPlan::new(seed, 40_000);
@@ -1544,23 +1421,38 @@ mod tests {
                 d1_strikes && d0_clean
             })
             .expect("some seed kills device 1 first");
-        let mut cluster = RowShardedEvaluator::new(
-            &sys,
-            &hetero_specs(2),
-            8,
-            RowClusterOptions {
-                base: GpuOptions {
-                    fault: Some(FaultConfig {
-                        plan: FaultPlan::new(seed, 40_000),
-                        device_index: 0,
-                    }),
-                    ..GpuOptions::default()
-                },
-                recovery: strict,
-                ..Default::default()
+        let strict = RecoveryPolicy {
+            max_retries: 0,
+            backoff_base: 0.0,
+            backoff_factor: 1.0,
+            cpu_fallback: false,
+        };
+        let opts = RowClusterOptions {
+            base: GpuOptions {
+                fault: Some(FaultConfig {
+                    plan: FaultPlan::new(seed, 40_000),
+                    device_index: 0,
+                }),
+                trace,
+                ..GpuOptions::default()
             },
-        )
-        .unwrap();
+            recovery: strict,
+            ..Default::default()
+        };
+        RowShardedEvaluator::new(sys, &hetero_specs(2), 8, opts).unwrap()
+    }
+
+    /// Chaos, Rows mode: when one device dies, its rows re-encode onto
+    /// the survivor (the budget allows it here) and the merged result
+    /// is bit-identical to the CPU reference.
+    #[test]
+    fn lost_rows_reencode_on_survivors_bit_identical() {
+        let prm = params(8, 3, 2, 2, 5);
+        let sys = random_system::<f64>(&prm);
+        let points = random_points::<f64>(8, 4, 11);
+        let mut cpu = AdEvaluator::new(sys.clone()).unwrap();
+        let want = cpu.evaluate_batch(&points);
+        let mut cluster = fleet_losing_device_1(&sys, TraceSink::noop());
         assert_eq!(cluster.device_count(), 2);
         let got = cluster
             .try_evaluate_batch(&points)
@@ -1578,6 +1470,40 @@ mod tests {
             s.fault.recovery_seconds > 0.0,
             "detection + re-encode must be charged"
         );
+    }
+
+    /// A failover re-encode costs what setting the grown shard up
+    /// costs ([`setup_seconds`]): its supports and coefficients up,
+    /// then the validation probe's launches, point upload and result
+    /// download.
+    #[test]
+    fn failover_reencode_charges_the_validation_probe() {
+        use polygpu_obs::{CollectingTracer, Track};
+        use std::sync::Arc;
+        let sys = random_system::<f64>(&params(8, 3, 2, 2, 5));
+        let points = random_points::<f64>(8, 4, 11);
+        let tracer = Arc::new(CollectingTracer::new());
+        let mut cluster = fleet_losing_device_1(&sys, TraceSink::new(tracer.clone()));
+        cluster.try_evaluate_batch(&points).unwrap();
+        assert_eq!(cluster.device_count(), 1, "device 1 must be dropped");
+        let reencodes: Vec<f64> = tracer
+            .spans()
+            .iter()
+            .filter(|s| s.track == Track::Cluster && s.kind == SpanKind::Reencode)
+            .map(|s| s.dur)
+            .collect();
+        // The survivor, device 0, re-encodes all eight rows.
+        let shape = sys.uniform_shape().unwrap();
+        let elem = 16;
+        let want = setup_seconds(
+            &hetero_specs(2)[0],
+            EncodedSupports::bytes_needed(&shape, GpuOptions::default().encoding),
+            shape.total_monomials() * (shape.k + 1) * elem,
+            shape.n,
+            shape.outputs(),
+            elem,
+        );
+        assert_eq!(reencodes, vec![want]);
     }
 
     /// Chaos, Rows mode, total loss: at a 100% fault rate both devices

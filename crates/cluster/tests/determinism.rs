@@ -9,7 +9,7 @@
 
 use polygpu_cluster::{
     ClusterOptions, RowClusterOptions, RowShardedEvaluator, ShardPolicy, ShardedBatchEvaluator,
-    SystemShardPolicy, TransferPath,
+    SystemShardPolicy,
 };
 use polygpu_gpusim::prelude::DeviceSpec;
 use polygpu_polysys::{
@@ -119,7 +119,7 @@ proptest! {
 
     /// Row-shard determinism: endpoints and Jacobians are bit-identical
     /// to the CPU reference across shard policies, heterogeneous
-    /// fleets, gather paths and D ∈ {1, 2, 4} — splitting the *system*
+    /// fleets and D ∈ {1, 2, 4} — splitting the *system*
     /// is as invisible numerically as splitting the points.
     #[test]
     fn row_sharding_bitwise_equals_cpu_reference_in_double(
@@ -127,10 +127,6 @@ proptest! {
         row_policy in prop_oneof![
             Just(SystemShardPolicy::Contiguous),
             Just(SystemShardPolicy::RoundRobin),
-        ],
-        gather in prop_oneof![
-            Just(TransferPath::HostStaged),
-            Just(TransferPath::PeerToPeer),
         ],
         hetero in prop_oneof![Just(true), Just(false)],
         p in 1usize..8,
@@ -156,17 +152,17 @@ proptest! {
                 &sys,
                 &specs,
                 8,
-                RowClusterOptions { policy: row_policy, gather, ..Default::default() },
+                RowClusterOptions { policy: row_policy, ..Default::default() },
             )
             .unwrap();
             let got = cluster.evaluate_batch(&points);
             for i in 0..p {
                 prop_assert_eq!(&got[i].values, &want[i].values,
-                    "values, point {} of {:?}, D = {} ({:?}, {:?})",
-                    i, params, d, row_policy, gather);
+                    "values, point {} of {:?}, D = {} ({:?})",
+                    i, params, d, row_policy);
                 prop_assert_eq!(got[i].jacobian.as_slice(), want[i].jacobian.as_slice(),
-                    "jacobian, point {} of {:?}, D = {} ({:?}, {:?})",
-                    i, params, d, row_policy, gather);
+                    "jacobian, point {} of {:?}, D = {} ({:?})",
+                    i, params, d, row_policy);
             }
         }
     }

@@ -53,11 +53,10 @@ use crate::correct::{host_correct, CombineMap, CorrectParams, CorrectStatus};
 use crate::layout::encoding::{EncodedSupports, EncodingKind};
 use crate::layout::packed::sparse_packed_bytes;
 use crate::pipeline::{
-    FaultConfig, GpuEvaluator, GpuOptions, PipelineStats, SetupError, EVAL_LAUNCHES,
+    setup_seconds, FaultConfig, GpuEvaluator, GpuOptions, PipelineStats, SetupError,
 };
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
-use polygpu_gpusim::stream::TransferPath;
 use polygpu_obs::{TraceSink, Tracer, Track};
 use polygpu_polysys::{
     loop_evaluate_batch, AdEvaluator, BatchSystemEvaluator, SparseAdEvaluator, SparseShape, System,
@@ -569,10 +568,10 @@ pub enum ShardMode {
     Points { policy: ClusterPolicy },
     /// Shard the **system's equations** (rows of the Jacobian): each
     /// device encodes only its rows' supports into its own constant
-    /// memory, every device sees every point, and per-point results
-    /// are gathered with a modeled inter-device transfer. Lifts the
-    /// constant-memory wall ~`D`-fold; capacity does **not** scale
-    /// with `D`.
+    /// memory, every device sees every point, and each device's round
+    /// trip downloads its own rows to the host, which merges them. A
+    /// batch costs its slowest device. Lifts the constant-memory wall
+    /// ~`D`-fold; capacity does **not** scale with `D`.
     Rows { policy: SystemShardPolicy },
 }
 
@@ -732,8 +731,9 @@ pub struct ClusterSpec {
     pub devices: Vec<DeviceSpec>,
     pub shard: ShardMode,
     pub per_device_capacity: usize,
-    /// How row-sharded gathers cross between devices (ignored by
-    /// point sharding, which never moves results between devices).
+    /// Inert: no fleet moves results between devices (a row fleet's
+    /// devices each download their own rows to the host), so this
+    /// changes no modeled figure. Kept only for source compatibility.
     pub gather: TransferPath,
     /// Per-device options (`device` — and the fault config's fleet
     /// index — are replaced per spec entry by the provider).
@@ -797,7 +797,6 @@ impl Engine {
             from_scratch_cf: false,
             overlap_chunks: None,
             per_device_capacity: 64,
-            gather: TransferPath::default(),
             launch: LaunchOptions::default(),
             fault: None,
             recovery: RecoveryPolicy::default(),
@@ -822,7 +821,6 @@ pub struct EngineBuilder<P: ClusterProvider = NoCluster> {
     from_scratch_cf: bool,
     overlap_chunks: Option<usize>,
     per_device_capacity: usize,
-    gather: TransferPath,
     launch: LaunchOptions,
     fault: Option<FaultPlan>,
     recovery: RecoveryPolicy,
@@ -902,15 +900,6 @@ impl<P: ClusterProvider> EngineBuilder<P> {
     /// [`Backend::GpuBatch`]).
     pub fn per_device_capacity(mut self, capacity: usize) -> Self {
         self.per_device_capacity = capacity;
-        self
-    }
-
-    /// How row-sharded gathers move results between devices (default
-    /// host-staged D2H + H2D; peer-to-peer single hops when the
-    /// modeled fleet supports them). Ignored by every backend except
-    /// [`ShardMode::Rows`] clusters.
-    pub fn gather_path(mut self, gather: TransferPath) -> Self {
-        self.gather = gather;
         self
     }
 
@@ -1054,7 +1043,7 @@ impl<P: ClusterProvider> EngineBuilder<P> {
                 devices: devices.clone(),
                 shard: *shard,
                 per_device_capacity: self.per_device_capacity,
-                gather: self.gather,
+                gather: TransferPath::default(),
                 base: self.gpu_options(self.device.clone()),
                 recovery: self.recovery,
             }),
@@ -1122,7 +1111,7 @@ impl<P: ClusterProvider> EngineBuilder<P> {
                     devices: devices.clone(),
                     shard: *shard,
                     per_device_capacity: self.per_device_capacity,
-                    gather: self.gather,
+                    gather: TransferPath::default(),
                     base: self.gpu_options(self.device.clone()),
                     recovery: self.recovery,
                 };
@@ -1283,20 +1272,19 @@ impl<R: Real> Session<R> {
         }
     }
 
-    /// Modeled one-time setup cost of making `shape` resident: supports
-    /// upload, coefficient upload, and the validation probe — one
-    /// evaluation round of [`EVAL_LAUNCHES`] launches — with its
-    /// point/result transfers.
+    /// Modeled one-time setup cost of making `shape` resident
+    /// ([`setup_seconds`]): supports and coefficient uploads, then the
+    /// validation probe's launches and point/result transfers.
     fn modeled_setup_seconds(&self, shape: &UniformShape) -> f64 {
-        let device = &self.opts.device;
         let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let supports = EncodedSupports::bytes_needed(shape, self.opts.encoding);
-        let coeffs = shape.total_monomials() * (shape.k + 1) * elem;
-        transfer_seconds(device, supports)
-            + transfer_seconds(device, coeffs)
-            + EVAL_LAUNCHES as f64 * device.launch_overhead
-            + transfer_seconds(device, shape.n * elem)
-            + transfer_seconds(device, shape.outputs() * elem)
+        setup_seconds(
+            &self.opts.device,
+            EncodedSupports::bytes_needed(shape, self.opts.encoding),
+            shape.total_monomials() * (shape.k + 1) * elem,
+            shape.n,
+            shape.outputs(),
+            elem,
+        )
     }
 
     /// Modeled cost of switching the active system: one command-queue

@@ -83,12 +83,34 @@ impl Default for GpuOptions {
 }
 
 /// Kernel launches one evaluation round pays: the monomial kernel and
-/// the sum kernel. The closed-form setup models price the validation
-/// probe with it; engines charge the launches they actually ran.
+/// the sum kernel. [`setup_seconds`] prices the validation probe with
+/// it; engines charge the launches they actually ran.
 pub const EVAL_LAUNCHES: usize = 2;
 
+/// Modeled seconds of making an engine ready on `device`: the upload of
+/// `support_bytes` of supports and `coeff_bytes` of coefficients, then
+/// the validation probe's [`EVAL_LAUNCHES`] launches with its one
+/// `n`-element point up and its `outputs` result elements down, each
+/// element `elem` bytes. Residency sessions price a load with it and a
+/// row fleet prices its failover re-encode with it.
+pub fn setup_seconds(
+    device: &DeviceSpec,
+    support_bytes: usize,
+    coeff_bytes: usize,
+    n: usize,
+    outputs: usize,
+    elem: usize,
+) -> f64 {
+    transfer_seconds(device, support_bytes)
+        + transfer_seconds(device, coeff_bytes)
+        + EVAL_LAUNCHES as f64 * device.launch_overhead
+        + transfer_seconds(device, n * elem)
+        + transfer_seconds(device, outputs * elem)
+}
+
 /// Setup failure: the system does not fit the device or the encoding,
-/// or a batched engine was asked for no capacity.
+/// a batched engine was asked for no capacity, or a fleet for no
+/// devices.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SetupError {
@@ -96,6 +118,8 @@ pub enum SetupError {
     Launch(LaunchError),
     /// A batched engine needs room for at least one point.
     ZeroCapacity,
+    /// A fleet needs at least one device.
+    NoDevices,
 }
 
 impl fmt::Display for SetupError {
@@ -104,6 +128,7 @@ impl fmt::Display for SetupError {
             SetupError::Encode(e) => write!(f, "encoding: {e}"),
             SetupError::Launch(e) => write!(f, "launch validation: {e}"),
             SetupError::ZeroCapacity => write!(f, "batch capacity must be at least 1"),
+            SetupError::NoDevices => write!(f, "a fleet needs at least one device"),
         }
     }
 }

@@ -85,13 +85,10 @@ pub mod prelude {
         LinalgCost, Staging,
     };
     pub use crate::mem::{BufferId, ConstId, ConstantMemory, ConstantOverflow, GlobalMem};
-    pub use crate::obs::{emit_gather_timeline, emit_timeline};
+    pub use crate::obs::emit_timeline;
     pub use crate::occupancy::{occupancy, Limiter, Occupancy};
     pub use crate::stats::Counters;
-    pub use crate::stream::{
-        gather_timeline, pipeline_timeline, transfer_legs, Engine, Event, Stream, Timeline,
-        TransferPath,
-    };
+    pub use crate::stream::{pipeline_timeline, Engine, Event, Stream, Timeline, TransferPath};
     pub use crate::timing::{transfer_seconds, Bound, LaunchTiming};
     pub use crate::value::DeviceValue;
 }

@@ -3,11 +3,9 @@
 //!
 //! The timeline already *is* a trace — every scheduled op carries its
 //! modeled start/finish on one engine — so exporting it is a pure
-//! mapping: fixed engines become the device's H2D/compute/D2H lanes,
-//! custom engine slots (per-source egress legs of a cross-device
-//! gather) become gather spans. No host clocks are consulted anywhere,
-//! which is what keeps exported traces byte-identical across runs of
-//! the same seed.
+//! mapping: the engines become the device's H2D/compute/D2H lanes. No
+//! host clocks are consulted anywhere, which is what keeps exported
+//! traces byte-identical across runs of the same seed.
 
 use crate::stream::{Engine, Timeline};
 use polygpu_obs::{Lane, MetaValue, SpanKind, TraceSink};
@@ -15,17 +13,16 @@ use polygpu_obs::{Lane, MetaValue, SpanKind, TraceSink};
 /// Emit one span per scheduled op of a device pipeline timeline,
 /// offset by `base` seconds on the sink's local clock. Ops map as
 /// CopyIn → upload (H2D lane), Compute → launch (compute lane),
-/// CopyOut → download (D2H lane); custom slots map to gather spans.
+/// CopyOut → download (D2H lane).
 pub fn emit_timeline(sink: &TraceSink, tl: &Timeline, base: f64, depth: u8) {
     if !sink.enabled() {
         return;
     }
     for (i, op) in tl.ops().iter().enumerate() {
         let (lane, kind) = match op.engine {
-            Some(Engine::CopyIn) => (Lane::H2D, SpanKind::Upload),
-            Some(Engine::Compute) => (Lane::Compute, SpanKind::Launch),
-            Some(Engine::CopyOut) => (Lane::D2H, SpanKind::Download),
-            None => (Lane::D2H, SpanKind::Gather),
+            Engine::CopyIn => (Lane::H2D, SpanKind::Upload),
+            Engine::Compute => (Lane::Compute, SpanKind::Launch),
+            Engine::CopyOut => (Lane::D2H, SpanKind::Download),
         };
         sink.lane(lane).emit(
             kind,
@@ -37,34 +34,10 @@ pub fn emit_timeline(sink: &TraceSink, tl: &Timeline, base: f64, depth: u8) {
     }
 }
 
-/// Emit a cross-device gather timeline (see
-/// [`gather_timeline`](crate::stream::gather_timeline)): every op —
-/// per-source egress on custom slots *and* the serialized root ingress
-/// on the CopyIn engine — becomes a gather span, egress on the D2H
-/// lane, ingress on the H2D lane.
-pub fn emit_gather_timeline(sink: &TraceSink, tl: &Timeline, base: f64, depth: u8) {
-    if !sink.enabled() {
-        return;
-    }
-    for (i, op) in tl.ops().iter().enumerate() {
-        let lane = match op.engine {
-            Some(Engine::CopyIn) => Lane::H2D,
-            _ => Lane::D2H,
-        };
-        sink.lane(lane).emit(
-            SpanKind::Gather,
-            base + op.start,
-            op.finish - op.start,
-            depth,
-            &[("op", MetaValue::U64(i as u64))],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{gather_timeline, pipeline_timeline};
+    use crate::stream::pipeline_timeline;
     use polygpu_obs::{CollectingTracer, Track};
     use std::sync::Arc;
 
@@ -89,20 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn gather_ops_are_all_gather_spans() {
-        let tl = gather_timeline(&[(2.0, 1.0), (2.0, 1.0)]);
-        let tracer = Arc::new(CollectingTracer::new());
-        let sink = TraceSink::new(tracer.clone()).on(Track::Device(0));
-        emit_gather_timeline(&sink, &tl, 0.0, 4);
-        let spans = tracer.spans();
-        assert_eq!(spans.len(), 4);
-        assert!(spans.iter().all(|s| s.kind == SpanKind::Gather));
-    }
-
-    #[test]
     fn disabled_sink_emits_nothing() {
         let tl = pipeline_timeline(&[1.0], &[1.0], &[1.0], 1);
         emit_timeline(&TraceSink::noop(), &tl, 0.0, 0);
-        emit_gather_timeline(&TraceSink::noop(), &tl, 0.0, 0);
     }
 }

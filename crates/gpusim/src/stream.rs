@@ -23,14 +23,9 @@
 //! against the serialized sum is the **overlap saving** the batched
 //! pipeline reports.
 //!
-//! For **multi-device** schedules (the row-sharded cluster's gather
-//! step), [`Timeline::custom_engine`] opens additional engines beyond
-//! the three fixed ones — e.g. one copy-out engine per *source* device,
-//! all funneling into the root device's copy-in engine — and
-//! [`gather_timeline`] builds the canonical cross-device result gather:
-//! concurrent per-source egress, serialized root ingress.
-
-use crate::device::DeviceSpec;
+//! A timeline covers one device. Fleets never schedule traffic between
+//! devices: every device's round trip downloads its own results to the
+//! host, so a fleet batch costs its slowest device's timeline.
 
 /// The three engines of one modeled device. The C2050's dual copy
 /// engines mean host-to-device and device-to-host transfers use
@@ -55,29 +50,20 @@ pub struct Stream(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event(usize);
 
-/// An engine slot of a [`Timeline`]: one of the three fixed engines of
-/// the primary device, or a [`Timeline::custom_engine`] slot standing
-/// for another device's engine in a cross-device schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineSlot(usize);
-
 /// One scheduled operation (for inspection and tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledOp {
-    /// `Some` for the three fixed engines, `None` for custom slots.
-    pub engine: Option<Engine>,
+    pub engine: Engine,
     pub stream: Stream,
     pub start: f64,
     pub finish: f64,
 }
 
-/// The modeled stream/event timeline of one device (plus any custom
-/// engine slots opened for cross-device schedules).
-#[derive(Debug, Clone)]
+/// The modeled stream/event timeline of one device.
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Next-free time of each engine; slots 0..3 are [CopyIn, Compute,
-    /// CopyOut], further slots come from [`Timeline::custom_engine`].
-    engine_free: Vec<f64>,
+    /// Next-free time of each engine, indexed by `Engine as usize`.
+    engine_free: [f64; 3],
     /// Per-stream cursor: finish time of the stream's last op.
     streams: Vec<f64>,
     /// Recorded event timestamps.
@@ -85,26 +71,6 @@ pub struct Timeline {
     ops: Vec<ScheduledOp>,
     /// Sum of all op durations — what the serial model would charge.
     busy: f64,
-}
-
-impl Default for Timeline {
-    fn default() -> Self {
-        Timeline {
-            engine_free: vec![0.0; 3],
-            streams: Vec::new(),
-            events: Vec::new(),
-            ops: Vec::new(),
-            busy: 0.0,
-        }
-    }
-}
-
-fn engine_index(e: Engine) -> usize {
-    match e {
-        Engine::CopyIn => 0,
-        Engine::Compute => 1,
-        Engine::CopyOut => 2,
-    }
 }
 
 impl Timeline {
@@ -118,19 +84,6 @@ impl Timeline {
         Stream(self.streams.len() - 1)
     }
 
-    /// The slot of one of the three fixed engines.
-    pub fn slot(e: Engine) -> EngineSlot {
-        EngineSlot(engine_index(e))
-    }
-
-    /// Open an additional engine slot — another device's copy or
-    /// compute engine in a cross-device schedule. Ops on distinct
-    /// slots overlap freely; ops on the same slot serialize.
-    pub fn custom_engine(&mut self) -> EngineSlot {
-        self.engine_free.push(0.0);
-        EngineSlot(self.engine_free.len() - 1)
-    }
-
     /// Schedule an op of `seconds` on `engine` in `stream`, after the
     /// given `waits` events. Returns an [`Event`] that fires at the
     /// op's completion.
@@ -141,19 +94,8 @@ impl Timeline {
         seconds: f64,
         waits: &[Event],
     ) -> Event {
-        self.enqueue_slot(stream, Timeline::slot(engine), seconds, waits)
-    }
-
-    /// [`Timeline::enqueue`] on any engine slot, including custom ones.
-    pub fn enqueue_slot(
-        &mut self,
-        stream: Stream,
-        slot: EngineSlot,
-        seconds: f64,
-        waits: &[Event],
-    ) -> Event {
         assert!(seconds >= 0.0, "op duration must be non-negative");
-        let e = slot.0;
+        let e = engine as usize;
         let mut start = self.streams[stream.0].max(self.engine_free[e]);
         for w in waits {
             start = start.max(self.events[w.0]);
@@ -163,12 +105,7 @@ impl Timeline {
         self.engine_free[e] = finish;
         self.busy += seconds;
         self.ops.push(ScheduledOp {
-            engine: match e {
-                0 => Some(Engine::CopyIn),
-                1 => Some(Engine::Compute),
-                2 => Some(Engine::CopyOut),
-                _ => None,
-            },
+            engine,
             stream,
             start,
             finish,
@@ -232,73 +169,16 @@ pub fn pipeline_timeline(h2d: &[f64], compute: &[f64], d2h: &[f64], buffers: usi
     tl
 }
 
-/// How bytes move between two devices of a modeled cluster.
+/// How a row-sharded fleet delivers results. There is one way: each
+/// device's round trip downloads its own rows to the host, which
+/// merges them, so no result crosses between devices and this type
+/// changes no modeled figure. It stays only as the type of the inert
+/// `gather` fields of the cluster spec and the row-cluster options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferPath {
-    /// No peer access: the source DMAs the bytes to host memory
-    /// (D2H on its own copy-out engine) and the destination DMAs them
-    /// back down (H2D on its copy-in engine) — two PCIe latencies and
-    /// two bandwidth terms. The honest default for the paper's PCIe
-    /// 2.0-era fleet.
+    /// Every device downloads its own rows over its own PCIe link.
     #[default]
     HostStaged,
-    /// Peer-to-peer DMA across the PCIe switch: one hop at the slower
-    /// endpoint's bandwidth plus the larger endpoint latency, charged
-    /// entirely on the destination's ingress engine (the fan-in
-    /// bottleneck) — the source's egress leg is free.
-    PeerToPeer,
-}
-
-/// The two legs of moving `bytes` from `src` to `dst` along `path`:
-/// `(egress_seconds, ingress_seconds)`. Egress occupies the source
-/// device's copy-out engine, ingress the destination's copy-in engine;
-/// the ingress of one transfer cannot start before its own egress
-/// finished ([`gather_timeline`] enforces this).
-pub fn transfer_legs(
-    src: &DeviceSpec,
-    dst: &DeviceSpec,
-    bytes: usize,
-    path: TransferPath,
-) -> (f64, f64) {
-    match path {
-        TransferPath::HostStaged => (
-            src.pcie_latency + bytes as f64 / src.pcie_bandwidth,
-            dst.pcie_latency + bytes as f64 / dst.pcie_bandwidth,
-        ),
-        TransferPath::PeerToPeer => {
-            // One direct hop; it serializes at the destination's
-            // ingress port, so the whole duration is charged as the
-            // ingress leg and the egress leg is free.
-            let hop = src.pcie_latency.max(dst.pcie_latency)
-                + bytes as f64 / src.pcie_bandwidth.min(dst.pcie_bandwidth);
-            (0.0, hop)
-        }
-    }
-}
-
-/// Modeled makespan of gathering per-device results into one root
-/// device: one `(egress, ingress)` leg pair per **source** device (from
-/// [`transfer_legs`]; the root itself contributes no leg).
-///
-/// * every source's egress runs on its **own** copy engine — sources
-///   drain concurrently;
-/// * every ingress runs on the **root's** copy-in engine — ingress
-///   serializes (one DMA engine absorbs the whole fan-in), each behind
-///   its own egress.
-///
-/// [`TransferPath::PeerToPeer`] legs have a zero egress, so the whole
-/// hop serializes on the root's ingress engine — the fan-in bottleneck
-/// either way.
-pub fn gather_timeline(legs: &[(f64, f64)]) -> Timeline {
-    let mut tl = Timeline::new();
-    let root_in = Timeline::slot(Engine::CopyIn);
-    for &(egress, ingress) in legs {
-        let stream = tl.stream();
-        let out_engine = tl.custom_engine();
-        let e = tl.enqueue_slot(stream, out_engine, egress, &[]);
-        tl.enqueue_slot(stream, root_in, ingress, &[e]);
-    }
-    tl
 }
 
 #[cfg(test)]
@@ -392,57 +272,6 @@ mod tests {
         // Two streams, one compute engine: serialized.
         close(tl.elapsed_seconds(), 4.0);
         close(tl.overlap_savings(), 0.0);
-    }
-
-    #[test]
-    fn custom_engines_overlap_with_fixed_ones() {
-        let mut tl = Timeline::new();
-        let a = tl.stream();
-        let b = tl.stream();
-        let other = tl.custom_engine();
-        // Two ops on distinct engines overlap fully…
-        tl.enqueue(a, Engine::CopyOut, 2.0, &[]);
-        tl.enqueue_slot(b, other, 2.0, &[]);
-        close(tl.elapsed_seconds(), 2.0);
-        // …while two ops on the same custom engine serialize.
-        let c = tl.stream();
-        tl.enqueue_slot(c, other, 2.0, &[]);
-        close(tl.elapsed_seconds(), 4.0);
-    }
-
-    #[test]
-    fn staged_transfer_legs_pay_both_pcie_hops() {
-        let src = DeviceSpec::tesla_c2050();
-        let mut dst = DeviceSpec::tesla_c2050();
-        dst.pcie_bandwidth *= 0.5;
-        dst.pcie_latency *= 2.0;
-        let bytes = 1_000_000usize;
-        let (out, inn) = transfer_legs(&src, &dst, bytes, TransferPath::HostStaged);
-        close(out, src.pcie_latency + bytes as f64 / src.pcie_bandwidth);
-        close(inn, dst.pcie_latency + bytes as f64 / dst.pcie_bandwidth);
-        // Peer: one hop at the slower endpoint, fully on the ingress leg.
-        let (pout, pinn) = transfer_legs(&src, &dst, bytes, TransferPath::PeerToPeer);
-        close(pout, 0.0);
-        close(pinn, dst.pcie_latency + bytes as f64 / dst.pcie_bandwidth);
-        assert!(pinn < out + inn, "peer saves a hop");
-    }
-
-    #[test]
-    fn gather_serializes_ingress_but_overlaps_egress() {
-        // Three sources, egress 2 s each (concurrent), ingress 1 s each
-        // (serialized on the root's copy-in engine): makespan = 2 + 3·1
-        // if ingress slots queue behind each other, but the first
-        // ingress can start as soon as its egress is done.
-        let tl = gather_timeline(&[(2.0, 1.0), (2.0, 1.0), (2.0, 1.0)]);
-        close(tl.elapsed_seconds(), 5.0);
-        // Serialized (no concurrency at all) would be 3·(2+1) = 9.
-        close(tl.busy_seconds(), 9.0);
-        assert!(tl.overlap_savings() > 0.0);
-        // Peer-style legs: pure ingress, fully serialized.
-        let peer = gather_timeline(&[(0.0, 1.5), (0.0, 1.5)]);
-        close(peer.elapsed_seconds(), 3.0);
-        // No sources: nothing to gather.
-        close(gather_timeline(&[]).elapsed_seconds(), 0.0);
     }
 
     #[test]

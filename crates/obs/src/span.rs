@@ -34,8 +34,6 @@ pub enum SpanKind {
     Launch,
     /// Device-to-host transfer.
     Download,
-    /// Cross-device result gather leg.
-    Gather,
     /// A retried round after a recoverable fault.
     Retry,
     /// Modeled backoff gap charged between retries.
@@ -77,7 +75,6 @@ impl SpanKind {
             SpanKind::Upload => "upload",
             SpanKind::Launch => "launch",
             SpanKind::Download => "download",
-            SpanKind::Gather => "gather",
             SpanKind::Retry => "retry",
             SpanKind::Backoff => "backoff",
             SpanKind::Detect => "detect",
@@ -128,7 +125,7 @@ pub enum Track {
     /// The solve/scheduler layer (solve, pass, round, retry, backoff).
     #[default]
     Scheduler,
-    /// The cluster layer (sharded batches, failover, gathers).
+    /// The cluster layer (sharded batches, failover, re-encodes).
     Cluster,
     /// One device's op-level row (batches, shards).
     Device(u32),

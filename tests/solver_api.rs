@@ -245,7 +245,8 @@ fn over_budget_system_solves_row_sharded_at_d2_and_d4() {
             assert_eq!(got.endpoint, w.endpoint, "endpoint, D = {d}, path {i}");
             assert_eq!(got.t, w.t, "t, D = {d}, path {i}");
         }
-        // The gather is charged: the engine's transfer time is visible.
+        // Each device's own round trip is charged: the engine's
+        // transfer time is visible.
         assert!(report.engine.transfer_seconds > 0.0);
         assert!(report.engine.wall_clock_seconds() > 0.0);
     }
