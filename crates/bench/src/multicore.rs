@@ -87,9 +87,6 @@ pub fn multicore_quality_up(evals: usize) -> MulticoreReport {
         .map(|p| p.iter().map(|z| z.convert()).collect())
         .collect();
 
-    // Warm up the pool so thread spawning is outside the timings.
-    let _ = batch_par(&system, &points[..evals.min(8)]);
-
     MulticoreReport {
         threads: rayon::current_num_threads(),
         evals,

@@ -1300,19 +1300,13 @@ impl<R: Real> Session<R> {
     /// Fails (typed) when the system does not fit the remaining
     /// constant-memory budget next to the already-resident systems.
     pub fn load(&mut self, label: &str, system: &System<R>) -> Result<SystemId, BuildError> {
-        // Joint-budget check before touching the arena, so a rejected
-        // load leaves no partial allocation behind.
         let shape = system.uniform_shape()?;
-        let needed = EncodedSupports::bytes_needed(&shape, self.opts.encoding);
-        if self.arena.used() + needed > self.arena.budget() {
-            return Err(BuildError::Setup(SetupError::Encode(
-                crate::layout::encoding::EncodeError::Constant(ConstantOverflow {
-                    requested_total: self.arena.used() + needed,
-                    budget: self.arena.budget(),
-                }),
-            )));
-        }
-        let enc = EncodedSupports::upload(system, &mut self.arena, self.opts.encoding)
+        // Stage the upload in a copy of the arena and commit the copy
+        // only once the engine is built, so a rejected load (no room
+        // for its supports, or a failed validation probe) leaves the
+        // arena as it found it.
+        let mut staged = self.arena.clone();
+        let enc = EncodedSupports::upload(system, &mut staged, self.opts.encoding)
             .map_err(|e| BuildError::Setup(SetupError::Encode(e)))?;
         let constant_bytes = enc.constant_bytes();
         let regions = enc.regions();
@@ -1321,10 +1315,11 @@ impl<R: Real> Session<R> {
         let engine = BatchGpuEvaluator::from_encoded(
             system,
             enc,
-            self.arena.clone(),
+            staged.clone(),
             self.capacity,
             self.opts.clone(),
         )?;
+        self.arena = staged;
         let setup_seconds = self.modeled_setup_seconds(&shape);
         self.session_seconds += setup_seconds;
         self.residents.push(Some(Resident {
@@ -1764,6 +1759,75 @@ mod tests {
         let x = random_point::<f64>(32, 5);
         let id = SystemId(0);
         let _ = session.activate(id).evaluate(&x);
+    }
+
+    #[test]
+    fn rejected_session_loads_leave_the_arena_as_they_found_it() {
+        use crate::layout::encoding::EncodeError;
+        // The toy device's 1,024-byte budget, fragmented: 500 freed
+        // bytes at the front, 500 live ones after them.
+        let builder = Engine::builder()
+            .device(DeviceSpec::toy(32))
+            .backend(Backend::GpuBatch { capacity: 1 });
+        let mut session = builder.session::<f64>().unwrap();
+        let a = session
+            .load("a", &random_system::<f64>(&params(10, 5, 5, 2, 1)))
+            .unwrap();
+        session
+            .load("b", &random_system::<f64>(&params(10, 5, 5, 2, 2)))
+            .unwrap();
+        assert!(session.unload(a));
+        assert_eq!(session.constant_bytes_used(), 500);
+        // 520 bytes more fit the budget, and the 260 bytes of positions
+        // fit the freed region, but the exponents then fit nowhere.
+        let c = random_system::<f64>(&params(13, 4, 5, 2, 3));
+        let err = err_of(session.load("c", &c));
+        assert!(
+            matches!(
+                err,
+                BuildError::Setup(SetupError::Encode(EncodeError::Constant(_)))
+            ),
+            "{err}"
+        );
+        assert_eq!(session.constant_bytes_used(), 500);
+        assert_eq!(session.resident_count(), 1);
+
+        // A load whose supports fit but whose validation probe fails
+        // (a 512-thread block needs 4,616 shared elements at k = 8)
+        // returns its regions too.
+        let builder = Engine::builder()
+            .backend(Backend::GpuBatch { capacity: 1 })
+            .block_dim(512);
+        let mut session = builder.session::<f64>().unwrap();
+        let err = err_of(session.load("wide", &random_system::<f64>(&params(8, 4, 8, 2, 4))));
+        assert!(
+            matches!(
+                err,
+                BuildError::Setup(SetupError::Launch(LaunchError::SharedOverflow { .. }))
+            ),
+            "{err}"
+        );
+        assert_eq!(session.constant_bytes_used(), 0);
+        assert_eq!(session.resident_count(), 0);
+    }
+
+    #[test]
+    fn an_emptied_session_arena_takes_any_load_the_budget_holds() {
+        let builder = Engine::builder()
+            .device(DeviceSpec::toy(32))
+            .backend(Backend::GpuBatch { capacity: 1 });
+        let mut session = builder.session::<f64>().unwrap();
+        let a = session
+            .load("a", &random_system::<f64>(&params(10, 5, 5, 2, 1)))
+            .unwrap();
+        assert!(session.unload(a));
+        assert_eq!(session.constant_bytes_used(), 0);
+        // Two 510-byte regions: 1,020 of the toy device's 1,024 bytes,
+        // which neither fits the 500 bytes freed above nor an arena
+        // that still ends where the unloaded system did.
+        let b = random_system::<f64>(&params(17, 6, 5, 2, 2));
+        session.load("b", &b).unwrap();
+        assert_eq!(session.constant_bytes_used(), 1020);
     }
 
     #[test]

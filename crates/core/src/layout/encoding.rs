@@ -28,6 +28,7 @@
 //! and the 2,048-monomial `k = 16, d = 10` system that overflows the
 //! direct encoding fits in 49,152 bytes.
 
+use super::alloc_pair;
 use polygpu_complex::Real;
 use polygpu_gpusim::prelude::*;
 use polygpu_polysys::{System, SystemError, UniformShape};
@@ -204,7 +205,7 @@ impl EncodedSupports {
             EncodingKind::Direct => {
                 let pos: Vec<u8> = flat.iter().map(|&(v, _)| v as u8).collect();
                 let exp: Vec<u8> = flat.iter().map(|&(_, e)| e as u8).collect();
-                (constant.alloc(&pos)?, constant.alloc(&exp)?)
+                alloc_pair(constant, &pos, &exp)?
             }
             EncodingKind::Compact => {
                 let pos: Vec<u8> = flat.iter().map(|&(v, _)| v as u8).collect();
@@ -216,7 +217,7 @@ impl EncodedSupports {
                         packed[i / 2] |= ((e as u8) & 0x0F) << 4;
                     }
                 }
-                (constant.alloc(&pos)?, constant.alloc(&packed)?)
+                alloc_pair(constant, &pos, &packed)?
             }
             EncodingKind::Packed => {
                 let geo = packed_geometry(shape.n, shape.d as usize, shape.k);
@@ -236,7 +237,7 @@ impl EncodedSupports {
                 // Keys live in the `exponents` region; `positions` is a
                 // zero-length placeholder (free of an empty region is a
                 // no-op, so `regions()` round-trips unchanged).
-                (constant.alloc(&[])?, constant.alloc(&keys)?)
+                alloc_pair(constant, &[], &keys)?
             }
         };
         Ok(EncodedSupports {

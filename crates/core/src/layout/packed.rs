@@ -15,6 +15,7 @@
 //! per equation and 255 variables per monomial; violations reject with
 //! a typed [`EncodeError::SupportTooLarge`] at encode time.
 
+use super::alloc_pair;
 use crate::layout::encoding::{packed_geometry, EncodeError, PackedGeometry};
 use polygpu_complex::Real;
 use polygpu_gpusim::prelude::*;
@@ -90,8 +91,7 @@ impl PackedSupports {
                 }
             }
         }
-        let headers = constant.alloc(&headers)?;
-        let keys = constant.alloc(&keys)?;
+        let (headers, keys) = alloc_pair(constant, &headers, &keys)?;
         Ok(PackedSupports {
             shape,
             geo,

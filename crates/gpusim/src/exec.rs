@@ -3,16 +3,16 @@
 //! on the device), analyzes traces, applies buffered writes, and models
 //! the launch time.
 
-use crate::analysis::analyze_block;
+use crate::analysis::Analyzer;
 use crate::device::DeviceSpec;
 use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
 use crate::mem::{BufferId, ConstantMemory, GlobalMem};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::stats::Counters;
 use crate::timing::{model_launch, LaunchTiming};
+use crate::trace::ThreadTrace;
 use crate::value::DeviceValue;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors that abort a launch before any block runs (the CUDA
@@ -50,10 +50,12 @@ impl std::error::Error for LaunchError {}
 /// Options controlling a launch.
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchOptions {
-    /// Detect duplicate global stores (costs a hash pass per launch).
+    /// Detect duplicate global stores: one pass over the launch's
+    /// stores, marking each in a bitset per buffer.
     pub check_write_conflicts: bool,
-    /// Run blocks on the host thread pool (rayon). Disable for strictly
-    /// serial debugging.
+    /// Run blocks on host threads (rayon). A grid of fewer than
+    /// [`rayon::INLINE_BELOW`] blocks runs on the calling thread either
+    /// way; disable for strictly serial debugging of larger grids.
     pub parallel_host: bool,
 }
 
@@ -99,6 +101,15 @@ impl fmt::Display for LaunchReport {
             self.timing.bound
         )
     }
+}
+
+/// What one host thread keeps from block to block of a launch: the
+/// warp analyzer and the threads' trace buffers, which later blocks
+/// reuse instead of growing their own.
+#[derive(Default)]
+struct Worker {
+    analyzer: Analyzer,
+    traces: Vec<ThreadTrace>,
 }
 
 /// Execute `kernel` over `cfg` against `global`/`constant`.
@@ -147,20 +158,28 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
     })?;
 
     type BlockOutcome<T> = (Counters, Vec<(BufferId, usize, T)>);
-    let run_block = |block_id: u32| -> BlockOutcome<T> {
-        let mut blk = BlockCtx::new(block_id, cfg, shared_elems, global, constant);
+    let run_block = |worker: &mut Worker, block_id: u32| -> BlockOutcome<T> {
+        let traces = std::mem::take(&mut worker.traces);
+        let mut blk = BlockCtx::new(block_id, cfg, shared_elems, global, constant, traces);
         kernel.run_block(&mut blk);
-        let counters = analyze_block::<T>(device, &blk.traces);
+        let counters = worker.analyzer.block::<T>(device, &blk.traces);
+        worker.traces = blk.traces;
         (counters, blk.writes)
     };
 
-    // Blocks are independent; run them on the host pool. Results are
-    // collected in block order, so everything downstream is
-    // deterministic regardless of scheduling.
+    // Blocks are independent; run them on host threads, each with its
+    // own buffers. Results are collected in block order, so everything
+    // downstream is deterministic regardless of scheduling.
     let results: Vec<BlockOutcome<T>> = if opts.parallel_host {
-        (0..cfg.grid_dim).into_par_iter().map(run_block).collect()
+        (0..cfg.grid_dim)
+            .into_par_iter()
+            .map_init(Worker::default, run_block)
+            .collect()
     } else {
-        (0..cfg.grid_dim).map(run_block).collect()
+        let mut worker = Worker::default();
+        (0..cfg.grid_dim)
+            .map(|b| run_block(&mut worker, b))
+            .collect()
     };
 
     let mut counters = Counters::default();
@@ -169,16 +188,26 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
     }
 
     if opts.check_write_conflicts {
-        let mut seen: HashMap<(usize, usize), ()> =
-            HashMap::with_capacity(results.iter().map(|(_, w)| w.len()).sum());
+        // One bit per element stored to, per buffer, marked in block
+        // order: the first element marked twice is the conflict.
+        let mut marked: Vec<Vec<u64>> = Vec::new();
         for (_, writes) in &results {
-            for (buf, idx, _) in writes {
-                if seen.insert((buf.0, *idx), ()).is_some() {
+            for &(buf, idx, _) in writes {
+                if marked.len() <= buf.0 {
+                    marked.resize_with(buf.0 + 1, Vec::new);
+                }
+                let bits = &mut marked[buf.0];
+                let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+                if bits.len() <= word {
+                    bits.resize(word + 1, 0);
+                }
+                if bits[word] & bit != 0 {
                     return Err(LaunchError::WriteConflict {
                         buffer: buf.0,
-                        index: *idx,
+                        index: idx,
                     });
                 }
+                bits[word] |= bit;
             }
         }
     }
@@ -273,9 +302,11 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_execution_agree() {
-        let n = 200;
+        let n = 600;
         let (dev, mut g1, cm, k) = setup(n);
         let cfg = LaunchConfig::cover(n, 32);
+        // Large enough that the parallel launch really runs on threads.
+        assert!(cfg.grid_dim as usize >= rayon::INLINE_BELOW);
         let r1 = launch(&dev, &k, cfg, &mut g1, &cm, LaunchOptions::default()).unwrap();
         let (_, mut g2, cm2, k2) = setup(n);
         let r2 = launch(
@@ -459,6 +490,63 @@ mod tests {
                 index: 0
             }
         ));
+
+        // Two blocks store to one element of a second buffer: block 0
+        // writes elements 0..32, block 1 writes 31..63. Element 31 is
+        // the first stored twice in block order.
+        struct Overlap {
+            y: BufferId,
+        }
+        impl Kernel<C64> for Overlap {
+            fn name(&self) -> &str {
+                "overlap"
+            }
+            fn shared_elems(&self, _b: u32) -> usize {
+                0
+            }
+            fn run_block(&self, blk: &mut BlockCtx<'_, C64>) {
+                let (y, base) = (self.y, 31 * blk.block_id() as usize);
+                blk.threads(|t| {
+                    let v = C64::from_f64(t.tid() as f64, 0.0);
+                    t.gstore(y, base + t.tid() as usize, v);
+                });
+            }
+        }
+        let mut g = GlobalMem::new();
+        let _x = g.alloc(4);
+        let y = g.alloc(100);
+        let err = launch(
+            &dev,
+            &Overlap { y },
+            LaunchConfig::new(2, 32),
+            &mut g,
+            &cm,
+            LaunchOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            LaunchError::WriteConflict {
+                buffer: 1,
+                index: 31
+            }
+        );
+        // Without the check the launch runs; the later block's store
+        // lands last.
+        launch(
+            &dev,
+            &Overlap { y },
+            LaunchConfig::new(2, 32),
+            &mut g,
+            &cm,
+            LaunchOptions {
+                check_write_conflicts: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(g.host_read(y)[31], C64::from_f64(0.0, 0.0));
+        assert_eq!(g.host_read(y)[30], C64::from_f64(30.0, 0.0));
     }
 
     #[test]

@@ -102,13 +102,20 @@ pub struct BlockCtx<'a, T: DeviceValue> {
 }
 
 impl<'a, T: DeviceValue> BlockCtx<'a, T> {
+    /// A block that records into `traces`, cleared and resized to one
+    /// trace per thread: a launch hands each block the buffers the
+    /// previous block on its host thread recorded into.
     pub(crate) fn new(
         block_id: u32,
         cfg: LaunchConfig,
         shared_elems: usize,
         global: &'a GlobalMem<T>,
         constant: &'a ConstantMemory,
+        mut traces: Vec<ThreadTrace>,
     ) -> Self {
+        traces.truncate(cfg.block_dim as usize);
+        traces.iter_mut().for_each(Vec::clear);
+        traces.resize_with(cfg.block_dim as usize, Vec::new);
         BlockCtx {
             block_id,
             block_dim: cfg.block_dim,
@@ -116,7 +123,7 @@ impl<'a, T: DeviceValue> BlockCtx<'a, T> {
             global,
             constant,
             shared: vec![T::zero(); shared_elems],
-            traces: vec![Vec::new(); cfg.block_dim as usize],
+            traces,
             writes: Vec::new(),
         }
     }
@@ -354,7 +361,7 @@ mod tests {
         g.host_write(buf, 0, &[C64::from_f64(5.0, 0.0); 8]);
         let cm = ConstantMemory::new(&dev);
         let cfg = LaunchConfig::new(2, 4);
-        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm);
+        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm, Vec::new());
         // segment 1: each thread loads global, stores to shared
         blk.threads(|t| {
             let v = t.gload(buf, t.tid() as usize);
@@ -387,7 +394,7 @@ mod tests {
         let dev = DeviceSpec::toy(4);
         let g = GlobalMem::<C64>::new();
         let cm = ConstantMemory::new(&dev);
-        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm);
+        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm, Vec::new());
         let mut tids = Vec::new();
         blk.threads(|t| tids.push(t.global_tid()));
         assert_eq!(tids, vec![12, 13, 14, 15]);

@@ -14,10 +14,15 @@
 //!   latency/throughput/bandwidth model ([`timing`]) with the Fermi
 //!   figures of the paper's card ([`device::DeviceSpec::tesla_c2050`]).
 //!
-//! The simulator executes blocks in parallel on the host with rayon;
-//! blocks are independent within a launch (as on the device), writes
+//! The simulator executes blocks in parallel on the host with rayon,
+//! except a grid of fewer than `rayon::INLINE_BELOW` (16) blocks, which
+//! runs on the calling thread; blocks are independent within a launch
+//! (as on the device), so the results are the same either way. Writes
 //! are buffered and applied post-launch, and cross-block write
-//! conflicts are detected and reported instead of being silent UB.
+//! conflicts are detected (one bitset per buffer) and reported instead
+//! of being silent UB. The host work of a launch is its blocks' run,
+//! one pass of the warp analyzer over each slot of their traces, and
+//! one pass over their stores.
 //!
 //! ```
 //! use polygpu_gpusim::prelude::*;

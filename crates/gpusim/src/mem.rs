@@ -105,6 +105,9 @@ impl ConstId {
 /// positions of all 2,048 monomials").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstantOverflow {
+    /// The live bytes the allocation would make; or, when the live
+    /// bytes fit but no freed region does, the arena end an appended
+    /// region would reach.
     pub requested_total: usize,
     pub budget: usize,
 }
@@ -151,7 +154,8 @@ impl ConstantMemory {
 
     /// Allocate and fill a region; fails if the live total would
     /// exceed the budget. Freed regions are reused first-fit (lowest
-    /// offset wins — deterministic) before the arena grows.
+    /// offset wins — deterministic) before the arena grows; it also
+    /// fails if none fits and the arena would grow past the budget.
     pub fn alloc(&mut self, data: &[u8]) -> Result<ConstId, ConstantOverflow> {
         let requested_total = self.live + data.len();
         if requested_total > self.budget {
@@ -176,6 +180,12 @@ impl ConstantMemory {
             });
         }
         let offset = self.bytes.len();
+        if offset + data.len() > self.budget {
+            return Err(ConstantOverflow {
+                requested_total: offset + data.len(),
+                budget: self.budget,
+            });
+        }
         self.bytes.extend_from_slice(data);
         self.live += data.len();
         Ok(ConstId {
@@ -185,7 +195,9 @@ impl ConstantMemory {
     }
 
     /// Return a region to the arena: its bytes become reusable by
-    /// later allocations and stop counting against the budget.
+    /// later allocations and stop counting against the budget. A free
+    /// region at the end of the arena is dropped from it, so the arena
+    /// ends at its last live byte and an emptied arena is empty.
     /// Zero-length regions are a no-op. Freeing the same region twice
     /// is a caller bug (debug-asserted).
     pub fn free(&mut self, id: ConstId) {
@@ -217,6 +229,12 @@ impl ConstantMemory {
                 self.free.remove(i + 1);
             } else {
                 i += 1;
+            }
+        }
+        if let Some(&(o, l)) = self.free.last() {
+            if o + l == self.bytes.len() {
+                self.free.pop();
+                self.bytes.truncate(o);
             }
         }
     }
@@ -303,6 +321,58 @@ mod tests {
         let b = c.alloc(&[1u8; 24]).unwrap();
         assert_eq!(c.used(), 1024);
         assert_eq!(c.read_u8(b, 0), 1);
+    }
+
+    #[test]
+    fn fragmented_arena_never_grows_past_the_budget() {
+        let dev = DeviceSpec::toy(4);
+        let mut c = ConstantMemory::new(&dev);
+        let a = c.alloc(&[1u8; 500]).unwrap();
+        c.alloc(&[2u8; 500]).unwrap();
+        c.free(a);
+        // 520 live bytes more fit the budget (1,020 of 1,024), but no
+        // freed region holds them, and appending would end at byte
+        // 1,520.
+        let err = c.alloc(&[3u8; 520]).unwrap_err();
+        assert_eq!(
+            err,
+            ConstantOverflow {
+                requested_total: 1520,
+                budget: 1024
+            }
+        );
+        assert_eq!(c.used(), 500);
+        // What fits the freed region or the tail still lands.
+        let b = c.alloc(&[4u8; 500]).unwrap();
+        assert_eq!((b.offset, c.used()), (0, 1000));
+        let t = c.alloc(&[5u8; 24]).unwrap();
+        assert_eq!((t.offset, c.used()), (1000, 1024));
+    }
+
+    #[test]
+    fn freeing_the_end_of_the_arena_shrinks_it() {
+        let dev = DeviceSpec::toy(4);
+        let mut c = ConstantMemory::new(&dev);
+        // An emptied arena takes a load as large as the budget allows.
+        let a = c.alloc(&[1u8; 1000]).unwrap();
+        c.free(a);
+        let b = c.alloc(&[2u8; 1020]).unwrap();
+        assert_eq!((b.offset, c.used()), (0, 1020));
+        c.free(b);
+        // An append starts at the lowest free byte at the end.
+        let a = c.alloc(&[3u8; 500]).unwrap();
+        c.free(a);
+        let b = c.alloc(&[4u8; 510]).unwrap();
+        let t = c.alloc(&[5u8; 510]).unwrap();
+        assert_eq!((b.offset, t.offset, c.used()), (0, 510, 1020));
+        // Freeing the last region also drops the free space before it.
+        let d = c.alloc(&[6u8; 4]).unwrap();
+        c.free(b);
+        c.free(d);
+        c.free(t);
+        let e = c.alloc(&[7u8; 1024]).unwrap();
+        assert_eq!((e.offset, c.used()), (0, 1024));
+        assert_eq!(c.read_u8(e, 1023), 7);
     }
 
     #[test]

@@ -8,19 +8,33 @@
 //!
 //! * results are collected **in input order**, so everything downstream
 //!   is deterministic regardless of scheduling;
-//! * work really runs on multiple OS threads (`std::thread::scope`,
-//!   one contiguous chunk per thread) — the simulator's block-level
-//!   parallelism and the multicore quality-up experiment keep their
-//!   meaning;
+//! * a call over at least [`INLINE_BELOW`] items runs on multiple OS
+//!   threads (`std::thread::scope`, one contiguous chunk per thread) —
+//!   the simulator's block-level parallelism and the multicore
+//!   quality-up experiment keep their meaning; a smaller call runs on
+//!   the calling thread;
 //! * `map_init` creates one `init()` value per worker thread and
 //!   threads it through that worker's chunk, like rayon's.
 //!
-//! Not implemented: work stealing, nested pools, the full
-//! `ParallelIterator` trait zoo. Add methods as call sites need them.
+//! Not implemented: work stealing, a persistent pool (each threaded
+//! call spawns its workers), nested pools, the full `ParallelIterator`
+//! trait zoo. Add methods as call sites need them.
 
 use std::thread;
 
-/// Number of worker threads a parallel call will use.
+/// Calls over fewer items than this run on the calling thread.
+///
+/// The shim has no pool, so a threaded call spawns and joins its
+/// workers, which costs more host time than a handful of simulated
+/// blocks or fleet devices is worth. Measured on a 2-core machine
+/// against thresholds of 2, 8 and 32, 16 gave the lowest or tied-lowest
+/// host time on every perfbench workload and on `repro all`. Results
+/// are the same either way; only the number of `map_init` states
+/// differs.
+pub const INLINE_BELOW: usize = 16;
+
+/// Number of worker threads a call of at least [`INLINE_BELOW`] items
+/// uses at most.
 pub fn current_num_threads() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
@@ -91,7 +105,7 @@ where
 {
     let len = items.len();
     let workers = current_num_threads().min(len.max(1));
-    if workers <= 1 || len <= 1 {
+    if workers <= 1 || len < INLINE_BELOW {
         let mut state = init();
         return items.into_iter().map(|x| f(&mut state, x)).collect();
     }
@@ -186,6 +200,60 @@ mod tests {
             .collect();
         assert_eq!(out.len(), 64);
         assert!(out.iter().all(|&x| x == 1));
+    }
+
+    /// Maps `len` items through `map_init` with a state that counts the
+    /// items it has seen; returns each item's `(input, count, thread)`
+    /// in output order and the number of `init()` calls.
+    fn traced_map_init(len: usize) -> (Vec<(usize, usize, thread::ThreadId)>, usize) {
+        let inits = std::sync::atomic::AtomicUsize::new(0);
+        let out = (0..len)
+            .into_par_iter()
+            .map_init(
+                || {
+                    inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    0usize
+                },
+                |seen, i| {
+                    *seen += 1;
+                    (i, *seen, thread::current().id())
+                },
+            )
+            .collect();
+        (out, inits.into_inner())
+    }
+
+    #[test]
+    fn calls_below_the_threshold_run_inline_with_one_state() {
+        let len = INLINE_BELOW - 1;
+        let (out, inits) = traced_map_init(len);
+        assert_eq!(inits, 1);
+        let caller = thread::current().id();
+        for (at, &(i, seen, on)) in out.iter().enumerate() {
+            assert_eq!(i, at, "input order");
+            assert_eq!(seen, at + 1, "one state threads through every item");
+            assert_eq!(on, caller, "ran on the calling thread");
+        }
+    }
+
+    #[test]
+    fn calls_at_the_threshold_run_one_state_per_worker() {
+        let len = INLINE_BELOW;
+        let workers = current_num_threads().min(len);
+        let (out, inits) = traced_map_init(len);
+        // One contiguous chunk, and one state, per spawned worker.
+        let chunk = len.div_ceil(workers);
+        assert_eq!(inits, len.div_ceil(chunk));
+        let caller = thread::current().id();
+        for (at, &(i, seen, on)) in out.iter().enumerate() {
+            assert_eq!(i, at, "input order");
+            assert_eq!(
+                seen,
+                at % chunk + 1,
+                "each worker's state threads its chunk"
+            );
+            assert_eq!(on == caller, workers == 1, "threaded unless one core");
+        }
     }
 
     #[test]

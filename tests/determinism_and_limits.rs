@@ -31,15 +31,17 @@ fn pipeline_is_deterministic_under_host_parallelism() {
 
 #[test]
 fn serial_and_parallel_host_execution_agree() {
+    // 576 monomials and 600 outputs: both launches have grids large
+    // enough that the parallel evaluator really runs blocks on threads.
     let p = BenchmarkParams {
-        n: 16,
-        m: 8,
+        n: 24,
+        m: 24,
         k: 4,
         d: 3,
         seed: 9,
     };
     let system = random_system::<f64>(&p);
-    let x = random_point::<f64>(16, 4);
+    let x = random_point::<f64>(24, 4);
     let mut par = GpuEvaluator::new(&system, GpuOptions::default()).unwrap();
     let mut ser = GpuEvaluator::new(
         &system,
@@ -54,7 +56,18 @@ fn serial_and_parallel_host_execution_agree() {
     .unwrap();
     let a = par.evaluate(&x);
     let b = ser.evaluate(&x);
+    let grids: Vec<u32> = par
+        .last_reports()
+        .iter()
+        .map(|r| r.config.grid_dim)
+        .collect();
+    assert_eq!(grids.len(), 2);
+    assert!(
+        grids.iter().all(|&g| g as usize >= rayon::INLINE_BELOW),
+        "{grids:?}"
+    );
     assert_eq!(a.values, b.values);
+    assert_eq!(a.jacobian.as_slice(), b.jacobian.as_slice());
     assert_eq!(par.stats().counters, ser.stats().counters);
 }
 
