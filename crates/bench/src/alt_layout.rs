@@ -140,8 +140,8 @@ pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, Lau
     .expect("row-major layout launch");
 
     assert_eq!(
-        g1.host_read(out1),
-        g2.host_read(out2),
+        g1.host_read(out1, ..),
+        g2.host_read(out2, ..),
         "both layouts must sum to identical values"
     );
     (r1, r2)

@@ -61,7 +61,7 @@ use polygpu_core::engine::{
 use polygpu_core::pipeline::{GpuOptions, PipelineStats, SetupError};
 use polygpu_core::{BatchError, BatchGpuEvaluator, CombineMap, CorrectParams, CorrectStatus};
 use polygpu_gpusim::prelude::{DeviceSpec, FaultKind, FaultStats, RecoveryPolicy};
-use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind, TraceSink};
+use polygpu_obs::{MetaValue, MetricsRegistry, SpanKind};
 use polygpu_polysys::{BatchSystemEvaluator, System, SystemEval, SystemEvaluator};
 use std::fmt;
 
@@ -256,10 +256,16 @@ impl<R: Real> ShardedBatchEvaluator<R> {
     /// Build one batched engine of `per_device_capacity` points per
     /// spec (heterogeneous specs allowed; every device must fit the
     /// system). Ragged systems under the packed encoding run the ragged
-    /// kernels per device, exactly as off-cluster. A one-point
-    /// probe per device calibrates the modeled seconds-per-point weight
-    /// used by [`ShardPolicy::WorkStealing`]. An empty `specs` fails
-    /// with [`SetupError::NoDevices`].
+    /// kernels per device, exactly as off-cluster. Each device's
+    /// seconds-per-point weight, used by [`ShardPolicy::WorkStealing`],
+    /// is the modeled wall time of the one-point validation probe its
+    /// engine ran at construction
+    /// ([`BatchGpuEvaluator::probe_seconds`]); that probe runs
+    /// untraced and with faults disarmed, so calibration neither leaves
+    /// spans nor moves the fault schedule of real work. An empty
+    /// `specs` fails with [`SetupError::NoDevices`], and a capacity the
+    /// device's global memory cannot hold with
+    /// [`SetupError::GlobalOverflow`].
     pub fn new(
         system: &System<R>,
         specs: &[DeviceSpec],
@@ -277,26 +283,16 @@ impl<R: Real> ShardedBatchEvaluator<R> {
             ..opts.base.clone()
         };
         for (d, spec) in specs.iter().enumerate() {
-            let mut gopts = device_options(&base, spec, d);
-            // Silenced during calibration; restored below.
-            let trace = std::mem::replace(&mut gopts.trace, TraceSink::noop());
-            let mut dev = BatchGpuEvaluator::new(system, per_device_capacity, gopts)?;
-            // Calibration probe: modeled seconds for one point, used
-            // only as a relative work-stealing weight. Runs with the
-            // injector disarmed so calibration can neither fault nor
-            // perturb the fault schedule of real work.
-            dev.set_fault_armed(false);
-            let probe = vec![vec![Complex::<R>::one(); n]];
-            let _ = dev.evaluate_batch(&probe);
-            dev.set_fault_armed(true);
-            let spp = dev.stats().wall_clock_seconds();
-            dev.reset_stats();
-            dev.set_trace(trace);
-            devices.push(dev);
+            let dev = BatchGpuEvaluator::new(
+                system,
+                per_device_capacity,
+                device_options(&base, spec, d),
+            )?;
             weights.push(DeviceWeight {
                 capacity: per_device_capacity,
-                seconds_per_point: spp,
+                seconds_per_point: dev.probe_seconds(),
             });
+            devices.push(dev);
         }
         Ok(ShardedBatchEvaluator {
             stats: ClusterStats::new(devices.len()),
@@ -792,6 +788,71 @@ mod tests {
         assert!(d2 > d1, "D = 2 must beat D = 1: {d2:.0} vs {d1:.0}");
     }
 
+    /// Each device's work-stealing weight equals, bit for bit, the
+    /// modeled wall time of a fresh one-point all-ones `evaluate_batch`
+    /// on an engine built for that device, so work stealing plans the
+    /// shards those weights give: on homogeneous, heterogeneous and
+    /// fault-configured fleets.
+    #[test]
+    fn device_weights_equal_a_one_point_calibration_run() {
+        use polygpu_gpusim::prelude::FaultPlan;
+        let sys = random_system::<f64>(&small_params(9));
+        let faulty = {
+            let mut opts = ClusterOptions::default();
+            opts.base.fault = Some(FaultConfig {
+                plan: FaultPlan::new(3, 40_000),
+                device_index: 0,
+            });
+            opts
+        };
+        for (specs, opts) in [
+            (
+                vec![DeviceSpec::tesla_c2050(); 3],
+                ClusterOptions::default(),
+            ),
+            (hetero_specs(4), ClusterOptions::default()),
+            (hetero_specs(3), faulty),
+        ] {
+            for chunk in [1, 2, 3] {
+                let opts = ClusterOptions {
+                    policy: ShardPolicy::WorkStealing { chunk },
+                    ..opts.clone()
+                };
+                let fleet = ShardedBatchEvaluator::new(&sys, &specs, 8, opts.clone()).unwrap();
+                let calibrated: Vec<DeviceWeight> = specs
+                    .iter()
+                    .enumerate()
+                    .map(|(d, spec)| {
+                        let mut dev =
+                            BatchGpuEvaluator::new(&sys, 8, device_options(&opts.base, spec, d))
+                                .unwrap();
+                        dev.set_fault_armed(false);
+                        let _ = dev.evaluate_batch(&[vec![Complex::one(); 8]]);
+                        DeviceWeight {
+                            capacity: 8,
+                            seconds_per_point: dev.stats().wall_clock_seconds(),
+                        }
+                    })
+                    .collect();
+                for (d, (got, want)) in fleet.weights.iter().zip(&calibrated).enumerate() {
+                    assert_eq!(
+                        got.seconds_per_point.to_bits(),
+                        want.seconds_per_point.to_bits(),
+                        "{}, device {d}",
+                        specs[d].name
+                    );
+                }
+                for p in 1..=40 {
+                    assert_eq!(
+                        fleet.plan_for(p),
+                        plan(opts.policy, p, &calibrated),
+                        "chunk {chunk}, {p} points"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn cluster_stats_track_imbalance_and_wall_max() {
         let prm = small_params(3);
@@ -1084,7 +1145,7 @@ mod tests {
             .filter(|s| s.track == Track::Cluster && s.kind == SpanKind::Shard)
             .count();
         assert_eq!(shards, 2, "one Shard span per participating device");
-        // Calibration probes are silenced: device tracks carry exactly
+        // Validation probes are silenced: device tracks carry exactly
         // the real batch's ops, so each device Batch span reconciles
         // with that device's wall clock.
         for (d, dev) in stats.device_wall.iter().enumerate() {

@@ -144,6 +144,17 @@ impl From<FaultError> for BatchError {
 ///
 /// Device buffers are sized for `capacity` points at construction; any
 /// batch of `1..=capacity` points evaluates with one round trip.
+///
+/// Capacity is modeled device memory: the points', `Mons` and output
+/// buffers for `capacity` points plus the coefficients
+/// ([`allocated_bytes`](Self::allocated_bytes)) must fit the card's
+/// [`DeviceSpec::global_mem`], or construction fails with
+/// [`SetupError::GlobalOverflow`]. The host backs those buffers only as
+/// far as calls have written them
+/// ([`backed_bytes`](Self::backed_bytes)): after construction, the
+/// coefficients and one point; after a `P`-point call, the `P` points
+/// as well (and any buffer under 128 KiB whole). Results and modeled
+/// costs do not depend on it.
 pub struct BatchGpuEvaluator<R: Real> {
     device: DeviceSpec,
     opts: GpuOptions,
@@ -161,6 +172,8 @@ pub struct BatchGpuEvaluator<R: Real> {
     /// Reusable host staging for the batched point upload.
     vars_scratch: Vec<Complex<R>>,
     injector: Option<FaultInjector>,
+    /// Modeled wall seconds of the construction-time validation probe.
+    probe_seconds: f64,
 }
 
 /// The supports an engine is assembled from: a uniform encoding, or
@@ -214,7 +227,8 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// arena is taken by value: it snapshots the shared constant memory
     /// at load time, so this engine's offsets stay valid no matter what
     /// is loaded later. A `capacity` of zero is
-    /// [`SetupError::ZeroCapacity`].
+    /// [`SetupError::ZeroCapacity`], and one whose buffers the card's
+    /// global memory cannot hold is [`SetupError::GlobalOverflow`].
     pub fn from_encoded(
         system: &System<R>,
         enc: EncodedSupports,
@@ -245,9 +259,23 @@ impl<R: Real> BatchGpuEvaluator<R> {
             elem,
             device.coalesce_segment,
         );
+        // The four buffers' modeled footprint must fit the card before
+        // any is allocated; a sum past `usize` saturates.
+        let coeffs_len = shape.total_monomials * (shape.max_k + 1);
+        let needed = capacity
+            .checked_mul(layout.vars_stride + layout.mons_stride + layout.out_stride)
+            .and_then(|per_points| per_points.checked_add(coeffs_len))
+            .and_then(|elems| elems.checked_mul(elem))
+            .unwrap_or(usize::MAX);
+        if needed > device.global_mem {
+            return Err(SetupError::GlobalOverflow {
+                needed,
+                budget: device.global_mem,
+            });
+        }
         let mut global = GlobalMem::new();
         let vars = global.alloc(capacity * layout.vars_stride);
-        let coeffs = global.alloc(shape.total_monomials * (shape.max_k + 1));
+        let coeffs = global.alloc(coeffs_len);
         let mons = global.alloc(capacity * layout.mons_stride);
         let out = global.alloc(capacity * layout.out_stride);
         global.host_write(coeffs, 0, &build_coeffs(system, &shape));
@@ -300,6 +328,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
             stats: PipelineStats::default(),
             last_reports: Vec::new(),
             vars_scratch: Vec::new(),
+            probe_seconds: 0.0,
             opts,
         };
         // Validation pass: exercises both batched launches. One
@@ -315,17 +344,11 @@ impl<R: Real> BatchGpuEvaluator<R> {
             BatchError::Launch(l) => SetupError::Launch(l),
             other => unreachable!("validation probe is within the batch contract: {other}"),
         })?;
+        me.probe_seconds = me.stats.wall_clock_seconds();
         me.stats = PipelineStats::default();
         me.set_fault_armed(true);
         me.opts.trace = sink;
         Ok(me)
-    }
-
-    /// Replace this engine's trace sink — how the cluster detaches
-    /// tracing around calibration probes and retargets per-device sinks
-    /// after failover rebuilds.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.opts.trace = sink;
     }
 
     /// This engine's current trace sink.
@@ -335,7 +358,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
 
     /// Arm or disarm fault injection (no-op without a configured
     /// [`GpuOptions::fault`]). Disarmed operations neither fault nor
-    /// advance the schedule, so calibration probes leave the fault
+    /// advance the schedule, so the validation probe leaves the fault
     /// schedule seen by user work untouched.
     pub fn set_fault_armed(&mut self, armed: bool) {
         if let Some(inj) = self.injector.as_mut() {
@@ -507,9 +530,12 @@ impl<R: Real> BatchGpuEvaluator<R> {
             self.fault_check(OpClass::DeviceToHost, d2h, elapsed)?;
         }
 
-        let raw = self.global.host_read(self.out);
+        let raw = self.global.host_read(
+            self.out,
+            ..(p - 1) * self.layout.out_stride + shape.outputs(),
+        );
         let evals = (0..p)
-            .map(|i| unpack_eval(raw, i * self.layout.out_stride, shape.rows, shape.n))
+            .map(|i| unpack_eval(&raw, i * self.layout.out_stride, shape.rows, shape.n))
             .collect();
         self.stats.evaluations += p as u64;
         self.stats.batches += 1;
@@ -673,6 +699,21 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// Device bytes the batched buffers occupy (grows with capacity).
     pub fn allocated_bytes(&self) -> usize {
         self.global.allocated_bytes()
+    }
+
+    /// Host bytes backing those buffers so far: grows with the largest
+    /// batch evaluated, not with capacity. A diagnostic of what the
+    /// simulation costs the host.
+    pub fn backed_bytes(&self) -> usize {
+        self.global.backed_bytes()
+    }
+
+    /// Modeled wall seconds of the one-point, all-ones validation probe
+    /// construction ran: what a fresh engine's first one-point
+    /// [`try_evaluate_batch`](Self::try_evaluate_batch) of that point
+    /// costs. A fleet weighs its devices with it.
+    pub fn probe_seconds(&self) -> f64 {
+        self.probe_seconds
     }
 
     fn fault_check(
@@ -1429,6 +1470,124 @@ mod tests {
                 capacity: 4
             }
         );
+    }
+
+    /// An engine sized for 64 points backs its buffers as far as its
+    /// largest batch so far. Calls of 1, then 64, then 3 points each
+    /// equal the CPU reference and a freshly built engine bit for bit,
+    /// on the uniform Table 1 row and on a ragged system whose `Mons`
+    /// padding slots are never written and must read zero.
+    #[test]
+    fn engines_grow_across_calls_bit_identically() {
+        use crate::engine::CpuReferenceEngine;
+        let table1 = random_system::<f64>(&params(32, 48, 9, 2, 4));
+        let ragged = random_sparse_system::<f64>(&SparseBenchmarkParams {
+            n: 6,
+            m_min: 1,
+            m_max: 5,
+            k_min: 0,
+            k_max: 4,
+            d: 3,
+            seed: 8,
+        });
+        assert!(
+            ragged.uniform_shape().is_err(),
+            "the sparse system is ragged"
+        );
+        for (name, sys, opts) in [
+            ("table 1", table1, GpuOptions::default()),
+            ("ragged", ragged, packed()),
+        ] {
+            let n = sys.dim();
+            let mut cpu = CpuReferenceEngine::new(&sys).unwrap();
+            let mut engine = BatchGpuEvaluator::new(&sys, 64, opts.clone()).unwrap();
+            let footprint = engine.allocated_bytes();
+            let mut backed = engine.backed_bytes();
+            for (p, seed) in [(1, 1), (64, 2), (3, 3)] {
+                let points = random_points::<f64>(n, p, seed);
+                let got = engine.evaluate_batch(&points);
+                let fresh = BatchGpuEvaluator::new(&sys, 64, opts.clone())
+                    .unwrap()
+                    .evaluate_batch(&points);
+                let want = cpu.evaluate_batch(&points);
+                for i in 0..p {
+                    for other in [&want[i], &fresh[i]] {
+                        assert_eq!(got[i].values, other.values, "{name}, {p} points, {i}");
+                        assert_eq!(
+                            got[i].jacobian.as_slice(),
+                            other.jacobian.as_slice(),
+                            "{name}, {p} points, {i}"
+                        );
+                    }
+                }
+                // Backing never shrinks and never passes the footprint.
+                assert!(engine.backed_bytes() >= backed, "{name}");
+                backed = engine.backed_bytes();
+                assert!(backed <= footprint, "{name}");
+                assert_eq!(engine.allocated_bytes(), footprint, "{name}");
+            }
+        }
+    }
+
+    /// A `solve-dim32`-shaped engine (n = 32, 704 quadratic monomials,
+    /// double-double) at the fleet's default capacity of 64 models its
+    /// full footprint but backs, after construction and one 1-point
+    /// call, no more than its coefficients and two points' strides.
+    #[test]
+    fn a_one_point_call_backs_one_point_of_a_large_capacity() {
+        use polygpu_qd::Dd;
+        let sys = random_system::<f64>(&params(32, 22, 1, 2, 5)).convert::<Dd>();
+        let mut engine = BatchGpuEvaluator::new(&sys, 64, GpuOptions::default()).unwrap();
+        let _ = engine.evaluate_batch(&[vec![Complex::<Dd>::one(); 32]]);
+        let layout = engine.layout();
+        let elem = <Complex<Dd> as DeviceValue>::DEVICE_BYTES;
+        let coeffs = 704 * 2 * elem;
+        let point = (layout.vars_stride + layout.mons_stride + layout.out_stride) * elem;
+        assert_eq!(engine.allocated_bytes(), coeffs + 64 * point);
+        assert!(
+            engine.backed_bytes() <= coeffs + 2 * point,
+            "{} bytes backed, {} allowed",
+            engine.backed_bytes(),
+            coeffs + 2 * point
+        );
+    }
+
+    /// The global-memory check counts exactly the footprint the engine
+    /// then models: a card holding it builds, one byte less does not.
+    #[test]
+    fn global_memory_bounds_the_footprint_exactly() {
+        let on = |global_mem: usize, sys: &System<f64>, opts: &GpuOptions| {
+            let mut opts = opts.clone();
+            opts.device.global_mem = global_mem;
+            BatchGpuEvaluator::new(sys, 16, opts)
+        };
+        for (sys, opts) in [
+            (
+                random_system::<f64>(&params(8, 4, 3, 2, 1)),
+                GpuOptions::default(),
+            ),
+            (ragged(), packed()),
+        ] {
+            let footprint = on(usize::MAX, &sys, &opts).unwrap().allocated_bytes();
+            assert!(on(footprint, &sys, &opts).is_ok());
+            match on(footprint - 1, &sys, &opts) {
+                Err(SetupError::GlobalOverflow { needed, budget }) => {
+                    assert_eq!((needed, budget), (footprint, footprint - 1));
+                }
+                Err(e) => panic!("{e}"),
+                Ok(_) => panic!("one byte short must not build"),
+            }
+        }
+        let sys = random_system::<f64>(&params(4, 3, 2, 2, 1));
+        for capacity in [usize::MAX / 2, usize::MAX] {
+            assert!(matches!(
+                BatchGpuEvaluator::new(&sys, capacity, GpuOptions::default()),
+                Err(SetupError::GlobalOverflow {
+                    needed: usize::MAX,
+                    ..
+                })
+            ));
+        }
     }
 
     /// Reused buffers must not leak state between evaluations: a batch,

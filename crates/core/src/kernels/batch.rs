@@ -355,7 +355,7 @@ mod tests {
         let cfg = LaunchConfig::cover(shape.outputs(), 32);
         let cm = ConstantMemory::new(&dev);
         let rep = launch(&dev, &k, cfg, &mut g, &cm, LaunchOptions::default()).unwrap();
-        (g.host_read(out).to_vec(), rep)
+        (g.host_read(out, ..).to_vec(), rep)
     }
 
     #[test]

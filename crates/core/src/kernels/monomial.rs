@@ -266,7 +266,7 @@ mod tests {
         let shape = rig.kernel.enc.shape;
         let n = shape.n;
         let x = &rig.x;
-        let mons = rig.g.host_read(rig.kernel.mons);
+        let mons = rig.g.host_read(rig.kernel.mons, ..);
         for (p, poly) in rig.sys.polys().iter().enumerate() {
             for (j, term) in poly.terms().iter().enumerate() {
                 let mut want = term.coeff;
@@ -435,8 +435,8 @@ mod tests {
         run(&mut table);
         run(&mut scratch);
         assert_eq!(
-            table.g.host_read(table.kernel.mons),
-            scratch.g.host_read(scratch.kernel.mons)
+            table.g.host_read(table.kernel.mons, ..),
+            scratch.g.host_read(scratch.kernel.mons, ..)
         );
         assert_mons_correct(&table, 1e-13);
     }
@@ -455,7 +455,7 @@ mod tests {
         );
         run(&mut r);
         let shape = r.kernel.enc.shape;
-        let mons = r.g.host_read(r.kernel.mons);
+        let mons = r.g.host_read(r.kernel.mons, ..);
         let mut zero_slots = 0;
         for (p, poly) in r.sys.polys().iter().enumerate() {
             for (j, term) in poly.terms().iter().enumerate() {

@@ -109,8 +109,8 @@ pub fn setup_seconds(
 }
 
 /// Setup failure: the system does not fit the device or the encoding,
-/// a batched engine was asked for no capacity, or a fleet for no
-/// devices.
+/// a batched engine was asked for no capacity or for more than the
+/// card's global memory holds, or a fleet for no devices.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SetupError {
@@ -120,6 +120,13 @@ pub enum SetupError {
     ZeroCapacity,
     /// A fleet needs at least one device.
     NoDevices,
+    /// The engine's device buffers for its capacity need `needed` bytes
+    /// (`usize::MAX` when the sum overflows) of the card's `budget`
+    /// bytes of global memory ([`DeviceSpec::global_mem`]).
+    GlobalOverflow {
+        needed: usize,
+        budget: usize,
+    },
 }
 
 impl fmt::Display for SetupError {
@@ -129,6 +136,10 @@ impl fmt::Display for SetupError {
             SetupError::Launch(e) => write!(f, "launch validation: {e}"),
             SetupError::ZeroCapacity => write!(f, "batch capacity must be at least 1"),
             SetupError::NoDevices => write!(f, "a fleet needs at least one device"),
+            SetupError::GlobalOverflow { needed, budget } => write!(
+                f,
+                "global memory exhausted: need {needed} bytes, budget is {budget} bytes"
+            ),
         }
     }
 }

@@ -23,6 +23,9 @@ pub struct DeviceSpec {
     /// shared-preferred configuration the paper's §3.2 arithmetic uses:
     /// "49,152" bytes).
     pub shared_mem_per_sm: usize,
+    /// Global memory in bytes (C2050: 3 GiB of GDDR5). Bounds the
+    /// device buffers an engine may size for its capacity.
+    pub global_mem: usize,
     /// Constant memory in bytes (the paper: "the capacity of the
     /// constant memory, 65,536 bytes").
     pub constant_mem: usize,
@@ -75,6 +78,7 @@ impl DeviceSpec {
             warp_size: 32,
             clock_hz: 1.147e9,
             shared_mem_per_sm: 49_152,
+            global_mem: 3 << 30,
             constant_mem: 65_536,
             constant_reserved: 256,
             max_threads_per_sm: 1536,
@@ -102,6 +106,7 @@ impl DeviceSpec {
             warp_size,
             clock_hz: 1.0e9,
             shared_mem_per_sm: 16_384,
+            global_mem: 1 << 20,
             constant_mem: 1024,
             constant_reserved: 0,
             max_threads_per_sm: 512,
@@ -143,6 +148,7 @@ mod tests {
         assert_eq!(d.total_cores(), 448);
         assert_eq!(d.clock_hz, 1.147e9);
         assert_eq!(d.constant_mem, 65_536);
+        assert_eq!(d.global_mem, 3 * 1024 * 1024 * 1024);
         assert_eq!(d.shared_mem_per_sm, 49_152);
         assert_eq!(d.warp_size, 32);
     }

@@ -187,36 +187,10 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
         counters += *c;
     }
 
-    if opts.check_write_conflicts {
-        // One bit per element stored to, per buffer, marked in block
-        // order: the first element marked twice is the conflict.
-        let mut marked: Vec<Vec<u64>> = Vec::new();
-        for (_, writes) in &results {
-            for &(buf, idx, _) in writes {
-                if marked.len() <= buf.0 {
-                    marked.resize_with(buf.0 + 1, Vec::new);
-                }
-                let bits = &mut marked[buf.0];
-                let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-                if bits.len() <= word {
-                    bits.resize(word + 1, 0);
-                }
-                if bits[word] & bit != 0 {
-                    return Err(LaunchError::WriteConflict {
-                        buffer: buf.0,
-                        index: idx,
-                    });
-                }
-                bits[word] |= bit;
-            }
-        }
-    }
-
-    for (_, writes) in results {
-        for (buf, idx, v) in writes {
-            global.write(buf, idx, v);
-        }
-    }
+    global.apply_stores(
+        results.iter().map(|(_, writes)| writes.as_slice()),
+        opts.check_write_conflicts,
+    )?;
 
     let timing = model_launch(device, cfg, occ, &counters);
     Ok(LaunchReport {
@@ -293,7 +267,7 @@ mod tests {
         let a = C64::from_f64(2.0, 1.0);
         for i in 0..n {
             let want = a * C64::from_f64(i as f64, 1.0) + C64::from_f64(0.5, -(i as f64));
-            assert_eq!(g.host_read(k.y)[i], want, "element {i}");
+            assert_eq!(g.host_read(k.y, ..)[i], want, "element {i}");
         }
         assert_eq!(report.counters.divergent_segments, 0);
         // 4 warps minus masked tail: grid covers 128 threads for n=100.
@@ -321,7 +295,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(g1.host_read(k.y), g2.host_read(k2.y));
+        assert_eq!(g1.host_read(k.y, ..), g2.host_read(k2.y, ..));
         assert_eq!(r1.counters, r2.counters);
     }
 
@@ -433,12 +407,12 @@ mod tests {
             )
             .unwrap();
             counters += r.counters;
-            singles.extend_from_slice(g.host_read(y));
+            singles.extend_from_slice(&g.host_read(y, ..));
         }
 
         // Bit-for-bit identical results; counters for the larger grid
         // are exactly the sum over the separate launches.
-        let batched = gb.host_read(yb);
+        let batched = gb.host_read(yb, ..);
         for i in 0..p {
             assert_eq!(
                 &batched[i * stride..i * stride + n],
@@ -545,8 +519,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(g.host_read(y)[31], C64::from_f64(0.0, 0.0));
-        assert_eq!(g.host_read(y)[30], C64::from_f64(30.0, 0.0));
+        assert_eq!(g.host_read(y, ..)[31], C64::from_f64(0.0, 0.0));
+        assert_eq!(g.host_read(y, ..)[30], C64::from_f64(30.0, 0.0));
     }
 
     #[test]

@@ -385,7 +385,7 @@ mod tests {
         // writes buffered, not applied: element 4 still holds its
         // initial value rather than the doubled one
         assert_eq!(blk.writes.len(), 4);
-        assert_eq!(g.host_read(buf)[4], C64::from_f64(5.0, 0.0));
+        assert_eq!(g.host_read(buf, ..)[4], C64::from_f64(5.0, 0.0));
         assert_eq!(blk.writes[0].2, C64::from_f64(10.0, 0.0));
     }
 

@@ -22,7 +22,9 @@
 //! conflicts are detected (one bitset per buffer) and reported instead
 //! of being silent UB. The host work of a launch is its blocks' run,
 //! one pass of the warp analyzer over each slot of their traces, and
-//! one pass over their stores.
+//! two passes over their stores: one checks them and finds how far
+//! each buffer is written, one applies them. Global memory is backed on
+//! the host only as far as it has been written ([`mem::GlobalMem`]).
 //!
 //! ```
 //! use polygpu_gpusim::prelude::*;
@@ -58,7 +60,7 @@
 //!     &constant,
 //!     LaunchOptions::default(),
 //! ).unwrap();
-//! assert_eq!(global.host_read(buf)[7], C64::from_f64(3.0, -4.0));
+//! assert_eq!(global.host_read(buf, ..)[7], C64::from_f64(3.0, -4.0));
 //! assert_eq!(report.counters.divergent_segments, 0);
 //! ```
 

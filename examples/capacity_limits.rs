@@ -8,7 +8,9 @@
 //! This example sweeps the monomial count at `k = 16`, shows exactly
 //! where the direct `u8 + u8` encoding stops fitting, and then lifts
 //! the wall with the paper's proposed compact encoding (nibble-packed
-//! exponents).
+//! exponents). Last, it shows the second wall a batched engine meets:
+//! the card's global memory, which bounds the points an engine may be
+//! sized for.
 //!
 //! ```text
 //! cargo run --release --example capacity_limits
@@ -97,4 +99,45 @@ fn main() {
          behind the multiplications exactly as the paper predicted.",
         2 * 2048 * 16 * 2 // 2 iops per factor read, 2 reads per eval (kernels 1 and 2)
     );
+
+    // Global memory: a batched engine models buffers for every point
+    // of its capacity, about 0.8 MB per point on Table 1's largest
+    // row. A capacity past the card's 3 GiB is refused at build time,
+    // typed, before anything is backed; one that fits costs the host
+    // only the points it evaluates.
+    let table1 = random_system::<f64>(&BenchmarkParams {
+        n: 32,
+        m: 48,
+        k: 9,
+        d: 2,
+        seed: 3,
+    });
+    println!(
+        "\ndevice global memory: {} bytes; Table 1's 1,536-monomial row:\n",
+        device.global_mem
+    );
+    println!("| capacity | batched engine |");
+    println!("|---------:|----------------|");
+    for capacity in [64usize, 3_888, 3_889, 100_000] {
+        let row = match BatchGpuEvaluator::new(&table1, capacity, GpuOptions::default()) {
+            Ok(engine) => format!(
+                "fits ({} B modeled, {} B backed on the host)",
+                engine.allocated_bytes(),
+                engine.backed_bytes()
+            ),
+            Err(e @ SetupError::GlobalOverflow { .. }) => format!("REFUSED: {e}"),
+            Err(e) => panic!("unexpected setup error: {e}"),
+        };
+        println!("| {capacity} | {row} |");
+    }
+    let huge = Engine::builder()
+        .backend(Backend::GpuBatch {
+            capacity: usize::MAX,
+        })
+        .build(&table1);
+    assert!(matches!(
+        huge.map(drop),
+        Err(BuildError::Setup(SetupError::GlobalOverflow { .. }))
+    ));
+    println!("\na capacity of usize::MAX fails the same way, through the builder.");
 }

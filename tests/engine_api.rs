@@ -110,3 +110,69 @@ fn facade_session_amortizes_against_reencoding() {
     );
     assert!(session.constant_bytes_used() <= session.constant_budget());
 }
+
+/// A capacity whose device buffers the card's global memory cannot
+/// hold fails typed on every path that sizes them: a batched engine, a
+/// point fleet's and a row fleet's per-device capacity, and a session
+/// load. At 100,000 points the Table 1 row needs about 83 GB of a
+/// C2050's 3 GiB (a row fleet's device, holding half the rows, about
+/// 41 GB); at `usize::MAX` the byte count overflows and saturates.
+#[test]
+fn facade_rejects_capacities_the_card_cannot_hold() {
+    let table1 = random_system::<f64>(&BenchmarkParams {
+        n: 32,
+        m: 48,
+        k: 9,
+        d: 2,
+        seed: 1,
+    });
+    let budget = DeviceSpec::tesla_c2050().global_mem;
+    assert_eq!(budget, 3 << 30);
+    let check = |path: &str, capacity: usize, result: Result<(), BuildError>| match result {
+        Err(BuildError::Setup(SetupError::GlobalOverflow { needed, budget: b })) => {
+            assert_eq!(b, budget, "{path} at {capacity}");
+            assert!(needed > budget, "{path} at {capacity}: {needed}");
+            if capacity == usize::MAX {
+                assert_eq!(needed, usize::MAX, "{path}");
+            }
+        }
+        Err(e) => panic!("{path} at {capacity}: {e}"),
+        Ok(()) => panic!("{path} at {capacity} must not build"),
+    };
+    let fleet = |shard: ShardMode| Backend::Cluster {
+        devices: vec![DeviceSpec::tesla_c2050(); 2],
+        shard,
+    };
+    for capacity in [100_000, usize::MAX] {
+        let built = Engine::builder()
+            .backend(Backend::GpuBatch { capacity })
+            .build(&table1);
+        check("gpu-batch", capacity, built.map(drop));
+        let built = Engine::builder()
+            .backend(fleet(ClusterPolicy::default().into()))
+            .per_device_capacity(capacity)
+            .build(&table1);
+        check("point fleet", capacity, built.map(drop));
+        let built = Engine::builder()
+            .backend(fleet(SystemShardPolicy::Contiguous.into()))
+            .per_device_capacity(capacity)
+            .build(&table1);
+        check("row fleet", capacity, built.map(drop));
+        let mut session = Engine::builder()
+            .backend(Backend::GpuBatch { capacity })
+            .session::<f64>()
+            .unwrap();
+        check("session", capacity, session.load("t1", &table1).map(drop));
+        assert_eq!(session.resident_count(), 0);
+        assert_eq!(session.constant_bytes_used(), 0);
+    }
+    // The error reads like the constant-memory one.
+    let err = Engine::builder()
+        .backend(Backend::GpuBatch {
+            capacity: usize::MAX,
+        })
+        .build(&table1)
+        .map(drop)
+        .unwrap_err();
+    assert!(err.to_string().contains("global memory exhausted"), "{err}");
+}
