@@ -313,6 +313,16 @@ impl<R: Real> RowShardedEvaluator<R> {
         self.shards.iter().map(|s| s.engine.stats()).collect()
     }
 
+    /// Modeled global-memory bytes this evaluator's shards hold on
+    /// fleet device `device`.
+    pub(crate) fn global_bytes_on(&self, device: usize) -> usize {
+        self.shards
+            .iter()
+            .filter(|s| s.device_index == device)
+            .map(|s| s.engine.allocated_bytes())
+            .sum()
+    }
+
     /// Aggregate cluster statistics. Fault accounting merges the
     /// devices' strike/detection counters with the cluster-level
     /// retry/failover/re-encode bookkeeping.
@@ -746,7 +756,10 @@ impl<R: Real> ClusterSession<R> {
     /// each device's shard encodes into that device's shared arena
     /// (joint budget — fails typed when a shard does not fit next to
     /// the residents, leaving no partial allocation on any device),
-    /// charging the modeled parallel setup once.
+    /// charging the modeled parallel setup once. The residents' shards
+    /// on a device share its global memory the same way: a shard whose
+    /// engine's buffers do not fit next to theirs fails the load with
+    /// [`SetupError::GlobalOverflow`] before anything is built.
     ///
     /// A device that faults during its staged upload is excluded —
     /// permanently when the fault is [`FaultKind::DeviceLost`] — and
@@ -776,9 +789,32 @@ impl<R: Real> ClusterSession<R> {
                     .filter(|(rows, _)| !rows.is_empty())
                     .map(|(rows, &d)| (d, rows))
                     .collect();
-            // Budget check across the whole fleet *before* touching any
-            // arena, so a rejected load is free on every device.
-            for (d, rows) in &plan {
+            let blocks: Vec<System<R>> = plan
+                .iter()
+                .map(|(_, rows)| system.row_block(rows))
+                .collect();
+            // Budget checks across the whole fleet *before* touching any
+            // arena, so a rejected load is free on every device: each
+            // shard's engine must fit its device's global memory next to
+            // the residents' shards there, and its supports the arena.
+            for ((d, rows), block) in plan.iter().zip(&blocks) {
+                let gopts = device_options(&self.opts.base, &self.specs[*d], *d);
+                let budget = self.specs[*d].global_mem;
+                let needed = self
+                    .residents
+                    .iter()
+                    .flatten()
+                    .map(|r| r.evaluator.global_bytes_on(*d))
+                    .fold(
+                        BatchGpuEvaluator::footprint(block, self.capacity, &gopts),
+                        usize::saturating_add,
+                    );
+                if needed > budget {
+                    return Err(BuildError::Setup(SetupError::GlobalOverflow {
+                        needed,
+                        budget,
+                    }));
+                }
                 let shard_shape = UniformShape {
                     rows: rows.len(),
                     ..shape
@@ -831,9 +867,9 @@ impl<R: Real> ClusterSession<R> {
                         continue 'replan;
                     }
                 }
-                let block = system.row_block(rows);
+                let block = &blocks[j];
                 let gopts = device_options(&self.opts.base, &self.specs[*d], *d);
-                let enc = EncodedSupports::upload(&block, &mut staged[j], self.opts.base.encoding)
+                let enc = EncodedSupports::upload(block, &mut staged[j], self.opts.base.encoding)
                     .map_err(|e| BuildError::Setup(SetupError::Encode(e)))?;
                 constant_bytes += enc.constant_bytes();
                 regions.push((*d, enc.regions()));
@@ -843,7 +879,7 @@ impl<R: Real> ClusterSession<R> {
                 setup = setup.max(self.modeled_shard_setup(&self.specs[*d], &shard_shape));
                 shards.push(RowShard {
                     engine: BatchGpuEvaluator::from_encoded(
-                        &block,
+                        block,
                         enc,
                         staged[j].clone(),
                         self.capacity,

@@ -239,6 +239,41 @@ impl<R: Real> BatchGpuEvaluator<R> {
         Self::assemble(system, Supports::Uniform(enc), constant, capacity, opts)
     }
 
+    /// Modeled global-memory bytes of an engine for `system` at
+    /// `capacity` points under `opts`: the points', `Mons` and output
+    /// buffers for `capacity` points plus the coefficients, saturating
+    /// at `usize::MAX`. Construction checks it against the card's
+    /// [`DeviceSpec::global_mem`], and a built engine's
+    /// [`allocated_bytes`](Self::allocated_bytes) equals it; a session
+    /// checks it, plus its residents', before it builds a load.
+    pub fn footprint(system: &System<R>, capacity: usize, opts: &GpuOptions) -> usize {
+        Self::sized(&system.sparse_shape(), capacity, opts).2
+    }
+
+    /// The layout, the coefficient count and the modeled bytes of the
+    /// four buffers of an engine for `shape` at `capacity` points.
+    fn sized(
+        shape: &SparseShape,
+        capacity: usize,
+        opts: &GpuOptions,
+    ) -> (BatchLayout, usize, usize) {
+        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
+        let layout = BatchLayout::new(
+            shape,
+            capacity,
+            opts.block_dim,
+            elem,
+            opts.device.coalesce_segment,
+        );
+        let coeffs_len = shape.total_monomials * (shape.max_k + 1);
+        let bytes = capacity
+            .checked_mul(layout.vars_stride + layout.mons_stride + layout.out_stride)
+            .and_then(|per_points| per_points.checked_add(coeffs_len))
+            .and_then(|elems| elems.checked_mul(elem))
+            .unwrap_or(usize::MAX);
+        (layout, coeffs_len, bytes)
+    }
+
     fn assemble(
         system: &System<R>,
         supports: Supports,
@@ -251,22 +286,9 @@ impl<R: Real> BatchGpuEvaluator<R> {
         }
         let device = opts.device.clone();
         let shape = system.sparse_shape();
-        let elem = <Complex<R> as DeviceValue>::DEVICE_BYTES;
-        let layout = BatchLayout::new(
-            &shape,
-            capacity,
-            opts.block_dim,
-            elem,
-            device.coalesce_segment,
-        );
         // The four buffers' modeled footprint must fit the card before
-        // any is allocated; a sum past `usize` saturates.
-        let coeffs_len = shape.total_monomials * (shape.max_k + 1);
-        let needed = capacity
-            .checked_mul(layout.vars_stride + layout.mons_stride + layout.out_stride)
-            .and_then(|per_points| per_points.checked_add(coeffs_len))
-            .and_then(|elems| elems.checked_mul(elem))
-            .unwrap_or(usize::MAX);
+        // any is allocated.
+        let (layout, coeffs_len, needed) = Self::sized(&shape, capacity, &opts);
         if needed > device.global_mem {
             return Err(SetupError::GlobalOverflow {
                 needed,

@@ -903,9 +903,9 @@ impl<P: ClusterProvider> EngineBuilder<P> {
         self
     }
 
-    /// Host-side launch options (write-conflict checking, host
-    /// parallelism) — the last `GpuOptions` knob, so the builder fully
-    /// subsumes direct options construction.
+    /// Host-side launch options (host parallelism) — the last
+    /// `GpuOptions` knob, so the builder fully subsumes direct options
+    /// construction.
     pub fn launch(mut self, launch: LaunchOptions) -> Self {
         self.launch = launch;
         self
@@ -1236,9 +1236,11 @@ struct Resident<R: Real> {
 /// whose supports do not fit next to the already-resident ones fails
 /// with the same typed error the paper's 2,048-monomial experiment
 /// produces, and [`Session::constant_bytes_used`] reports the shared
-/// arena's occupancy. Evaluation results are bit-identical to a
-/// standalone engine of the same spec — residency is pure setup-cost
-/// amortization.
+/// arena's occupancy. So is the card's global memory: a load whose
+/// engine's buffers do not fit next to the residents' fails with
+/// [`SetupError::GlobalOverflow`]. Evaluation results are
+/// bit-identical to a standalone engine of the same spec — residency
+/// is pure setup-cost amortization.
 pub struct Session<R: Real> {
     opts: GpuOptions,
     capacity: usize,
@@ -1298,9 +1300,27 @@ impl<R: Real> Session<R> {
     /// Encode and upload `system` into the shared constant arena and
     /// assemble its engine, charging the modeled full setup cost once.
     /// Fails (typed) when the system does not fit the remaining
-    /// constant-memory budget next to the already-resident systems.
+    /// constant-memory budget next to the already-resident systems, or
+    /// when its engine's buffers do not fit the card's global memory
+    /// next to theirs ([`SetupError::GlobalOverflow`], checked before
+    /// anything is built). A rejected load leaves the session as it
+    /// found it.
     pub fn load(&mut self, label: &str, system: &System<R>) -> Result<SystemId, BuildError> {
         let shape = system.uniform_shape()?;
+        let resident: usize = self
+            .residents
+            .iter()
+            .flatten()
+            .map(|r| r.engine.allocated_bytes())
+            .sum();
+        let needed = BatchGpuEvaluator::footprint(system, self.capacity, &self.opts)
+            .saturating_add(resident);
+        if needed > self.opts.device.global_mem {
+            return Err(BuildError::Setup(SetupError::GlobalOverflow {
+                needed,
+                budget: self.opts.device.global_mem,
+            }));
+        }
         // Stage the upload in a copy of the arena and commit the copy
         // only once the engine is built, so a rejected load (no room
         // for its supports, or a failed validation probe) leaves the

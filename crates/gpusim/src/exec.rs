@@ -1,12 +1,13 @@
-//! The launch executor: runs a kernel's blocks (in parallel on the
-//! host via rayon — blocks are independent within a launch, exactly as
-//! on the device), analyzes traces, applies buffered writes, and models
-//! the launch time.
+//! The launch executor: runs a kernel's blocks in waves (each wave in
+//! parallel on the host via rayon — blocks are independent within a
+//! launch, exactly as on the device), analyzes traces, applies each
+//! wave's buffered stores before the next wave runs, and models the
+//! launch time.
 
 use crate::analysis::Analyzer;
 use crate::device::DeviceSpec;
 use crate::kernel::{BlockCtx, Kernel, LaunchConfig};
-use crate::mem::{BufferId, ConstantMemory, GlobalMem};
+use crate::mem::{BufferId, ConstantMemory, GlobalMem, StoreMarks};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::stats::Counters;
 use crate::timing::{model_launch, LaunchTiming};
@@ -15,8 +16,9 @@ use crate::value::DeviceValue;
 use rayon::prelude::*;
 use std::fmt;
 
-/// Errors that abort a launch before any block runs (the CUDA
-/// equivalents are `cudaErrorInvalidConfiguration` and friends).
+/// Errors that fail a launch. The configuration errors come before any
+/// block runs (the CUDA equivalents are `cudaErrorInvalidConfiguration`
+/// and friends); the two races come from running the blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LaunchError {
     /// Block exceeds device limits or zero-sized.
@@ -27,6 +29,11 @@ pub enum LaunchError {
     /// global element in one launch — undefined behaviour on hardware,
     /// reported deterministically here.
     WriteConflict { buffer: usize, index: usize },
+    /// A block loaded a global element that a block of an earlier wave
+    /// of the same launch stored: a cross-block race that hardware
+    /// leaves undefined, reported here instead of reading a value that
+    /// depends on the wave size. The first such load in block order.
+    ReadAfterWrite { buffer: usize, index: usize },
 }
 
 impl fmt::Display for LaunchError {
@@ -41,6 +48,10 @@ impl fmt::Display for LaunchError {
                 f,
                 "global write conflict on buffer {buffer} element {index}"
             ),
+            LaunchError::ReadAfterWrite { buffer, index } => write!(
+                f,
+                "global load of buffer {buffer} element {index} after another block of the launch stored it"
+            ),
         }
     }
 }
@@ -50,10 +61,7 @@ impl std::error::Error for LaunchError {}
 /// Options controlling a launch.
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchOptions {
-    /// Detect duplicate global stores: one pass over the launch's
-    /// stores, marking each in a bitset per buffer.
-    pub check_write_conflicts: bool,
-    /// Run blocks on host threads (rayon). A grid of fewer than
+    /// Run blocks on host threads (rayon). A wave of fewer than
     /// [`rayon::INLINE_BELOW`] blocks runs on the calling thread either
     /// way; disable for strictly serial debugging of larger grids.
     pub parallel_host: bool,
@@ -62,11 +70,23 @@ pub struct LaunchOptions {
 impl Default for LaunchOptions {
     fn default() -> Self {
         LaunchOptions {
-            check_write_conflicts: true,
             parallel_host: true,
         }
     }
 }
+
+/// Blocks per wave: a launch runs its grid this many blocks at a time
+/// and applies each wave's stores before the next, so the host holds
+/// at most one wave's stores. Fixed, not tied to the host's thread
+/// count, so whether a racy launch fails does not depend on the
+/// machine.
+///
+/// Picked by measurement on a 2-core machine: `eval-table1`'s 3,072-
+/// and 2,112-block launches peaked at 63.9 MB resident with 64 blocks
+/// per wave, 64.4 MB with 256 and 75.0 MB with 1,024, against 103.1 MB
+/// for the whole grid at once; host time did not differ beyond noise.
+/// At 256 the smaller workloads' launches are one wave.
+const WAVE_BLOCKS: u32 = 256;
 
 /// The result of one launch: counters and modeled timing.
 #[derive(Debug, Clone)]
@@ -112,13 +132,33 @@ struct Worker {
     traces: Vec<ThreadTrace>,
 }
 
+/// What one block leaves for its wave's end: its counters, its
+/// buffered stores and its first load of an element an earlier wave
+/// stored.
+struct BlockOutcome<T> {
+    counters: Counters,
+    writes: Vec<(BufferId, usize, T)>,
+    stale_load: Option<(BufferId, usize)>,
+}
+
 /// Execute `kernel` over `cfg` against `global`/`constant`.
 ///
-/// Functionally: all blocks run, buffered global stores are applied
-/// after every block finishes (CUDA guarantees no inter-block write
-/// visibility within a launch; none of the paper's kernels relies on
-/// it). Performance-wise: traces are analyzed per block and reduced
-/// into launch counters, then fed to the timing model.
+/// Functionally: the grid runs in waves of a fixed number of blocks,
+/// and each wave's buffered global stores are applied, in block order,
+/// before the next wave starts, so the host holds at most one wave's
+/// stores. Every load reads the element as it was before the launch
+/// (CUDA guarantees no inter-block write visibility within a launch;
+/// none of the paper's kernels relies on it): a load of an element that
+/// an earlier wave stored fails the launch with
+/// [`LaunchError::ReadAfterWrite`], and two stores to one element with
+/// [`LaunchError::WriteConflict`], the first in block order either way.
+/// A stale load is reported before its wave's stores are checked. Waves
+/// cannot be observed otherwise: a launch that succeeds leaves memory,
+/// counters and timing as if every block had run before any store
+/// landed. A launch that fails may leave earlier waves' stores applied.
+///
+/// Performance-wise: traces are analyzed per block and reduced into
+/// launch counters in block order, then fed to the timing model.
 pub fn launch<T: DeviceValue, K: Kernel<T>>(
     device: &DeviceSpec,
     kernel: &K,
@@ -157,40 +197,60 @@ pub fn launch<T: DeviceValue, K: Kernel<T>>(
         LaunchError::BadConfig("kernel does not fit on an SM at any occupancy".into())
     })?;
 
-    type BlockOutcome<T> = (Counters, Vec<(BufferId, usize, T)>);
-    let run_block = |worker: &mut Worker, block_id: u32| -> BlockOutcome<T> {
+    let run_block = |worker: &mut Worker,
+                     block_id: u32,
+                     global: &GlobalMem<T>,
+                     stored: Option<&StoreMarks>|
+     -> BlockOutcome<T> {
         let traces = std::mem::take(&mut worker.traces);
-        let mut blk = BlockCtx::new(block_id, cfg, shared_elems, global, constant, traces);
+        let mut blk = BlockCtx::new(
+            block_id,
+            cfg,
+            shared_elems,
+            global,
+            constant,
+            stored,
+            traces,
+        );
         kernel.run_block(&mut blk);
         let counters = worker.analyzer.block::<T>(device, &blk.traces);
         worker.traces = blk.traces;
-        (counters, blk.writes)
-    };
-
-    // Blocks are independent; run them on host threads, each with its
-    // own buffers. Results are collected in block order, so everything
-    // downstream is deterministic regardless of scheduling.
-    let results: Vec<BlockOutcome<T>> = if opts.parallel_host {
-        (0..cfg.grid_dim)
-            .into_par_iter()
-            .map_init(Worker::default, run_block)
-            .collect()
-    } else {
-        let mut worker = Worker::default();
-        (0..cfg.grid_dim)
-            .map(|b| run_block(&mut worker, b))
-            .collect()
+        BlockOutcome {
+            counters,
+            writes: blk.writes,
+            stale_load: blk.stale_load,
+        }
     };
 
     let mut counters = Counters::default();
-    for (c, _) in &results {
-        counters += *c;
+    let mut stored = StoreMarks::default();
+    let mut serial = Worker::default();
+    for start in (0..cfg.grid_dim).step_by(WAVE_BLOCKS as usize) {
+        let wave = start..cfg.grid_dim.min(start.saturating_add(WAVE_BLOCKS));
+        // Blocks are independent; run the wave's on host threads, each
+        // with its own buffers. Outcomes are collected in block order,
+        // so everything downstream is deterministic regardless of
+        // scheduling.
+        let earlier = (start > 0).then_some(&stored);
+        let outcomes: Vec<BlockOutcome<T>> = if opts.parallel_host {
+            wave.into_par_iter()
+                .map_init(Worker::default, |w, b| run_block(w, b, global, earlier))
+                .collect()
+        } else {
+            wave.map(|b| run_block(&mut serial, b, global, earlier))
+                .collect()
+        };
+        if let Some((buf, index)) = outcomes.iter().find_map(|o| o.stale_load) {
+            return Err(LaunchError::ReadAfterWrite {
+                buffer: buf.0,
+                index,
+            });
+        }
+        global.apply_stores(&mut stored, outcomes.iter().map(|o| o.writes.as_slice()))?;
+        for o in &outcomes {
+            counters += o.counters;
+        }
     }
-
-    global.apply_stores(
-        results.iter().map(|(_, writes)| writes.as_slice()),
-        opts.check_write_conflicts,
-    )?;
 
     let timing = model_launch(device, cfg, occ, &counters);
     Ok(LaunchReport {
@@ -276,27 +336,28 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_execution_agree() {
-        let n = 600;
-        let (dev, mut g1, cm, k) = setup(n);
-        let cfg = LaunchConfig::cover(n, 32);
-        // Large enough that the parallel launch really runs on threads.
-        assert!(cfg.grid_dim as usize >= rayon::INLINE_BELOW);
-        let r1 = launch(&dev, &k, cfg, &mut g1, &cm, LaunchOptions::default()).unwrap();
-        let (_, mut g2, cm2, k2) = setup(n);
-        let r2 = launch(
-            &dev,
-            &k2,
-            cfg,
-            &mut g2,
-            &cm2,
-            LaunchOptions {
-                parallel_host: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(g1.host_read(k.y, ..), g2.host_read(k2.y, ..));
-        assert_eq!(r1.counters, r2.counters);
+        // One wave large enough that the parallel launch really runs on
+        // threads, and a grid of two waves, the second of two blocks.
+        for n in [600, (WAVE_BLOCKS as usize + 1) * 32 + 5] {
+            let (dev, mut g1, cm, k) = setup(n);
+            let cfg = LaunchConfig::cover(n, 32);
+            assert!(cfg.grid_dim as usize >= rayon::INLINE_BELOW);
+            let r1 = launch(&dev, &k, cfg, &mut g1, &cm, LaunchOptions::default()).unwrap();
+            let (_, mut g2, cm2, k2) = setup(n);
+            let r2 = launch(
+                &dev,
+                &k2,
+                cfg,
+                &mut g2,
+                &cm2,
+                LaunchOptions {
+                    parallel_host: false,
+                },
+            )
+            .unwrap();
+            assert_eq!(g1.host_read(k.y, ..), g2.host_read(k2.y, ..));
+            assert_eq!(r1.counters, r2.counters);
+        }
     }
 
     #[test]
@@ -505,22 +566,291 @@ mod tests {
                 index: 31
             }
         );
-        // Without the check the launch runs; the later block's store
-        // lands last.
-        launch(
-            &dev,
-            &Overlap { y },
-            LaunchConfig::new(2, 32),
-            &mut g,
-            &cm,
-            LaunchOptions {
-                check_write_conflicts: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(g.host_read(y, ..)[31], C64::from_f64(0.0, 0.0));
-        assert_eq!(g.host_read(y, ..)[30], C64::from_f64(30.0, 0.0));
+    }
+
+    /// The all-at-once executor that waves replaced, kept as the
+    /// reference they must match: every block runs against the
+    /// pre-launch memory, then all stores are applied in block order.
+    fn launch_all_at_once<K: Kernel<C64>>(
+        dev: &DeviceSpec,
+        kernel: &K,
+        cfg: LaunchConfig,
+        global: &mut GlobalMem<C64>,
+        constant: &ConstantMemory,
+    ) -> Result<Counters, LaunchError> {
+        let shared = kernel.shared_elems(cfg.block_dim);
+        let mut analyzer = Analyzer::default();
+        let mut counters = Counters::default();
+        let mut writes = Vec::new();
+        for b in 0..cfg.grid_dim {
+            let mut blk = BlockCtx::new(b, cfg, shared, global, constant, None, Vec::new());
+            kernel.run_block(&mut blk);
+            counters += analyzer.block::<C64>(dev, &blk.traces);
+            writes.push(blk.writes);
+        }
+        global.apply_stores(&mut StoreMarks::default(), writes.iter().map(Vec::as_slice))?;
+        Ok(counters)
+    }
+
+    /// A kernel that follows a script: global thread `g` loads
+    /// `loads[g]`, adds them to a value of its own, and stores the sum
+    /// to `stores[g]`, if any.
+    struct Scripted {
+        loads: Vec<Vec<(BufferId, usize)>>,
+        stores: Vec<Option<(BufferId, usize)>>,
+    }
+
+    impl Kernel<C64> for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn shared_elems(&self, _b: u32) -> usize {
+            0
+        }
+        fn run_block(&self, blk: &mut BlockCtx<'_, C64>) {
+            blk.threads(|t| {
+                let g = t.global_tid() as usize;
+                let mut acc = C64::from_f64(g as f64, 1.0);
+                for &(buf, i) in &self.loads[g] {
+                    let v = t.gload(buf, i);
+                    acc = t.add(acc, v);
+                }
+                if let Some((buf, i)) = self.stores[g] {
+                    t.gstore(buf, i, acc);
+                }
+            });
+        }
+    }
+
+    /// Buffers of `len` elements each, the first half host-written (the
+    /// rest reads as never-written zero).
+    fn scripted_memory(buffers: usize, len: usize) -> (GlobalMem<C64>, Vec<BufferId>) {
+        let mut g = GlobalMem::new();
+        let ids: Vec<BufferId> = (0..buffers).map(|_| g.alloc(len)).collect();
+        for (c, &id) in ids.iter().enumerate() {
+            let init: Vec<C64> = (0..len / 2)
+                .map(|i| C64::from_f64(i as f64, -(c as f64)))
+                .collect();
+            g.host_write(id, 0, &init);
+        }
+        (g, ids)
+    }
+
+    /// A launch's result and the memory it left.
+    type Run = (Result<Counters, LaunchError>, GlobalMem<C64>);
+
+    /// Run `kernel` through `launch` (in parallel) and through the
+    /// all-at-once reference, each on a copy of `global`.
+    fn against_the_reference(
+        kernel: &Scripted,
+        cfg: LaunchConfig,
+        global: &GlobalMem<C64>,
+    ) -> (Run, Run) {
+        let dev = DeviceSpec::toy(4);
+        let cm = ConstantMemory::new(&dev);
+        let (mut waves, mut reference) = (global.clone(), global.clone());
+        let got = launch(&dev, kernel, cfg, &mut waves, &cm, LaunchOptions::default())
+            .map(|r| r.counters);
+        let want = launch_all_at_once(&dev, kernel, cfg, &mut reference, &cm);
+        ((got, waves), (want, reference))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random grids of one block up to three waves plus one, against
+        /// the all-at-once reference. Every thread stores at most one
+        /// element. Race-free scripts (`race` 0 or 1) load unstored
+        /// elements, elements a later block stores and elements their own
+        /// block stores, never one an earlier block stores, and store no
+        /// element twice: they leave the same memory (values and backing)
+        /// and the same counters as the reference. `race` 2 adds two loads
+        /// of stored elements by random threads: the launch fails with the
+        /// first load in block order of what an earlier wave stores, if
+        /// any, and matches the reference otherwise. `race` 3 makes two
+        /// threads store one element, and the launch fails with the
+        /// reference's conflict.
+        #[test]
+        fn waves_cannot_be_observed(
+            grid in proptest::prop_oneof![
+                1u32..=3 * WAVE_BLOCKS + 1,
+                proptest::prelude::Just(WAVE_BLOCKS + 1),
+                proptest::prelude::Just(3 * WAVE_BLOCKS + 1),
+            ],
+            block_dim in 1u32..=8,
+            buffers in 2usize..=3,
+            race in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let threads = (grid * block_dim) as usize;
+            let len = threads + 7;
+            let (global, ids) = scripted_memory(buffers, len);
+            // A splitmix64 stream per (thread, draw).
+            let draw = |g: usize, k: usize| {
+                let mut z = seed ^ ((g as u64) << 8 | k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as usize
+            };
+            let wave_of = |g: usize| g as u32 / block_dim / WAVE_BLOCKS;
+            // Thread `g` may store element `(g * step + shift) % len` of
+            // one buffer: distinct threads, distinct elements.
+            let step = (len / 3 + 1..len).find(|&s| gcd(s, len) == 1).unwrap_or(1);
+            let shift = seed as usize % len;
+            let mut owner: Vec<Vec<Option<usize>>> = vec![vec![None; len]; buffers];
+            let mut stores: Vec<Option<(BufferId, usize)>> = (0..threads)
+                .map(|g| {
+                    (draw(g, 0) % 4 != 0).then(|| {
+                        let (c, i) = (draw(g, 1) % buffers, (g * step + shift) % len);
+                        owner[c][i] = Some(g);
+                        (ids[c], i)
+                    })
+                })
+                .collect();
+            let block_of = |g: usize| g as u32 / block_dim;
+            let mut loads: Vec<Vec<(BufferId, usize)>> = (0..threads)
+                .map(|g| {
+                    let mut loads: Vec<(BufferId, usize)> = (0..draw(g, 2) % 4)
+                        .map(|k| (draw(g, 3 + 2 * k) % buffers, draw(g, 4 + 2 * k) % len))
+                        .filter(|&(c, i)| owner[c][i].is_none_or(|o| block_of(o) >= block_of(g)))
+                        .map(|(c, i)| (ids[c], i))
+                        .collect();
+                    // A load of what a thread of this block stores.
+                    let mate = (block_of(g) * block_dim + draw(g, 11) as u32 % block_dim) as usize;
+                    loads.extend(stores[mate]);
+                    loads
+                })
+                .collect();
+            let stored: Vec<usize> = (0..threads).filter(|&g| stores[g].is_some()).collect();
+            if race == 2 && !stored.is_empty() {
+                // Up to two threads load what a random thread stores.
+                for k in 0..2 {
+                    let (g, o) = (draw(k, 12) % threads, stored[draw(k, 13) % stored.len()]);
+                    loads[g].push(stores[o].expect("a storing thread"));
+                }
+            }
+            if race == 3 && stored.len() >= 2 {
+                // A storing thread stores what an earlier one stores
+                // (whose loads of it stay race-free).
+                let (a, b) = (stored[draw(0, 14) % stored.len()], stored[draw(0, 15) % stored.len()]);
+                if a != b {
+                    stores[a.max(b)] = stores[a.min(b)];
+                }
+            }
+            // The first load in block order of what an earlier wave
+            // stores.
+            let stale = (0..threads).find_map(|g| {
+                loads[g].iter().find_map(|&(buf, i)| {
+                    owner[buf.0][i]
+                        .is_some_and(|o| wave_of(o) < wave_of(g))
+                        .then_some(LaunchError::ReadAfterWrite { buffer: buf.0, index: i })
+                })
+            });
+            let kernel = Scripted { loads, stores };
+            let ((got, waves), (want, reference)) =
+                against_the_reference(&kernel, LaunchConfig::new(grid, block_dim), &global);
+            match stale {
+                Some(err) => proptest::prop_assert_eq!(got, Err(err)),
+                None => proptest::prop_assert_eq!(&got, &want),
+            }
+            if race < 2 {
+                proptest::prop_assert!(want.is_ok());
+                for &id in &ids {
+                    proptest::prop_assert_eq!(waves.host_read(id, ..), reference.host_read(id, ..));
+                }
+                proptest::prop_assert_eq!(waves.backed_bytes(), reference.backed_bytes());
+            }
+        }
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+
+    /// A script of `grid` one-thread blocks that stores and loads only
+    /// what `stores` and `loads` list, by block.
+    fn one_thread_blocks(
+        grid: u32,
+        stores: &[(u32, BufferId, usize)],
+        loads: &[(u32, BufferId, usize)],
+    ) -> Scripted {
+        let mut kernel = Scripted {
+            loads: vec![Vec::new(); grid as usize],
+            stores: vec![None; grid as usize],
+        };
+        for &(b, buf, i) in stores {
+            kernel.stores[b as usize] = Some((buf, i));
+        }
+        for &(b, buf, i) in loads {
+            kernel.loads[b as usize].push((buf, i));
+        }
+        kernel
+    }
+
+    #[test]
+    fn conflicts_across_waves_match_the_reference() {
+        let grid = 3 * WAVE_BLOCKS;
+        let (global, ids) = scripted_memory(2, 64);
+        let (a, b) = (ids[0], ids[1]);
+        // Pairs of blocks storing one element: in different waves, in
+        // one wave, and two conflicts of which the earlier in block
+        // order is reported.
+        let cases: [&[(u32, BufferId, usize)]; 3] = [
+            &[(0, b, 5), (4, a, 5), (WAVE_BLOCKS, b, 5)],
+            &[(3, a, 9), (WAVE_BLOCKS + 3, b, 9), (WAVE_BLOCKS + 7, b, 9)],
+            &[
+                (1, a, 2),
+                (2 * WAVE_BLOCKS, b, 3),
+                (WAVE_BLOCKS + 1, b, 3),
+                (2 * WAVE_BLOCKS + 9, a, 2),
+            ],
+        ];
+        let wanted = [(1, 5), (1, 9), (1, 3)];
+        for (stores, (buffer, index)) in cases.into_iter().zip(wanted) {
+            let kernel = one_thread_blocks(grid, stores, &[]);
+            let ((got, _), (want, _)) =
+                against_the_reference(&kernel, LaunchConfig::new(grid, 1), &global);
+            assert_eq!(want, Err(LaunchError::WriteConflict { buffer, index }));
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_load_of_what_an_earlier_wave_stored_fails_the_launch() {
+        let grid = 2 * WAVE_BLOCKS + 1;
+        let (global, ids) = scripted_memory(2, 64);
+        let b = ids[1];
+        // Block 3 stores element 7; block 5 loads it in the same wave
+        // (the pre-launch value, as the reference reads), and blocks
+        // `WAVE_BLOCKS + 9`, then `+ 2`, load it in the next wave. The
+        // first stale load in block order is reported.
+        let stores = [(3, b, 7), (WAVE_BLOCKS + 20, b, 8)];
+        let loads = [(5, b, 7), (WAVE_BLOCKS + 9, b, 7), (WAVE_BLOCKS + 2, b, 7)];
+        let kernel = one_thread_blocks(grid, &stores, &loads);
+        let ((got, waves), (want, reference)) =
+            against_the_reference(&kernel, LaunchConfig::new(grid, 1), &global);
+        assert!(want.is_ok());
+        assert_eq!(
+            got,
+            Err(LaunchError::ReadAfterWrite {
+                buffer: 1,
+                index: 7
+            })
+        );
+        // The first wave's store stays applied; the failing wave's
+        // does not land.
+        assert_eq!(waves.host_read(b, 7..9)[0], reference.host_read(b, 7..9)[0]);
+        assert_eq!(waves.host_read(b, 7..9)[1], global.host_read(b, 7..9)[1]);
+        // Without the stale loads, the launch matches the reference.
+        let kernel = one_thread_blocks(grid, &stores, &loads[..1]);
+        let ((got, waves), (want, reference)) =
+            against_the_reference(&kernel, LaunchConfig::new(grid, 1), &global);
+        assert_eq!(got, want);
+        assert_eq!(waves.host_read(b, ..), reference.host_read(b, ..));
     }
 
     #[test]

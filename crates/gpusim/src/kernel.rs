@@ -9,7 +9,7 @@
 //! every traced operation carries enough information for the warp
 //! analyzer to reconstruct lockstep SIMT execution.
 
-use crate::mem::{BufferId, ConstId, ConstantMemory, GlobalMem};
+use crate::mem::{BufferId, ConstId, ConstantMemory, GlobalMem, StoreMarks};
 use crate::trace::{Ev, ThreadTrace};
 use crate::value::DeviceValue;
 
@@ -96,21 +96,28 @@ pub struct BlockCtx<'a, T: DeviceValue> {
     pub(crate) grid_dim: u32,
     pub(crate) global: &'a GlobalMem<T>,
     pub(crate) constant: &'a ConstantMemory,
+    /// The elements earlier waves of the launch stored; `None` in its
+    /// first wave, which no store precedes.
+    pub(crate) stored: Option<&'a StoreMarks>,
     pub(crate) shared: Vec<T>,
     pub(crate) traces: Vec<ThreadTrace>,
     pub(crate) writes: Vec<(BufferId, usize, T)>,
+    /// The block's first load of an element in `stored`.
+    pub(crate) stale_load: Option<(BufferId, usize)>,
 }
 
 impl<'a, T: DeviceValue> BlockCtx<'a, T> {
     /// A block that records into `traces`, cleared and resized to one
     /// trace per thread: a launch hands each block the buffers the
-    /// previous block on its host thread recorded into.
+    /// previous block on its host thread recorded into. Its loads are
+    /// checked against `stored`, if any.
     pub(crate) fn new(
         block_id: u32,
         cfg: LaunchConfig,
         shared_elems: usize,
         global: &'a GlobalMem<T>,
         constant: &'a ConstantMemory,
+        stored: Option<&'a StoreMarks>,
         mut traces: Vec<ThreadTrace>,
     ) -> Self {
         traces.truncate(cfg.block_dim as usize);
@@ -122,9 +129,11 @@ impl<'a, T: DeviceValue> BlockCtx<'a, T> {
             grid_dim: cfg.grid_dim,
             global,
             constant,
+            stored,
             shared: vec![T::zero(); shared_elems],
             traces,
             writes: Vec::new(),
+            stale_load: None,
         }
     }
 
@@ -158,9 +167,11 @@ impl<'a, T: DeviceValue> BlockCtx<'a, T> {
                 block_dim: self.block_dim,
                 global: self.global,
                 constant: self.constant,
+                stored: self.stored,
                 shared: &mut self.shared,
                 trace: &mut trace,
                 writes: &mut self.writes,
+                stale_load: &mut self.stale_load,
             };
             body(&mut ctx);
             self.traces[tid as usize] = trace;
@@ -179,9 +190,11 @@ pub struct ThreadCtx<'a, T: DeviceValue> {
     block_dim: u32,
     global: &'a GlobalMem<T>,
     constant: &'a ConstantMemory,
+    stored: Option<&'a StoreMarks>,
     shared: &'a mut Vec<T>,
     trace: &'a mut ThreadTrace,
     writes: &'a mut Vec<(BufferId, usize, T)>,
+    stale_load: &'a mut Option<(BufferId, usize)>,
 }
 
 impl<'a, T: DeviceValue> ThreadCtx<'a, T> {
@@ -207,17 +220,27 @@ impl<'a, T: DeviceValue> ThreadCtx<'a, T> {
         self.block_id * self.block_dim + self.tid
     }
 
-    /// Global-memory load.
+    /// Global-memory load: the element as it was before the launch. A
+    /// load of an element that a block of an earlier wave of this
+    /// launch stored fails the launch with
+    /// [`LaunchError::ReadAfterWrite`](crate::exec::LaunchError::ReadAfterWrite)
+    /// (see [`launch`](crate::exec::launch)).
     #[inline]
     pub fn gload(&mut self, buf: BufferId, idx: usize) -> T {
         self.trace.push(Ev::GLoad {
             addr: self.global.addr(buf, idx),
         });
+        if let Some(stored) = self.stored {
+            if stored.contains(buf, idx) && self.stale_load.is_none() {
+                *self.stale_load = Some((buf, idx));
+            }
+        }
         self.global.read(buf, idx)
     }
 
-    /// Global-memory store (buffered; becomes visible after the launch,
-    /// matching CUDA's lack of inter-block ordering within a launch).
+    /// Global-memory store (buffered; no load of the same launch sees
+    /// it, matching CUDA's lack of inter-block ordering within a
+    /// launch). It lands when its wave of blocks has run.
     #[inline]
     pub fn gstore(&mut self, buf: BufferId, idx: usize, v: T) {
         self.trace.push(Ev::GStore {
@@ -361,7 +384,7 @@ mod tests {
         g.host_write(buf, 0, &[C64::from_f64(5.0, 0.0); 8]);
         let cm = ConstantMemory::new(&dev);
         let cfg = LaunchConfig::new(2, 4);
-        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm, Vec::new());
+        let mut blk = BlockCtx::new(0, cfg, 4, &g, &cm, None, Vec::new());
         // segment 1: each thread loads global, stores to shared
         blk.threads(|t| {
             let v = t.gload(buf, t.tid() as usize);
@@ -394,7 +417,7 @@ mod tests {
         let dev = DeviceSpec::toy(4);
         let g = GlobalMem::<C64>::new();
         let cm = ConstantMemory::new(&dev);
-        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm, Vec::new());
+        let mut blk = BlockCtx::new(3, LaunchConfig::new(5, 4), 0, &g, &cm, None, Vec::new());
         let mut tids = Vec::new();
         blk.threads(|t| tids.push(t.global_tid()));
         assert_eq!(tids, vec![12, 13, 14, 15]);

@@ -14,15 +14,19 @@
 //!   latency/throughput/bandwidth model ([`timing`]) with the Fermi
 //!   figures of the paper's card ([`device::DeviceSpec::tesla_c2050`]).
 //!
-//! The simulator executes blocks in parallel on the host with rayon,
-//! except a grid of fewer than `rayon::INLINE_BELOW` (16) blocks, which
-//! runs on the calling thread; blocks are independent within a launch
-//! (as on the device), so the results are the same either way. Writes
-//! are buffered and applied post-launch, and cross-block write
-//! conflicts are detected (one bitset per buffer) and reported instead
-//! of being silent UB. The host work of a launch is its blocks' run,
-//! one pass of the warp analyzer over each slot of their traces, and
-//! two passes over their stores: one checks them and finds how far
+//! The simulator executes a launch's grid in waves of a fixed number of
+//! blocks, each wave in parallel on the host with rayon, except a wave
+//! of fewer than `rayon::INLINE_BELOW` (16) blocks, which runs on the
+//! calling thread; blocks are independent within a launch (as on the
+//! device), so the results are the same either way. Stores are
+//! buffered per block and applied when their wave has run, so the host
+//! holds one wave's stores at a time; every load still reads the
+//! element as it was before the launch. Cross-block races are reported
+//! instead of being silent UB: two stores to one element, and a load
+//! of an element an earlier wave stored (one bitset per buffer for the
+//! whole launch). The host work of a launch is its blocks' run, one
+//! pass of the warp analyzer over each slot of their traces, and two
+//! passes over each wave's stores: one checks them and finds how far
 //! each buffer is written, one applies them. Global memory is backed on
 //! the host only as far as it has been written ([`mem::GlobalMem`]).
 //!

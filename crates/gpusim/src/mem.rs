@@ -24,6 +24,11 @@ pub struct BufferId(pub(crate) usize);
 /// depends on the backing — lengths, addresses,
 /// [`GlobalMem::allocated_bytes`] and every value read are those of an
 /// eagerly zero-filled buffer — except [`GlobalMem::backed_bytes`].
+///
+/// A launch stores into it one wave of blocks at a time
+/// ([`launch`](crate::exec::launch)), growing each buffer at most once
+/// per wave. A launch that fails may leave its earlier waves' stores
+/// here.
 #[derive(Debug, Clone)]
 pub struct GlobalMem<T> {
     buffers: Vec<Buffer<T>>,
@@ -167,36 +172,28 @@ impl<T: DeviceValue> GlobalMem<T> {
         }
     }
 
-    /// Apply a launch's buffered stores, block by block in order. One
-    /// pass finds each buffer's highest stored element and, with
-    /// `check_conflicts`, marks each store in one bitset per buffer: the
-    /// first element marked twice is a [`LaunchError::WriteConflict`],
-    /// and nothing is stored. Otherwise each buffer stored to grows
-    /// once, to exactly its highest stored element, before any store
-    /// lands.
+    /// Apply one wave of a launch's buffered stores, block by block in
+    /// order. One pass finds each buffer's highest stored element and
+    /// marks each store in `stored`, which holds one bitset per buffer
+    /// for the whole launch: the first element marked twice, by this
+    /// wave or an earlier one, is a [`LaunchError::WriteConflict`], and
+    /// none of this wave's stores lands. Stores of earlier waves stay
+    /// applied. Otherwise each buffer stored to grows once, to exactly
+    /// its highest stored element, before any store lands.
     pub(crate) fn apply_stores<'w>(
         &mut self,
+        stored: &mut StoreMarks,
         blocks: impl Iterator<Item = &'w [(BufferId, usize, T)]> + Clone,
-        check_conflicts: bool,
     ) -> Result<(), LaunchError> {
         let mut ends = vec![0; self.buffers.len()];
-        let mut marked: Vec<Vec<u64>> = vec![Vec::new(); self.buffers.len()];
         for writes in blocks.clone() {
             for &(buf, idx, _) in writes {
                 ends[buf.0] = ends[buf.0].max(idx + 1);
-                if check_conflicts {
-                    let bits = &mut marked[buf.0];
-                    let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-                    if bits.len() <= word {
-                        bits.resize(word + 1, 0);
-                    }
-                    if bits[word] & bit != 0 {
-                        return Err(LaunchError::WriteConflict {
-                            buffer: buf.0,
-                            index: idx,
-                        });
-                    }
-                    bits[word] |= bit;
+                if !stored.mark(buf, idx) {
+                    return Err(LaunchError::WriteConflict {
+                        buffer: buf.0,
+                        index: idx,
+                    });
                 }
             }
         }
@@ -231,6 +228,39 @@ impl<T: DeviceValue> GlobalMem<T> {
 impl<T: DeviceValue> Default for GlobalMem<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The global elements a launch has stored so far: one bitset per
+/// buffer, grown on demand, marked as each wave's stores are applied.
+#[derive(Debug, Default)]
+pub(crate) struct StoreMarks {
+    bits: Vec<Vec<u64>>,
+}
+
+impl StoreMarks {
+    /// Has an applied store of this launch reached element `idx`?
+    #[inline]
+    pub(crate) fn contains(&self, buf: BufferId, idx: usize) -> bool {
+        self.bits
+            .get(buf.0)
+            .and_then(|bits| bits.get(idx / 64))
+            .is_some_and(|word| word & (1 << (idx % 64)) != 0)
+    }
+
+    /// Mark element `idx`; `false` if it was marked already.
+    fn mark(&mut self, buf: BufferId, idx: usize) -> bool {
+        if self.bits.len() <= buf.0 {
+            self.bits.resize(buf.0 + 1, Vec::new());
+        }
+        let bits = &mut self.bits[buf.0];
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if bits.len() <= word {
+            bits.resize(word + 1, 0);
+        }
+        let fresh = bits[word] & bit == 0;
+        bits[word] |= bit;
+        fresh
     }
 }
 

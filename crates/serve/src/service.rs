@@ -630,11 +630,13 @@ impl SolveService {
                     self.cache.insert(target.clone(), id);
                     return Ok((id, false));
                 }
-                Err(BuildError::Setup(SetupError::Encode(EncodeError::Constant(_))))
-                    if self.cache.len() > 0 =>
-                {
-                    // Residency pressure: evict the LRU resident and
-                    // retry — its arena regions return to the pool.
+                Err(BuildError::Setup(
+                    SetupError::Encode(EncodeError::Constant(_))
+                    | SetupError::GlobalOverflow { .. },
+                )) if self.cache.len() > 0 => {
+                    // Residency pressure, on constant or on global
+                    // memory: evict the LRU resident and retry — its
+                    // arena regions and buffers return to the pool.
                     let victim = self.cache.pop_lru().expect("cache is non-empty");
                     self.fleet.unload(victim);
                     self.trace.emit(

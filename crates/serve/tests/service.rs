@@ -6,7 +6,8 @@
 
 use polygpu_complex::C64;
 use polygpu_core::engine::{Backend, Engine, SystemShardPolicy};
-use polygpu_core::{ClusterPolicy, EncodingKind, FaultPlan, ShardMode};
+use polygpu_core::pipeline::GpuOptions;
+use polygpu_core::{BatchGpuEvaluator, ClusterPolicy, EncodingKind, FaultPlan, ShardMode};
 use polygpu_gpusim::device::DeviceSpec;
 use polygpu_homotopy::solve::{SolveRequest, StartSelection};
 use polygpu_obs::{CollectingTracer, Span};
@@ -406,6 +407,44 @@ fn fault_free_cluster_serve_succeeds() {
     assert_eq!(report.jobs.len(), 2);
     assert_eq!(report.solved(), 2, "{report:?}");
     assert!(!report.degraded);
+}
+
+/// Global memory is residency pressure too: on a card that holds two
+/// residents' engines, a third target evicts the least recently used
+/// one instead of failing, on one device and on a row-sharded fleet.
+#[test]
+fn global_memory_pressure_evicts_like_constant_pressure() {
+    let capacity = 4;
+    let holds_two = |system: &System<f64>| DeviceSpec {
+        global_mem: 2 * BatchGpuEvaluator::<f64>::footprint(
+            system,
+            capacity,
+            &GpuOptions::default(),
+        ),
+        ..DeviceSpec::tesla_c2050()
+    };
+    let single = Engine::builder()
+        .device(holds_two(&sys(1)))
+        .backend(Backend::GpuBatch { capacity });
+    let fleet = Engine::builder()
+        .backend(Backend::Cluster {
+            devices: vec![holds_two(&sys(1).row_block(&[0])); 2],
+            shard: SystemShardPolicy::Contiguous.into(),
+        })
+        .per_device_capacity(capacity);
+    for mut svc in [
+        SolveService::new(&single).unwrap(),
+        SolveService::new(&fleet).unwrap(),
+    ] {
+        let t = svc.register(TenantSpec::new("acme").with_max_in_flight(8));
+        for target in [1u64, 2, 3] {
+            svc.submit(t, Priority::Normal, request(target)).unwrap();
+        }
+        let report = svc.run();
+        assert_eq!(report.solved(), 3, "{report:?}");
+        assert_eq!(report.cache.misses, 3);
+        assert_eq!(report.cache.evictions, 1);
+    }
 }
 
 /// `CorrectorMode::DeviceResident` flows through the service: a

@@ -9,17 +9,20 @@
 //! * results are collected **in input order**, so everything downstream
 //!   is deterministic regardless of scheduling;
 //! * a call over at least [`INLINE_BELOW`] items runs on multiple OS
-//!   threads (`std::thread::scope`, one contiguous chunk per thread) —
-//!   the simulator's block-level parallelism and the multicore
-//!   quality-up experiment keep their meaning; a smaller call runs on
-//!   the calling thread;
+//!   threads (`std::thread::scope`) — the simulator's block-level
+//!   parallelism and the multicore quality-up experiment keep their
+//!   meaning; a smaller call runs on the calling thread;
+//! * the workers claim items one at a time, so a slow item or a
+//!   preempted thread holds the call up by at most one item, as
+//!   rayon's work stealing would;
 //! * `map_init` creates one `init()` value per worker thread and
-//!   threads it through that worker's chunk, like rayon's.
+//!   threads it through the items that worker claims, like rayon's.
 //!
-//! Not implemented: work stealing, a persistent pool (each threaded
-//! call spawns its workers), nested pools, the full `ParallelIterator`
-//! trait zoo. Add methods as call sites need them.
+//! Not implemented: a persistent pool (each threaded call spawns its
+//! workers), nested pools, the full `ParallelIterator` trait zoo. Add
+//! methods as call sites need them.
 
+use std::sync::Mutex;
 use std::thread;
 
 /// Calls over fewer items than this run on the calling thread.
@@ -109,19 +112,24 @@ where
         let mut state = init();
         return items.into_iter().map(|x| f(&mut state, x)).collect();
     }
-    let chunk = len.div_ceil(workers);
-    let mut source = items.into_iter();
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    while source.len() > 0 {
-        chunks.push(source.by_ref().take(chunk).collect());
-    }
-    let mapped: Vec<Vec<R>> = thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| {
+    // Workers claim items one at a time, so a slow item or a preempted
+    // thread holds the call up by at most one item.
+    let source = Mutex::new(items.into_iter().enumerate());
+    let claimed: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(|| {
                     let mut state = init();
-                    c.into_iter().map(|x| f(&mut state, x)).collect::<Vec<R>>()
+                    let mut out = Vec::new();
+                    loop {
+                        let claim = source
+                            .lock()
+                            .expect("no worker panics while claiming")
+                            .next();
+                        let Some((i, x)) = claim else { break };
+                        out.push((i, f(&mut state, x)));
+                    }
+                    out
                 })
             })
             .collect();
@@ -130,7 +138,14 @@ where
             .map(|h| h.join().expect("shim worker thread panicked"))
             .collect()
     });
-    mapped.into_iter().flatten().collect()
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
+    for (i, r) in claimed.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item is claimed once"))
+        .collect()
 }
 
 impl<T: Send> ParIter<T> {
@@ -241,19 +256,25 @@ mod tests {
         let len = INLINE_BELOW;
         let workers = current_num_threads().min(len);
         let (out, inits) = traced_map_init(len);
-        // One contiguous chunk, and one state, per spawned worker.
-        let chunk = len.div_ceil(workers);
-        assert_eq!(inits, len.div_ceil(chunk));
+        // One state per spawned worker, threaded through the items that
+        // worker claimed, in input order.
+        assert_eq!(inits, workers);
         let caller = thread::current().id();
+        let mut claimed: Vec<(thread::ThreadId, usize)> = Vec::new();
         for (at, &(i, seen, on)) in out.iter().enumerate() {
             assert_eq!(i, at, "input order");
-            assert_eq!(
-                seen,
-                at % chunk + 1,
-                "each worker's state threads its chunk"
-            );
+            let count = match claimed.iter_mut().find(|(t, _)| *t == on) {
+                Some((_, count)) => count,
+                None => {
+                    claimed.push((on, 0));
+                    &mut claimed.last_mut().expect("just pushed").1
+                }
+            };
+            *count += 1;
+            assert_eq!(seen, *count, "each worker's state threads its items");
             assert_eq!(on == caller, workers == 1, "threaded unless one core");
         }
+        assert!(claimed.len() <= workers);
     }
 
     #[test]

@@ -48,7 +48,6 @@ fn serial_and_parallel_host_execution_agree() {
         GpuOptions {
             launch: polygpu::gpusim::LaunchOptions {
                 parallel_host: false,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -69,6 +68,32 @@ fn serial_and_parallel_host_execution_agree() {
     assert_eq!(a.values, b.values);
     assert_eq!(a.jacobian.as_slice(), b.jacobian.as_slice());
     assert_eq!(par.stats().counters, ser.stats().counters);
+
+    // A batch of 16 points: grids of 288 and 304 blocks, more than one
+    // of the simulator's 256-block waves each.
+    let points = random_points::<f64>(24, 16, 5);
+    let batch = |parallel_host| {
+        let opts = GpuOptions {
+            launch: polygpu::gpusim::LaunchOptions { parallel_host },
+            ..Default::default()
+        };
+        let mut engine = BatchGpuEvaluator::new(&system, 16, opts).unwrap();
+        let evals = engine.evaluate_batch(&points);
+        let grids: Vec<u32> = engine
+            .last_reports()
+            .iter()
+            .map(|r| r.config.grid_dim)
+            .collect();
+        (evals, engine.stats().counters, grids)
+    };
+    let (par, ser) = (batch(true), batch(false));
+    assert_eq!(par.2, [288, 304]);
+    assert_eq!(par.2, ser.2);
+    for (a, b) in par.0.iter().zip(&ser.0) {
+        assert_eq!(a.values, b.values);
+        assert_eq!(a.jacobian.as_slice(), b.jacobian.as_slice());
+    }
+    assert_eq!(par.1, ser.1);
 }
 
 #[test]

@@ -111,6 +111,93 @@ fn facade_session_amortizes_against_reencoding() {
     assert!(session.constant_bytes_used() <= session.constant_budget());
 }
 
+/// A session's residents share the card's global memory as they share
+/// its constant arena: on devices whose global memory holds exactly
+/// two residents' engines, a third load fails typed and changes
+/// nothing, and it succeeds once a resident is unloaded. Covers the
+/// single-device `Session` and the row-sharded `ClusterSession`.
+#[test]
+fn facade_sessions_share_the_cards_global_memory() {
+    let params = |seed| BenchmarkParams {
+        n: 8,
+        m: 4,
+        k: 3,
+        d: 2,
+        seed,
+    };
+    let systems: Vec<System<f64>> = (1..=3).map(|s| random_system(&params(s))).collect();
+    let capacity = 4;
+    let sized = |global_mem| DeviceSpec {
+        global_mem,
+        ..DeviceSpec::tesla_c2050()
+    };
+    let footprint = |system: &System<f64>| {
+        BatchGpuEvaluator::<f64>::footprint(system, capacity, &GpuOptions::default())
+    };
+    let overflow = |result: Result<polygpu::engine::SystemId, BuildError>| match result {
+        Err(BuildError::Setup(SetupError::GlobalOverflow { needed, budget })) => (needed, budget),
+        Err(e) => panic!("expected GlobalOverflow, got {e}"),
+        Ok(_) => panic!("a third resident must not fit"),
+    };
+
+    // One device: every system's engine takes `each` bytes.
+    let each = footprint(&systems[0]);
+    assert!(systems.iter().all(|s| footprint(s) == each));
+    let mut session = Engine::builder()
+        .device(sized(2 * each))
+        .backend(Backend::GpuBatch { capacity })
+        .session::<f64>()
+        .unwrap();
+    let a = session.load("a", &systems[0]).unwrap();
+    session.load("b", &systems[1]).unwrap();
+    let constant = session.constant_bytes_used();
+    assert_eq!(
+        overflow(session.load("c", &systems[2])),
+        (3 * each, 2 * each)
+    );
+    assert_eq!(session.resident_count(), 2);
+    assert_eq!(session.constant_bytes_used(), constant);
+    assert!(session.unload(a));
+    let c = session.load("c", &systems[2]).unwrap();
+    assert!(session.is_resident(c));
+    // One byte less holds one resident only.
+    let mut session = Engine::builder()
+        .device(sized(2 * each - 1))
+        .backend(Backend::GpuBatch { capacity })
+        .session::<f64>()
+        .unwrap();
+    session.load("a", &systems[0]).unwrap();
+    assert_eq!(
+        overflow(session.load("b", &systems[1])),
+        (2 * each, 2 * each - 1)
+    );
+
+    // Two devices, four rows each: every shard's engine takes `shard`
+    // bytes on its device.
+    let shard = footprint(&systems[0].row_block(&[0, 1, 2, 3]));
+    let spec = Engine::builder()
+        .backend(Backend::Cluster {
+            devices: vec![sized(2 * shard); 2],
+            shard: SystemShardPolicy::Contiguous.into(),
+        })
+        .per_device_capacity(capacity)
+        .cluster_spec()
+        .unwrap();
+    let mut session = ClusterSession::<f64>::from_spec(&spec).unwrap();
+    let a = session.load("a", &systems[0]).unwrap();
+    session.load("b", &systems[1]).unwrap();
+    let constant = session.constant_bytes_per_device();
+    assert_eq!(
+        overflow(session.load("c", &systems[2])),
+        (3 * shard, 2 * shard)
+    );
+    assert_eq!(session.resident_count(), 2);
+    assert_eq!(session.constant_bytes_per_device(), constant);
+    assert!(session.unload(a));
+    let c = session.load("c", &systems[2]).unwrap();
+    assert!(session.is_resident(c));
+}
+
 /// A capacity whose device buffers the card's global memory cannot
 /// hold fails typed on every path that sizes them: a batched engine, a
 /// point fleet's and a row fleet's per-device capacity, and a session
