@@ -19,8 +19,8 @@ pub fn row_major_slot(shape: &UniformShape, j: usize, q: usize) -> usize {
 }
 
 /// Summation kernel over the row-major layout: mathematically identical
-/// to `polygpu_core`'s `BatchSumKernel`, but each warp's loads scatter
-/// with stride `m`.
+/// to `polygpu_core`'s `SumKernel`, but each warp's loads scatter with
+/// stride `m`.
 pub struct RowMajorSumKernel {
     pub shape: UniformShape,
     pub mons: BufferId,
@@ -58,7 +58,7 @@ impl<R: Real> Kernel<Complex<R>> for RowMajorSumKernel {
 /// `(paper_layout_report, row_major_report)`. The values produced are
 /// asserted identical; only the memory behaviour differs.
 pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, LaunchReport) {
-    use polygpu_core::kernels::{BatchLayout, BatchSumKernel};
+    use polygpu_core::kernels::{BatchLayout, SumKernel};
     use polygpu_core::layout::mons::term_slot;
 
     let device = DeviceSpec::tesla_c2050();
@@ -85,21 +85,22 @@ pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, Lau
     let mut data1 = vec![Complex::<f64>::zero(); shape.outputs() * shape.m];
     for q in 0..shape.outputs() {
         for j in 0..shape.m {
-            data1[term_slot(&shape, j, q)] = terms[q * shape.m + j];
+            data1[term_slot(shape.outputs(), j, q)] = terms[q * shape.m + j];
         }
     }
     g1.host_write(mons1, 0, &data1);
     // One point: the layout's strides never apply.
+    let sparse = SparseShape {
+        n: shape.n,
+        rows: shape.rows,
+        total_monomials: shape.total_monomials(),
+        max_m: shape.m,
+        max_k: shape.k,
+        d: shape.d,
+        uniform: true,
+    };
     let layout = BatchLayout::new(
-        &SparseShape {
-            n: shape.n,
-            rows: shape.rows,
-            total_monomials: shape.total_monomials(),
-            max_m: shape.m,
-            max_k: shape.k,
-            d: shape.d,
-            uniform: true,
-        },
+        &sparse,
         1,
         cfg.block_dim,
         <Complex<f64> as DeviceValue>::DEVICE_BYTES,
@@ -107,8 +108,8 @@ pub fn compare_sum_layouts(shape: UniformShape, seed: u64) -> (LaunchReport, Lau
     );
     let r1 = launch(
         &device,
-        &BatchSumKernel {
-            shape,
+        &SumKernel {
+            shape: sparse,
             mons: mons1,
             out: out1,
             layout,

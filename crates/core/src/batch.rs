@@ -24,31 +24,31 @@
 //!   [`GpuEvaluator`](crate::pipeline::GpuEvaluator), is this engine at
 //!   capacity one, looped point by point.
 //!
-//! **Uniform and ragged systems.** A uniform system runs the paper's
-//! kernels ([`crate::kernels::batch`]) over whichever encoding
-//! [`GpuOptions::encoding`] names. A ragged system — per-equation
-//! monomial counts, per-monomial variable counts, constants included —
-//! runs under [`EncodingKind::Packed`] with the uniform encoding swapped
-//! for [`PackedSupports`] and the dense kernels for their ragged
-//! variants ([`crate::kernels::sparse`]); the uniform encodings reject
-//! it typed. The ragged per-point floating-point programs are identical
-//! to the CPU sparse reference ([`polygpu_polysys::SparseAdEvaluator`]),
+//! **Uniform and ragged systems.** A uniform system's supports go to
+//! constant memory in whichever encoding [`GpuOptions::encoding`] names.
+//! A ragged system — per-equation monomial counts, per-monomial
+//! variable counts, constants included — runs under
+//! [`EncodingKind::Packed`] as [`PackedSupports`]; the uniform
+//! encodings reject it typed. Both run the same two kernels
+//! ([`crate::kernels`]), which read the supports through
+//! [`Supports`]. A ragged monomial's floating-point program is that of
+//! the CPU sparse reference ([`polygpu_polysys::SparseAdEvaluator`]),
 //! so results are **bit-for-bit equal** to the reference in every
-//! precision — the same determinism contract the dense kernels carry,
-//! extended to ragged supports. Everything else — transfers, fault
-//! checks, the stream-overlap timing model, trace spans and the fused
-//! corrector — is one code path for both kernel pairs.
+//! precision — the same determinism contract uniform systems carry.
+//! Everything else — transfers, fault checks, the stream-overlap timing
+//! model, trace spans and the fused corrector — is one code path for
+//! both.
 
 use crate::correct::{
     correct_resident, Charges, CombineMap, CorrectParams, CorrectStatus, FusedEngine,
 };
 use crate::engine::validate_batch;
-use crate::kernels::batch::{BatchLayout, BatchMonomialKernel, BatchSumKernel};
-use crate::kernels::sparse::{SparseMonomialKernel, SparseSumKernel};
+use crate::kernels::{BatchLayout, MonomialKernel, SumKernel};
 use crate::layout::coeffs::build_coeffs;
 use crate::layout::encoding::{EncodedSupports, EncodingKind};
 use crate::layout::mons::unpack_eval;
 use crate::layout::packed::PackedSupports;
+use crate::layout::Supports;
 use crate::pipeline::{inject, GpuOptions, PipelineStats, SetupError};
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::obs::emit_timeline;
@@ -164,9 +164,9 @@ pub struct BatchGpuEvaluator<R: Real> {
     layout: BatchLayout,
     global: GlobalMem<Complex<R>>,
     constant: ConstantMemory,
-    vars: BufferId,
-    out: BufferId,
-    kernels: Kernels,
+    /// The two launches of a round; they hold the device buffers.
+    monomial: MonomialKernel,
+    sum: SumKernel,
     stats: PipelineStats,
     last_reports: Vec<LaunchReport>,
     /// Reusable host staging for the batched point upload.
@@ -176,27 +176,6 @@ pub struct BatchGpuEvaluator<R: Real> {
     probe_seconds: f64,
 }
 
-/// The supports an engine is assembled from: a uniform encoding, or
-/// the packed keys of a ragged system.
-enum Supports {
-    Uniform(EncodedSupports),
-    Ragged(PackedSupports),
-}
-
-/// The kernel pair an engine launches: the paper's kernels over a
-/// uniform encoding, or their ragged variants over packed keys.
-enum Kernels {
-    Uniform(BatchMonomialKernel, BatchSumKernel),
-    Ragged(SparseMonomialKernel, SparseSumKernel),
-}
-
-/// The two launches of an evaluation round.
-#[derive(Clone, Copy)]
-enum Stage {
-    Monomial,
-    Sum,
-}
-
 impl<R: Real> BatchGpuEvaluator<R> {
     /// Validate, encode and upload `system`, sizing the device buffers
     /// for batches of up to `capacity` points; runs one throw-away
@@ -204,11 +183,10 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// than inside `evaluate_batch`.
     ///
     /// A ragged system under [`EncodingKind::Packed`] gets packed keys
-    /// and the ragged kernels. Everything else gets the paper's
-    /// kernels — a uniform system under any encoding (`Packed`
-    /// included, which encodes uniform supports header-free), while a
-    /// ragged one under a uniform encoding fails with the encoder's
-    /// typed shape error.
+    /// with per-monomial headers. A uniform system gets the encoding
+    /// `opts` names (`Packed` included, which encodes uniform supports
+    /// header-free), while a ragged one under a uniform encoding fails
+    /// with the encoder's typed shape error.
     pub fn new(system: &System<R>, capacity: usize, opts: GpuOptions) -> Result<Self, SetupError> {
         let mut constant = ConstantMemory::new(&opts.device);
         let ragged = matches!(system.uniform_shape(), Err(SystemError::NotUniform(_)));
@@ -301,38 +279,20 @@ impl<R: Real> BatchGpuEvaluator<R> {
         let mons = global.alloc(capacity * layout.mons_stride);
         let out = global.alloc(capacity * layout.out_stride);
         global.host_write(coeffs, 0, &build_coeffs(system, &shape));
-        let kernels = match supports {
-            Supports::Uniform(enc) => Kernels::Uniform(
-                BatchMonomialKernel {
-                    enc,
-                    vars,
-                    coeffs,
-                    mons,
-                    layout,
-                    from_scratch_cf: opts.from_scratch_cf,
-                },
-                BatchSumKernel {
-                    shape: enc.shape,
-                    mons,
-                    out,
-                    layout,
-                },
-            ),
-            Supports::Ragged(sup) => Kernels::Ragged(
-                SparseMonomialKernel {
-                    sup,
-                    vars,
-                    coeffs,
-                    mons,
-                    layout,
-                },
-                SparseSumKernel {
-                    shape,
-                    mons,
-                    out,
-                    layout,
-                },
-            ),
+        let monomial = MonomialKernel {
+            supports,
+            shape,
+            vars,
+            coeffs,
+            mons,
+            layout,
+            from_scratch_cf: opts.from_scratch_cf,
+        };
+        let sum = SumKernel {
+            shape,
+            mons,
+            out,
+            layout,
         };
         let injector = opts
             .fault
@@ -341,10 +301,9 @@ impl<R: Real> BatchGpuEvaluator<R> {
             device,
             shape,
             layout,
-            vars,
-            out,
             injector,
-            kernels,
+            monomial,
+            sum,
             global,
             constant,
             stats: PipelineStats::default(),
@@ -427,10 +386,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
     /// loaded before it (see `engine::Session`), which are accounted
     /// to their own engines.
     pub fn constant_bytes_used(&self) -> usize {
-        match &self.kernels {
-            Kernels::Uniform(monomial, _) => monomial.enc.constant_bytes(),
-            Kernels::Ragged(monomial, _) => monomial.sup.constant_bytes(),
-        }
+        self.monomial.supports.constant_bytes()
     }
 
     /// Evaluate the system and Jacobian at every point of the batch
@@ -535,16 +491,32 @@ impl<R: Real> BatchGpuEvaluator<R> {
             self.fault_check(OpClass::HostToDevice, h2d, elapsed)?;
             elapsed += h2d;
         }
-        self.global.host_write(self.vars, 0, &self.vars_scratch);
+        self.global
+            .host_write(self.monomial.vars, 0, &self.vars_scratch);
 
         // Clear before launching (reusing the vector's storage) so a
         // failed launch leaves no stale reports behind.
         self.last_reports.clear();
+        let block_dim = self.opts.block_dim;
         self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let monomial = self.launch_stage(p, Stage::Monomial)?;
+        let monomial = launch(
+            &self.device,
+            &self.monomial,
+            self.layout.monomial_cfg(p, &shape, block_dim),
+            &mut self.global,
+            &self.constant,
+            self.opts.launch,
+        )?;
         elapsed += monomial.timing.total_seconds();
         self.fault_check(OpClass::Kernel, self.device.launch_overhead, elapsed)?;
-        let sum = self.launch_stage(p, Stage::Sum)?;
+        let sum = launch(
+            &self.device,
+            &self.sum,
+            self.layout.output_cfg(p, &shape, block_dim),
+            &mut self.global,
+            &self.constant,
+            self.opts.launch,
+        )?;
         elapsed += sum.timing.total_seconds();
         if pcie {
             // One transfer brings all P·(n² + n) results back.
@@ -553,7 +525,7 @@ impl<R: Real> BatchGpuEvaluator<R> {
         }
 
         let raw = self.global.host_read(
-            self.out,
+            self.sum.out,
             ..(p - 1) * self.layout.out_stride + shape.outputs(),
         );
         let evals = (0..p)
@@ -568,31 +540,6 @@ impl<R: Real> BatchGpuEvaluator<R> {
         }
         self.stats.kernel_seconds += self.last_kernel_seconds();
         Ok((evals, elapsed))
-    }
-
-    /// Launch one kernel of this engine's pair over `p` points.
-    fn launch_stage(&mut self, p: usize, stage: Stage) -> Result<LaunchReport, LaunchError> {
-        let block_dim = self.opts.block_dim;
-        let cfg = match stage {
-            Stage::Monomial => self.layout.monomial_cfg(p, &self.shape, block_dim),
-            Stage::Sum => self.layout.output_cfg(p, &self.shape, block_dim),
-        };
-        let (device, global, constant, opts) = (
-            &self.device,
-            &mut self.global,
-            &self.constant,
-            self.opts.launch,
-        );
-        match (&self.kernels, stage) {
-            (Kernels::Uniform(k, _), Stage::Monomial) => {
-                launch(device, k, cfg, global, constant, opts)
-            }
-            (Kernels::Uniform(_, k), Stage::Sum) => launch(device, k, cfg, global, constant, opts),
-            (Kernels::Ragged(k, _), Stage::Monomial) => {
-                launch(device, k, cfg, global, constant, opts)
-            }
-            (Kernels::Ragged(_, k), Stage::Sum) => launch(device, k, cfg, global, constant, opts),
-        }
     }
 
     /// Emit the most recent round's launch spans back to back from
@@ -1359,7 +1306,8 @@ mod tests {
     }
 
     /// A capacity of zero is a typed setup error, through `new` on
-    /// either kernel pair and through the resident-supports constructor.
+    /// either kind of supports and through the resident-supports
+    /// constructor.
     #[test]
     fn zero_capacity_is_a_typed_setup_error() {
         let sys = random_system::<f64>(&params(4, 3, 2, 2, 1));
@@ -1609,6 +1557,98 @@ mod tests {
                     ..
                 })
             ));
+        }
+    }
+
+    /// Ablation A1 applies to ragged systems too: the table-free stage
+    /// builds no power table, so its block holds only the staged
+    /// variables and the Speelpenning scratch, and its results equal
+    /// the sparse reference to rounding.
+    #[test]
+    fn table_free_stage_applies_to_ragged_systems() {
+        let sys = random_sparse_system::<f64>(&SparseBenchmarkParams {
+            n: 32,
+            m_min: 2,
+            m_max: 6,
+            k_min: 0,
+            k_max: 3,
+            d: 12,
+            seed: 5,
+        });
+        let shape = sys.sparse_shape();
+        let block = GpuOptions::default().block_dim as usize;
+        let scratch = shape.n + block * (shape.max_k + 1);
+        // The power table would be the larger block.
+        assert!(shape.d as usize * shape.n > scratch, "{shape:?}");
+        let table_free = GpuOptions {
+            from_scratch_cf: true,
+            ..packed()
+        };
+        let mut gpu = BatchGpuEvaluator::new(&sys, 4, table_free).unwrap();
+        let mut cpu = SparseAdEvaluator::new(sys.clone());
+        let points = random_points::<f64>(shape.n, 4, 9);
+        let got = gpu.evaluate_batch(&points);
+        assert_eq!(gpu.last_reports()[0].shared_bytes_per_block, scratch * 16);
+        let close = |a: &[C64], b: &[C64]| {
+            a.iter()
+                .zip(b)
+                .all(|(a, b)| (*a - *b).abs() <= 1e-12 * b.abs().max(1.0))
+        };
+        for (x, eval) in points.iter().zip(&got) {
+            let want = cpu.evaluate(x);
+            assert!(close(&eval.values, &want.values));
+            assert!(close(eval.jacobian.as_slice(), want.jacobian.as_slice()));
+        }
+    }
+
+    /// Each launch of a 3-point batch, pinned whole: grid, shared block
+    /// and every counter, for a uniform system under each encoding and
+    /// two ragged systems under packed keys. The figures were recorded
+    /// from the separate uniform and ragged kernels that this pair
+    /// replaced, so they also pin that the fold moved no counter.
+    #[test]
+    fn launch_counters_are_pinned_for_every_support_kind() {
+        #[rustfmt::skip]
+        let (direct_mon, compact_mon, packed_mon, uniform_sum) = (
+            Counters { warp_instructions: 390, issue_cycles: 3429, global_mem_ops: 54, global_transactions: 309, global_bytes: 39552, shared_accesses: 186, shared_conflict_cycles: 1017, const_accesses: 54, const_serializations: 1026, flops: 9936, divergent_segments: 0, warps: 6 },
+            Counters { warp_instructions: 408, issue_cycles: 3465, global_mem_ops: 54, global_transactions: 309, global_bytes: 39552, shared_accesses: 186, shared_conflict_cycles: 1017, const_accesses: 54, const_serializations: 1026, flops: 9936, divergent_segments: 0, warps: 6 },
+            Counters { warp_instructions: 408, issue_cycles: 3159, global_mem_ops: 54, global_transactions: 309, global_bytes: 39552, shared_accesses: 186, shared_conflict_cycles: 1017, const_accesses: 36, const_serializations: 684, flops: 9936, divergent_segments: 0, warps: 6 },
+            Counters { warp_instructions: 99, issue_cycles: 234, global_mem_ops: 54, global_transactions: 162, global_bytes: 20736, shared_accesses: 0, shared_conflict_cycles: 0, const_accesses: 0, const_serializations: 0, flops: 2160, divergent_segments: 0, warps: 9 },
+        );
+        #[rustfmt::skip]
+        let (ragged_mon, ragged_sum, bound_mon, bound_sum) = (
+            Counters { warp_instructions: 312, issue_cycles: 1155, global_mem_ops: 63, global_transactions: 81, global_bytes: 10368, shared_accesses: 135, shared_conflict_cycles: 12, const_accesses: 24, const_serializations: 66, flops: 738, divergent_segments: 6, warps: 3 },
+            Counters { warp_instructions: 21, issue_cycles: 48, global_mem_ops: 12, global_transactions: 24, global_bytes: 3072, shared_accesses: 0, shared_conflict_cycles: 0, const_accesses: 0, const_serializations: 0, flops: 216, divergent_segments: 0, warps: 3 },
+            Counters { warp_instructions: 6276, issue_cycles: 31296, global_mem_ops: 1377, global_transactions: 3642, global_bytes: 466176, shared_accesses: 2802, shared_conflict_cycles: 3846, const_accesses: 288, const_serializations: 3996, flops: 52902, divergent_segments: 30, warps: 15 },
+            Counters { warp_instructions: 1287, issue_cycles: 3069, global_mem_ops: 693, global_transactions: 2772, global_bytes: 354816, shared_accesses: 0, shared_conflict_cycles: 0, const_accesses: 0, const_serializations: 0, flops: 38016, divergent_segments: 0, warps: 99 },
+        );
+        let uniform = random_system::<f64>(&params(8, 5, 3, 4, 2));
+        let compact = GpuOptions {
+            encoding: EncodingKind::Compact,
+            ..Default::default()
+        };
+        // Each launch's (grid, shared bytes per block, counters).
+        #[rustfmt::skip]
+        let cases = [
+            ("direct", uniform.clone(), GpuOptions::default(), [(6, 2176, direct_mon), (9, 0, uniform_sum)]),
+            ("compact", uniform.clone(), compact, [(6, 2176, compact_mon), (9, 0, uniform_sum)]),
+            ("packed", uniform, packed(), [(6, 2176, packed_mon), (9, 0, uniform_sum)]),
+            ("ragged", ragged(), packed(), [(3, 2096, ragged_mon), (3, 0, ragged_sum)]),
+            ("kernel-bound ragged", kernel_bound_ragged(), packed(), [(15, 5632, bound_mon), (99, 0, bound_sum)]),
+        ];
+        for (name, sys, opts, want) in cases {
+            let mut gpu = BatchGpuEvaluator::new(&sys, 3, opts).unwrap();
+            gpu.evaluate_batch(&random_points::<f64>(sys.dim(), 3, 17));
+            let reports = gpu.last_reports();
+            assert_eq!(reports.len(), 2, "{name}");
+            for ((r, (grid, shared, counters)), kernel) in
+                reports.iter().zip(want).zip(["monomial", "sum"])
+            {
+                assert_eq!(r.kernel_name, kernel, "{name}");
+                assert_eq!(r.config.grid_dim, grid, "{name} {kernel}");
+                assert_eq!(r.shared_bytes_per_block, shared, "{name} {kernel}");
+                assert_eq!(r.counters, counters, "{name} {kernel}");
+            }
         }
     }
 

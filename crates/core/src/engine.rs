@@ -51,7 +51,6 @@
 use crate::batch::{BatchError, BatchGpuEvaluator};
 use crate::correct::{host_correct, CombineMap, CorrectParams, CorrectStatus};
 use crate::layout::encoding::{EncodedSupports, EncodingKind};
-use crate::layout::packed::sparse_packed_bytes;
 use crate::pipeline::{
     setup_seconds, FaultConfig, GpuEvaluator, GpuOptions, PipelineStats, SetupError,
 };
@@ -59,8 +58,8 @@ use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
 use polygpu_obs::{TraceSink, Tracer, Track};
 use polygpu_polysys::{
-    loop_evaluate_batch, AdEvaluator, BatchSystemEvaluator, SparseAdEvaluator, SparseShape, System,
-    SystemError, SystemEval, SystemEvaluator, UniformShape,
+    loop_evaluate_batch, AdEvaluator, BatchSystemEvaluator, SparseAdEvaluator, System, SystemError,
+    SystemEval, SystemEvaluator, UniformShape,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -173,54 +172,6 @@ impl AdmissionBudget {
             .min()
             .unwrap_or(0);
         self.bytes_needed_per_device(shape, surviving) <= tightest
-    }
-
-    /// Constant bytes a (possibly ragged) `shape` requires on the most
-    /// loaded device when the fleet has `devices` survivors — the
-    /// sparse generalization of [`Self::bytes_needed_per_device`].
-    /// Uniform shapes size exactly like their `UniformShape`; ragged
-    /// shapes size by the packed ragged encoding under
-    /// [`EncodingKind::Packed`] and are unencodable (`usize::MAX`)
-    /// under the dense encodings. Row-sharded slices bound the slice's
-    /// monomial count by `slice_rows · max_m` — conservative, never
-    /// optimistic.
-    pub fn sparse_bytes_needed_per_device(&self, shape: &SparseShape, devices: usize) -> usize {
-        if devices == 0 {
-            return usize::MAX;
-        }
-        let mut slice = *shape;
-        if self.rows_sharded {
-            slice.rows = shape.rows.div_ceil(devices);
-            slice.total_monomials = shape.total_monomials.min(slice.rows * shape.max_m);
-        }
-        if slice.uniform {
-            let uniform = UniformShape {
-                n: slice.n,
-                rows: slice.rows,
-                m: slice.max_m,
-                k: slice.max_k,
-                d: slice.d,
-            };
-            EncodedSupports::bytes_needed(&uniform, self.encoding)
-        } else if self.encoding == EncodingKind::Packed {
-            sparse_packed_bytes(&slice)
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// Whether a (possibly ragged) `shape` can ever fit a fleet of
-    /// `surviving` devices — the sparse generalization of
-    /// [`Self::fits`].
-    pub fn sparse_fits(&self, shape: &SparseShape, surviving: usize) -> bool {
-        let surviving = surviving.min(self.devices());
-        let tightest = self
-            .device_constant_budgets
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        self.sparse_bytes_needed_per_device(shape, surviving) <= tightest
     }
 }
 
@@ -874,7 +825,8 @@ impl<P: ClusterProvider> EngineBuilder<P> {
         self
     }
 
-    /// Use the from-scratch common-factor kernel (ablation A1).
+    /// Use the from-scratch common-factor stage (ablation A1), on
+    /// uniform and ragged systems alike.
     pub fn from_scratch_cf(mut self, yes: bool) -> Self {
         self.from_scratch_cf = yes;
         self

@@ -1,5 +1,7 @@
-//! The evaluation kernels at **`P` points**: the fused monomial kernel
-//! and the sum kernel, two launches for the system and its Jacobian.
+//! Batched launches at **`P` points**: the layout both kernels share
+//! (the fused [`MonomialKernel`](crate::kernels::MonomialKernel) and
+//! this module's [`SumKernel`]), two launches for the system and its
+//! Jacobian.
 //!
 //! The grid is linearized point-major ([`LaunchConfig::cover_batch`]):
 //! block `b` serves point `b / inner` at inner block index `b % inner`,
@@ -17,16 +19,13 @@
 //! shared by all points — "the information … does not change along the
 //! path tracking" holds across paths too.
 
-use crate::kernels::monomial;
-use crate::layout::coeffs::coeff_index;
-use crate::layout::encoding::EncodedSupports;
-use crate::layout::mons::{q_deriv, q_value, term_slot};
+use crate::layout::mons::term_slot;
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
-use polygpu_polysys::{SparseShape, UniformShape};
+use polygpu_polysys::SparseShape;
 
 /// Per-point strides and inner block counts of a batched launch, for
-/// the dense and the ragged kernel pairs alike.
+/// uniform and ragged supports alike.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchLayout {
     /// Points the device buffers are sized for.
@@ -80,180 +79,22 @@ impl BatchLayout {
     }
 }
 
-/// The batched monomial kernel: kernels 1 and 2 of the paper fused
-/// into one launch ([`crate::kernels::monomial`] describes the phases)
-/// — every monomial's value and derivatives, times coefficients,
-/// scattered into `Mons`, at every point.
-pub struct BatchMonomialKernel {
-    pub enc: EncodedSupports,
-    /// Input points (`capacity × vars_stride` elements).
-    pub vars: BufferId,
-    /// Shared (not per-point) derivative-major coefficient array.
-    pub coeffs: BufferId,
-    /// Output terms (`capacity × mons_stride` elements).
-    pub mons: BufferId,
-    pub layout: BatchLayout,
-    /// Use the table-free common-factor stage (ablation A1).
-    pub from_scratch_cf: bool,
-}
-
-impl<R: Real> Kernel<Complex<R>> for BatchMonomialKernel {
-    fn name(&self) -> &str {
-        "monomial"
-    }
-
-    /// `max(d·n, n + B·(k+1))`: the power table, or the staged
-    /// variables plus Speelpenning scratch that reuse its rows (the
-    /// table-free stage needs only the latter).
-    fn shared_elems(&self, block_dim: u32) -> usize {
-        let shape = self.enc.shape;
-        monomial::shared_elems(
-            shape.n,
-            shape.k,
-            shape.d as usize,
-            block_dim,
-            !self.from_scratch_cf,
-        )
-    }
-
-    // Mirrors the paper-notation loops of §3.2.
-    #[allow(clippy::needless_range_loop)]
-    fn run_block(&self, blk: &mut BlockCtx<'_, Complex<R>>) {
-        let shape = self.enc.shape;
-        let (n, m, k) = (shape.n, shape.m, shape.k);
-        let total = shape.total_monomials();
-        let block_dim = blk.block_dim() as usize;
-        // Point-major grid decode; uniform per block, so not traced
-        // (on hardware this is hoisted into two registers).
-        let point = (blk.block_id() / self.layout.mon_blocks) as usize;
-        let chunk = (blk.block_id() % self.layout.mon_blocks) as usize;
-        let mbase = point * self.layout.mons_stride;
-        let work = monomial::BlockWork {
-            vars: self.vars,
-            vbase: point * self.layout.vars_stride,
-            n,
-            first: chunk * block_dim,
-            total,
-        };
-
-        // Phases 1-3: common factors into registers, this point's
-        // variables into shared memory.
-        let rows = (!self.from_scratch_cf).then_some(shape.d as usize);
-        let cfs = monomial::common_factor_phases(
-            blk,
-            work,
-            rows,
-            |_, _| k,
-            |t, g, j| self.enc.read_factor(t, g, j),
-        );
-
-        // Phase 4: one monomial per thread, exactly the single-point
-        // program with offset global accesses.
-        blk.threads(|t| {
-            let tid = t.tid() as usize;
-            let g = chunk * block_dim + tid;
-            if g >= total {
-                return;
-            }
-            let p = g / m;
-            let j = g % m;
-            t.iops(2);
-
-            let mut vs = [0usize; 256];
-            for i in 0..k {
-                vs[i] = self.enc.read_position(t, g, i);
-            }
-            let lbase = n + tid * (k + 1);
-            let l = |i: usize| lbase + i - 1;
-            macro_rules! xi {
-                ($t:expr, $idx:expr) => {
-                    $t.sload(vs[$idx])
-                };
-            }
-
-            match k {
-                1 => {
-                    t.sstore(l(1), Complex::one());
-                }
-                2 => {
-                    let x2 = xi!(t, 1);
-                    t.sstore(l(1), x2);
-                    let x1 = xi!(t, 0);
-                    t.sstore(l(2), x1);
-                }
-                _ => {
-                    let x1 = xi!(t, 0);
-                    t.sstore(l(2), x1);
-                    for r in 1..=k - 2 {
-                        let prev = t.sload(l(r + 1));
-                        let xr = xi!(t, r);
-                        let f = t.mul(prev, xr);
-                        t.sstore(l(r + 2), f);
-                    }
-                    let mut q = xi!(t, k - 1);
-                    let lk1 = t.sload(l(k - 1));
-                    let d = t.mul(lk1, q);
-                    t.sstore(l(k - 1), d);
-                    for r in 1..=k.saturating_sub(3) {
-                        let xv = xi!(t, k - 1 - r);
-                        q = t.mul(q, xv);
-                        let prev = t.sload(l(k - r - 1));
-                        let d = t.mul(prev, q);
-                        t.sstore(l(k - r - 1), d);
-                    }
-                    let x2 = xi!(t, 1);
-                    q = t.mul(q, x2);
-                    t.sstore(l(1), q);
-                }
-            }
-
-            let cf = cfs[tid];
-            for i in 1..=k {
-                let d = t.sload(l(i));
-                let d = t.mul(d, cf);
-                t.sstore(l(i), d);
-            }
-            let dk = t.sload(l(k));
-            let xik = xi!(t, k - 1);
-            let mv = t.mul(dk, xik);
-            t.sstore(l(k + 1), mv);
-
-            let c = t.gload(self.coeffs, coeff_index(&shape, k, g));
-            let lv = t.sload(l(k + 1));
-            let val = t.mul(lv, c);
-            t.gstore(self.mons, mbase + term_slot(&shape, j, q_value(p)), val);
-            for i in 0..k {
-                let c = t.gload(self.coeffs, coeff_index(&shape, i, g));
-                let d = t.sload(l(i + 1));
-                let dv = t.mul(d, c);
-                // Derivative groups stride by the block's row count
-                // (== n for square systems, the paper's layout).
-                t.gstore(
-                    self.mons,
-                    mbase + term_slot(&shape, j, q_deriv(shape.rows, p, vs[i])),
-                    dv,
-                );
-            }
-        });
-    }
-}
-
 /// The sum kernel — the paper's kernel 3 (§3.3): one thread per
-/// combined polynomial of one point (the `n` system values plus the
-/// `n²` Jacobian entries). Every thread adds **exactly `m` terms** —
-/// including the pre-zeroed slots standing in for derivatives of
-/// monomials that do not contain the variable — so all lanes follow one
-/// execution path, and at every step `j` the warp reads consecutive
-/// `Mons` elements: perfectly coalesced input, bought by the monomial
-/// kernel's scattered output.
-pub struct BatchSumKernel {
-    pub shape: UniformShape,
+/// combined polynomial of one point (the `rows` system values plus the
+/// `rows × n` Jacobian entries). Every thread adds **exactly `max_m`
+/// terms** — including the pre-zeroed slots standing in for derivatives
+/// of monomials that do not contain the variable, and a ragged
+/// equation's padding — so all lanes follow one execution path, and at
+/// every step `j` the warp reads consecutive `Mons` elements: perfectly
+/// coalesced input, bought by the monomial kernel's scattered output.
+pub struct SumKernel {
+    pub shape: SparseShape,
     pub mons: BufferId,
     pub out: BufferId,
     pub layout: BatchLayout,
 }
 
-impl<R: Real> Kernel<Complex<R>> for BatchSumKernel {
+impl<R: Real> Kernel<Complex<R>> for SumKernel {
     fn name(&self) -> &str {
         "sum"
     }
@@ -276,8 +117,8 @@ impl<R: Real> Kernel<Complex<R>> for BatchSumKernel {
                 return;
             }
             let mut acc = Complex::<R>::zero();
-            for j in 0..shape.m {
-                let term = t.gload(self.mons, mbase + term_slot(&shape, j, q));
+            for j in 0..shape.max_m {
+                let term = t.gload(self.mons, mbase + term_slot(outputs, j, q));
                 acc = t.add(acc, term);
             }
             t.gstore(self.out, obase + q, acc);
@@ -339,14 +180,14 @@ mod tests {
     /// `data` in the `Mons` layout of a square `n`-variable system with
     /// `m` terms per sum.
     fn run_sum(n: usize, m: usize, data: &[C64]) -> (Vec<C64>, LaunchReport) {
-        let shape = UniformShape::square(n, m, 2, 2);
+        let shape = uniform(n, n, m, 2);
         let dev = DeviceSpec::tesla_c2050();
         let mut g = GlobalMem::<C64>::new();
-        let mons = g.alloc(shape.outputs() * m);
+        let mons = g.alloc(shape.mons_len());
         let out = g.alloc(shape.outputs());
         g.host_write(mons, 0, data);
-        let layout = BatchLayout::new(&uniform(n, n, m, 2), 1, 32, 16, 128);
-        let k = BatchSumKernel {
+        let layout = BatchLayout::new(&shape, 1, 32, 16, 128);
+        let k = SumKernel {
             shape,
             mons,
             out,
@@ -360,12 +201,12 @@ mod tests {
 
     #[test]
     fn sums_each_combined_polynomial() {
-        let s = UniformShape::square(4, 3, 2, 2);
+        let s = uniform(4, 4, 3, 2);
         // term j of polynomial q := (q + 1) * 10^j (easy to verify sums)
-        let mut data = vec![C64::zero(); s.outputs() * s.m];
+        let mut data = vec![C64::zero(); s.mons_len()];
         for q in 0..s.outputs() {
-            for j in 0..s.m {
-                data[term_slot(&s, j, q)] =
+            for j in 0..s.max_m {
+                data[term_slot(s.outputs(), j, q)] =
                     C64::from_f64((q + 1) as f64 * 10f64.powi(j as i32), 0.0);
             }
         }

@@ -34,11 +34,13 @@
 //!    sum kernel its coalesced reads.
 //!
 //! Per thread that is `(k − 1) + (5k − 4)` multiplications, plus
-//! `n·(d − 2)` per block for the table; every lane of a warp executes
-//! the same instruction sequence (`k` is fixed system-wide), hence no
-//! divergence. The scratch of phase 4 reuses the table's rows, so a
-//! block needs `max(d·n, n + B·(k + 1))` shared elements — the larger of
-//! the two separate kernels' blocks, never their sum.
+//! `n·(d − 2)` per block for the table; on uniform supports every lane
+//! of a warp executes the same instruction sequence (`k` is fixed
+//! system-wide), hence no divergence. A ragged monomial runs the same
+//! program at its own `k_g` ([`MonomialKernel`]), so lanes diverge only
+//! where those counts differ. The scratch of phase 4 reuses the table's
+//! rows, so a block needs `max(d·n, n + B·(max_k + 1))` shared elements
+//! — the larger of the two separate kernels' blocks, never their sum.
 //!
 //! **Why results cannot change.** Every thread performs the same
 //! multiplications on the same operands in the same order as the two
@@ -62,13 +64,18 @@
 //! tuples of exponents". It stages the variables first (phase 3 moves
 //! ahead of phase 2) and builds no table.
 
+use crate::kernels::batch::BatchLayout;
+use crate::layout::coeffs::coeff_index;
+use crate::layout::mons::{q_deriv, q_value, term_slot};
+use crate::layout::Supports;
 use polygpu_complex::{Complex, Real};
 use polygpu_gpusim::prelude::*;
+use polygpu_polysys::SparseShape;
 
 /// Shared elements of a monomial-kernel block: the `n` staged
 /// variables plus `B·(k + 1)` Speelpenning scratch, or the `d × n`
 /// power table if that is larger — phase 4 reuses the table's rows.
-pub(crate) fn shared_elems(n: usize, k: usize, d: usize, block_dim: u32, table: bool) -> usize {
+fn shared_elems(n: usize, k: usize, d: usize, block_dim: u32, table: bool) -> usize {
     let speelpenning = n + block_dim as usize * (k + 1);
     if table {
         speelpenning.max(d * n)
@@ -77,131 +84,276 @@ pub(crate) fn shared_elems(n: usize, k: usize, d: usize, block_dim: u32, table: 
     }
 }
 
-/// The slice of a monomial launch one block serves: the variables of
-/// its point at `vars[vbase .. vbase + n]`, and the monomials
-/// `first .. first + B`, clipped at `total`, one per thread.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockWork {
+/// The monomial kernel: kernels 1 and 2 of the paper fused into one
+/// launch (the module docs describe the phases) — every monomial's
+/// value and derivatives, times coefficients, scattered into `Mons`,
+/// at every point. One program serves every kind of [`Supports`]: a
+/// uniform encoding gives all threads the shape's `k`, a ragged
+/// monomial brings its own `k_g` in its header.
+///
+/// A ragged monomial's operation order is the uniform program's at its
+/// own `k_g`, and that of
+/// [`SparseAdEvaluator`](polygpu_polysys::SparseAdEvaluator), the CPU
+/// reference. A constant term (`k_g == 0`) stores its coefficient in
+/// its value slot and no derivatives. `Mons` slots no monomial owns are
+/// never written: they keep their zero initialization across
+/// evaluations (the write pattern is a pure function of the supports),
+/// so the sum over all `max_m` slots reads exactly the zero padding the
+/// reference adds.
+pub struct MonomialKernel {
+    pub supports: Supports,
+    /// Sizes of one point's problem; uniform supports have
+    /// `max_m == m` and `max_k == k`.
+    pub shape: SparseShape,
+    /// Input points (`capacity × vars_stride` elements).
     pub vars: BufferId,
-    pub vbase: usize,
-    pub n: usize,
-    pub first: usize,
-    pub total: usize,
+    /// Shared (not per-point) derivative-major coefficient array.
+    pub coeffs: BufferId,
+    /// Output terms (`capacity × mons_stride` elements).
+    pub mons: BufferId,
+    pub layout: BatchLayout,
+    /// Use the table-free common-factor stage (ablation A1).
+    pub from_scratch_cf: bool,
 }
 
-/// Phases 1–3 of the monomial kernel: every thread's common factor, in
-/// a register (one for threads past the last monomial and for
-/// constant terms), with the point's variables staged in shared
-/// `[0, n)` for phase 4. `rows` is the power-table height `d`, or
-/// `None` for the table-free stage of ablation A1. `factors(t, g)` is
-/// monomial `g`'s factor count and `factor(t, g, j)` decodes its
-/// factor `j` as `(variable, exponent − 1)`.
-pub(crate) fn common_factor_phases<R: Real>(
-    blk: &mut BlockCtx<'_, Complex<R>>,
-    work: BlockWork,
-    rows: Option<usize>,
-    mut factors: impl FnMut(&mut ThreadCtx<'_, Complex<R>>, usize) -> usize,
-    mut factor: impl FnMut(&mut ThreadCtx<'_, Complex<R>>, usize, usize) -> (usize, usize),
-) -> Vec<Complex<R>> {
-    let BlockWork {
-        vars,
-        vbase,
-        n,
-        first,
-        total,
-    } = work;
-    let block_dim = blk.block_dim() as usize;
-    let mut cf = vec![Complex::<R>::one(); block_dim];
-    let Some(rows) = rows else {
-        // Table-free: stage the variables first, then let every thread
-        // exponentiate its own.
+impl MonomialKernel {
+    /// Phases 1–3: every thread's common factor, in a register (one for
+    /// threads past the last monomial and for constant terms, which
+    /// phase 4 never reads), with the block's point — at `vbase` in
+    /// `vars` — staged in shared `[0, n)` for phase 4. The block serves
+    /// monomials `first ..`, one per thread.
+    fn common_factors<R: Real>(
+        &self,
+        blk: &mut BlockCtx<'_, Complex<R>>,
+        vbase: usize,
+        first: usize,
+    ) -> Vec<Complex<R>> {
+        let (n, total, vars) = (self.shape.n, self.shape.total_monomials, self.vars);
+        let block_dim = blk.block_dim() as usize;
+        let mut cf = vec![Complex::<R>::one(); block_dim];
+        if self.from_scratch_cf {
+            // Table-free: stage the variables first, then let every
+            // thread exponentiate its own.
+            blk.threads(|t| {
+                let mut v = t.tid() as usize;
+                while v < n {
+                    let xv = t.gload(vars, vbase + v);
+                    t.sstore(v, xv);
+                    v += block_dim;
+                }
+            });
+            blk.threads(|t| {
+                let g = first + t.tid() as usize;
+                if g >= total {
+                    return;
+                }
+                let mut c = Complex::<R>::one();
+                for j in 0..self.supports.factors(t, g) {
+                    let (v, e_m1) = self.supports.read_factor(t, g, j);
+                    let xv = t.sload(v);
+                    let mut pw = Complex::<R>::one();
+                    for _ in 0..e_m1 {
+                        pw = t.mul(pw, xv);
+                    }
+                    c = t.mul(c, pw);
+                }
+                cf[t.tid() as usize] = c;
+            });
+            return cf;
+        }
+        let rows = self.shape.d as usize;
+
+        // Phase 1: the power table; each staging thread keeps its
+        // variables in registers.
+        let mut x = vec![Complex::<R>::zero(); n];
         blk.threads(|t| {
             let mut v = t.tid() as usize;
             while v < n {
                 let xv = t.gload(vars, vbase + v);
-                t.sstore(v, xv);
+                x[v] = xv;
+                t.sstore(v, Complex::one());
+                if rows > 1 {
+                    t.sstore(n + v, xv);
+                    let mut cur = xv;
+                    for r in 2..rows {
+                        cur = t.mul(cur, xv);
+                        t.sstore(r * n + v, cur);
+                    }
+                }
                 v += block_dim;
             }
         });
+
+        // Phase 2: one common factor per thread, into its register.
         blk.threads(|t| {
             let g = first + t.tid() as usize;
             if g >= total {
                 return;
             }
-            let mut c = Complex::<R>::one();
-            for j in 0..factors(t, g) {
-                let (v, e_m1) = factor(t, g, j);
-                let xv = t.sload(v);
-                let mut pw = Complex::<R>::one();
-                for _ in 0..e_m1 {
-                    pw = t.mul(pw, xv);
-                }
-                c = t.mul(c, pw);
+            let k = self.supports.factors(t, g);
+            if k == 0 {
+                return;
+            }
+            let (v0, e0) = self.supports.read_factor(t, g, 0);
+            let mut c = t.sload(e0 * n + v0);
+            for j in 1..k {
+                let (v, e) = self.supports.read_factor(t, g, j);
+                let p = t.sload(e * n + v);
+                c = t.mul(c, p);
             }
             cf[t.tid() as usize] = c;
         });
-        return cf;
-    };
 
-    // Phase 1: the power table; each staging thread keeps its
-    // variables in registers.
-    let mut x = vec![Complex::<R>::zero(); n];
-    blk.threads(|t| {
-        let mut v = t.tid() as usize;
-        while v < n {
-            let xv = t.gload(vars, vbase + v);
-            x[v] = xv;
-            t.sstore(v, Complex::one());
-            if rows > 1 {
-                t.sstore(n + v, xv);
-                let mut cur = xv;
-                for r in 2..rows {
-                    cur = t.mul(cur, xv);
-                    t.sstore(r * n + v, cur);
+        // Phase 3: the table is dead; the variables take its first row.
+        blk.threads(|t| {
+            let mut v = t.tid() as usize;
+            while v < n {
+                t.sstore(v, x[v]);
+                v += block_dim;
+            }
+        });
+        cf
+    }
+}
+
+impl<R: Real> Kernel<Complex<R>> for MonomialKernel {
+    fn name(&self) -> &str {
+        "monomial"
+    }
+
+    /// `max(d·n, n + B·(max_k + 1))`: the power table, or the staged
+    /// variables plus Speelpenning scratch that reuse its rows (the
+    /// table-free stage needs only the latter).
+    fn shared_elems(&self, block_dim: u32) -> usize {
+        let shape = self.shape;
+        shared_elems(
+            shape.n,
+            shape.max_k,
+            shape.d as usize,
+            block_dim,
+            !self.from_scratch_cf,
+        )
+    }
+
+    // Mirrors the paper-notation loops of §3.2.
+    #[allow(clippy::needless_range_loop)]
+    fn run_block(&self, blk: &mut BlockCtx<'_, Complex<R>>) {
+        let shape = self.shape;
+        let (n, max_k) = (shape.n, shape.max_k);
+        let total = shape.total_monomials;
+        let outputs = shape.outputs();
+        let block_dim = blk.block_dim() as usize;
+        // Point-major grid decode; uniform per block, so not traced
+        // (on hardware this is hoisted into two registers).
+        let point = (blk.block_id() / self.layout.mon_blocks) as usize;
+        let chunk = (blk.block_id() % self.layout.mon_blocks) as usize;
+        let mbase = point * self.layout.mons_stride;
+
+        // Phases 1-3: common factors into registers, this point's
+        // variables into shared memory.
+        let cfs = self.common_factors(blk, point * self.layout.vars_stride, chunk * block_dim);
+
+        // Phase 4: one monomial per thread, exactly the single-point
+        // program with offset global accesses.
+        blk.threads(|t| {
+            let tid = t.tid() as usize;
+            let g = chunk * block_dim + tid;
+            if g >= total {
+                return;
+            }
+            let (k, p, j) = self.supports.owner(t, g);
+            if k == 0 {
+                // Constant term: the value slot takes the coefficient
+                // verbatim, no derivatives.
+                let c = t.gload(self.coeffs, coeff_index(total, max_k, g));
+                t.gstore(self.mons, mbase + term_slot(outputs, j, q_value(p)), c);
+                return;
+            }
+
+            let mut vs = [0usize; 256];
+            for i in 0..k {
+                vs[i] = self.supports.read_position(t, g, i);
+            }
+            let lbase = n + tid * (max_k + 1);
+            let l = |i: usize| lbase + i - 1;
+            macro_rules! xi {
+                ($t:expr, $idx:expr) => {
+                    $t.sload(vs[$idx])
+                };
+            }
+
+            match k {
+                1 => {
+                    t.sstore(l(1), Complex::one());
+                }
+                2 => {
+                    let x2 = xi!(t, 1);
+                    t.sstore(l(1), x2);
+                    let x1 = xi!(t, 0);
+                    t.sstore(l(2), x1);
+                }
+                _ => {
+                    let x1 = xi!(t, 0);
+                    t.sstore(l(2), x1);
+                    for r in 1..=k - 2 {
+                        let prev = t.sload(l(r + 1));
+                        let xr = xi!(t, r);
+                        let f = t.mul(prev, xr);
+                        t.sstore(l(r + 2), f);
+                    }
+                    let mut q = xi!(t, k - 1);
+                    let lk1 = t.sload(l(k - 1));
+                    let d = t.mul(lk1, q);
+                    t.sstore(l(k - 1), d);
+                    for r in 1..=k.saturating_sub(3) {
+                        let xv = xi!(t, k - 1 - r);
+                        q = t.mul(q, xv);
+                        let prev = t.sload(l(k - r - 1));
+                        let d = t.mul(prev, q);
+                        t.sstore(l(k - r - 1), d);
+                    }
+                    let x2 = xi!(t, 1);
+                    q = t.mul(q, x2);
+                    t.sstore(l(1), q);
                 }
             }
-            v += block_dim;
-        }
-    });
 
-    // Phase 2: one common factor per thread, into its register.
-    blk.threads(|t| {
-        let g = first + t.tid() as usize;
-        if g >= total {
-            return;
-        }
-        let k = factors(t, g);
-        if k == 0 {
-            return;
-        }
-        let (v0, e0) = factor(t, g, 0);
-        let mut c = t.sload(e0 * n + v0);
-        for j in 1..k {
-            let (v, e) = factor(t, g, j);
-            let p = t.sload(e * n + v);
-            c = t.mul(c, p);
-        }
-        cf[t.tid() as usize] = c;
-    });
+            let cf = cfs[tid];
+            for i in 1..=k {
+                let d = t.sload(l(i));
+                let d = t.mul(d, cf);
+                t.sstore(l(i), d);
+            }
+            let dk = t.sload(l(k));
+            let xik = xi!(t, k - 1);
+            let mv = t.mul(dk, xik);
+            t.sstore(l(k + 1), mv);
 
-    // Phase 3: the table is dead; the variables take its first row.
-    blk.threads(|t| {
-        let mut v = t.tid() as usize;
-        while v < n {
-            t.sstore(v, x[v]);
-            v += block_dim;
-        }
-    });
-    cf
+            let c = t.gload(self.coeffs, coeff_index(total, max_k, g));
+            let lv = t.sload(l(k + 1));
+            let val = t.mul(lv, c);
+            t.gstore(self.mons, mbase + term_slot(outputs, j, q_value(p)), val);
+            for i in 0..k {
+                let c = t.gload(self.coeffs, coeff_index(total, i, g));
+                let d = t.sload(l(i + 1));
+                let dv = t.mul(d, c);
+                // Derivative groups stride by the block's row count
+                // (== n for square systems, the paper's layout).
+                t.gstore(
+                    self.mons,
+                    mbase + term_slot(outputs, j, q_deriv(shape.rows, p, vs[i])),
+                    dv,
+                );
+            }
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::batch::{BatchLayout, BatchMonomialKernel};
     use crate::layout::coeffs::build_coeffs;
     use crate::layout::encoding::{EncodedSupports, EncodingKind};
-    use crate::layout::mons::{mons_len, q_deriv, q_value, term_slot};
     use polygpu_complex::C64;
     use polygpu_polysys::cost;
     use polygpu_polysys::{random_point, random_system, BenchmarkParams, System};
@@ -212,7 +364,7 @@ mod tests {
         x: Vec<C64>,
         g: GlobalMem<C64>,
         cm: ConstantMemory,
-        kernel: BatchMonomialKernel,
+        kernel: MonomialKernel,
     }
 
     fn rig(params: &BenchmarkParams, from_scratch_cf: bool) -> Rig {
@@ -220,24 +372,25 @@ mod tests {
         let sys = random_system::<f64>(params);
         let mut cm = ConstantMemory::new(&dev);
         let enc = EncodedSupports::upload(&sys, &mut cm, EncodingKind::Direct).unwrap();
-        let shape = enc.shape;
+        let shape = sys.sparse_shape();
         let mut g = GlobalMem::new();
         let vars = g.alloc(shape.n);
-        let coeffs = g.alloc(shape.total_monomials() * (shape.k + 1));
-        let mons = g.alloc(mons_len(&shape));
+        let coeffs = g.alloc(shape.total_monomials * (shape.max_k + 1));
+        let mons = g.alloc(shape.mons_len());
         let x = random_point::<f64>(shape.n, 123);
         g.host_write(vars, 0, &x);
-        g.host_write(coeffs, 0, &build_coeffs(&sys, &sys.sparse_shape()));
+        g.host_write(coeffs, 0, &build_coeffs(&sys, &shape));
         // One point at offset zero: the paper's single-point launch.
-        let layout = BatchLayout::new(&sys.sparse_shape(), 1, 32, 16, 128);
+        let layout = BatchLayout::new(&shape, 1, 32, 16, 128);
         Rig {
             dev,
             sys,
             x,
             g,
             cm,
-            kernel: BatchMonomialKernel {
-                enc,
+            kernel: MonomialKernel {
+                supports: Supports::Uniform(enc),
+                shape,
                 vars,
                 coeffs,
                 mons,
@@ -248,7 +401,7 @@ mod tests {
     }
 
     fn run(rig: &mut Rig) -> LaunchReport {
-        let cfg = LaunchConfig::cover(rig.kernel.enc.shape.total_monomials(), 32);
+        let cfg = LaunchConfig::cover(rig.kernel.shape.total_monomials, 32);
         launch(
             &rig.dev,
             &rig.kernel,
@@ -263,8 +416,7 @@ mod tests {
     /// Every value and derivative slot of `Mons` against `c·x^a` and its
     /// partials, computed directly.
     fn assert_mons_correct(rig: &Rig, tol: f64) {
-        let shape = rig.kernel.enc.shape;
-        let n = shape.n;
+        let (n, outputs) = (rig.kernel.shape.n, rig.kernel.shape.outputs());
         let x = &rig.x;
         let mons = rig.g.host_read(rig.kernel.mons, ..);
         for (p, poly) in rig.sys.polys().iter().enumerate() {
@@ -273,7 +425,7 @@ mod tests {
                 for &(v, e) in term.monomial.factors() {
                     want *= x[v as usize].powi(e as i32);
                 }
-                let got = mons[term_slot(&shape, j, q_value(p))];
+                let got = mons[term_slot(outputs, j, q_value(p))];
                 assert!((got - want).abs() < tol, "value ({p},{j})");
                 for &(v, e) in term.monomial.factors() {
                     let mut dwant = term.coeff.scale(e as f64);
@@ -281,7 +433,7 @@ mod tests {
                         let fe = if w == v { f - 1 } else { f };
                         dwant *= x[w as usize].powi(fe as i32);
                     }
-                    let got = mons[term_slot(&shape, j, q_deriv(n, p, v as usize))];
+                    let got = mons[term_slot(outputs, j, q_deriv(n, p, v as usize))];
                     assert!((got - dwant).abs() < tol, "deriv ({p},{j},{v})");
                 }
             }
@@ -339,7 +491,7 @@ mod tests {
             false,
         );
         let report = run(&mut r);
-        assert_eq!(r.kernel.enc.shape.d, 6);
+        assert_eq!(r.kernel.shape.d, 6);
         let expected_muls = 2 * cost::power_stage_muls_per_block(32, 6)
             + 64 * (cost::common_factor_muls(5) + cost::kernel2_muls(5));
         assert_eq!(expected_muls, 2 * 32 * 4 + 64 * (4 + 21));
@@ -361,7 +513,7 @@ mod tests {
                 false,
             );
             let rep = run(&mut r);
-            assert_eq!(r.kernel.enc.shape.d, 3, "k = {k}");
+            assert_eq!(r.kernel.shape.d, 3, "k = {k}");
             // One block: 32 table multiplications (d = 3), then 32
             // threads x ((k − 1) + (5k − 4)) complex muls, 6 flops each.
             let expect = (32 + 32 * (k as u64 - 1 + cost::kernel2_muls(k))) * 6;
@@ -454,14 +606,14 @@ mod tests {
             false,
         );
         run(&mut r);
-        let shape = r.kernel.enc.shape;
+        let outputs = r.kernel.shape.outputs();
         let mons = r.g.host_read(r.kernel.mons, ..);
         let mut zero_slots = 0;
         for (p, poly) in r.sys.polys().iter().enumerate() {
             for (j, term) in poly.terms().iter().enumerate() {
                 for v in 0..6u16 {
                     if !term.monomial.contains(v) {
-                        let got = mons[term_slot(&shape, j, q_deriv(6, p, v as usize))];
+                        let got = mons[term_slot(outputs, j, q_deriv(6, p, v as usize))];
                         assert_eq!(got, C64::zero(), "slot ({p},{j},{v}) must stay zero");
                         zero_slots += 1;
                     }

@@ -15,15 +15,14 @@
 //! Element index: `portion · (n·m) + g`.
 
 use polygpu_complex::{Complex, Real};
-use polygpu_polysys::{SparseShape, System, UniformShape};
+use polygpu_polysys::{SparseShape, System};
 
-/// Index of the coefficient for derivative-portion `j` (or the value
-/// portion `j == k`) of monomial `g`.
+/// Index of the coefficient for derivative portion `j < k_g` (or the
+/// value portion `max_k`) of monomial `g` among `total` monomials.
 #[inline]
-pub fn coeff_index(shape: &UniformShape, portion: usize, g: usize) -> usize {
-    debug_assert!(portion <= shape.k);
-    debug_assert!(g < shape.total_monomials());
-    portion * shape.total_monomials() + g
+pub fn coeff_index(total: usize, portion: usize, g: usize) -> usize {
+    debug_assert!(g < total);
+    portion * total + g
 }
 
 /// Build the `Coeffs` array of any system: the layout above with
@@ -41,20 +40,13 @@ pub fn build_coeffs<R: Real>(system: &System<R>, shape: &SparseShape) -> Vec<Com
     for poly in system.polys() {
         for term in poly.terms() {
             for (j, &(_, e)) in term.monomial.factors().iter().enumerate() {
-                coeffs[j * total + g] = term.coeff.scale(R::from_u32(e as u32));
+                coeffs[coeff_index(total, j, g)] = term.coeff.scale(R::from_u32(e as u32));
             }
-            coeffs[shape.max_k * total + g] = term.coeff;
+            coeffs[coeff_index(total, shape.max_k, g)] = term.coeff;
             g += 1;
         }
     }
     coeffs
-}
-
-/// Index into the sparse `Coeffs` array: derivative portion `i < k_g`
-/// or the value portion `i == max_k` of monomial `g`.
-#[inline]
-pub fn sparse_coeff_index(total: usize, portion: usize, g: usize) -> usize {
-    portion * total + g
 }
 
 #[cfg(test)]
@@ -81,7 +73,7 @@ mod tests {
         for poly in sys.polys() {
             for term in poly.terms() {
                 // value portion holds the raw coefficient
-                assert_eq!(coeffs[coeff_index(&shape, shape.k, g)], term.coeff);
+                assert_eq!(coeffs[coeff_index(total, shape.k, g)], term.coeff);
                 // derivative portions hold c * a_j
                 for (j, &(_, e)) in term.monomial.factors().iter().enumerate() {
                     let expect = term.coeff.scale(e as f64);
@@ -105,35 +97,28 @@ mod tests {
             monomial: Monomial::new(vec![(0, 1), (1, 2)]).unwrap(),
         }]);
         let sys = System::new(2, vec![p0, p1]).unwrap();
-        let shape = sys.uniform_shape().unwrap();
+        let total = sys.uniform_shape().unwrap().total_monomials();
         let coeffs = build_coeffs(&sys, &sys.sparse_shape());
         // monomial g = 0 (poly 0)
-        assert_eq!(coeffs[coeff_index(&shape, 0, 0)], C64::from_f64(6.0, 0.0));
-        assert_eq!(coeffs[coeff_index(&shape, 1, 0)], C64::from_f64(2.0, 0.0));
-        assert_eq!(coeffs[coeff_index(&shape, 2, 0)], C64::from_f64(2.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 0, 0)], C64::from_f64(6.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 1, 0)], C64::from_f64(2.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 2, 0)], C64::from_f64(2.0, 0.0));
         // monomial g = 1 (poly 1): d/dx0 -> 5, d/dx1 -> 10, value -> 5
-        assert_eq!(coeffs[coeff_index(&shape, 0, 1)], C64::from_f64(5.0, 0.0));
-        assert_eq!(coeffs[coeff_index(&shape, 1, 1)], C64::from_f64(10.0, 0.0));
-        assert_eq!(coeffs[coeff_index(&shape, 2, 1)], C64::from_f64(5.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 0, 1)], C64::from_f64(5.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 1, 1)], C64::from_f64(10.0, 0.0));
+        assert_eq!(coeffs[coeff_index(total, 2, 1)], C64::from_f64(5.0, 0.0));
     }
 
     #[test]
     fn consecutive_monomials_are_adjacent_within_a_portion() {
         // The coalescing property: for fixed portion, monomial index g
         // maps to consecutive elements.
-        let shape = UniformShape {
-            n: 32,
-            rows: 32,
-            m: 22,
-            k: 9,
-            d: 2,
-        };
-        let total = shape.total_monomials();
-        for portion in 0..=shape.k {
+        let total = 32 * 22;
+        for portion in 0..=9 {
             for g in 0..total - 1 {
                 assert_eq!(
-                    coeff_index(&shape, portion, g + 1),
-                    coeff_index(&shape, portion, g) + 1
+                    coeff_index(total, portion, g + 1),
+                    coeff_index(total, portion, g) + 1
                 );
             }
         }

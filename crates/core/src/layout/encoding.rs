@@ -48,8 +48,10 @@ pub enum EncodingKind {
     /// costs `⌈log₂ n⌉ + ⌈log₂ d⌉` bits instead of 16. The only
     /// encoding that also expresses **ragged** supports (via the
     /// header-carrying [`PackedSupports`](crate::layout::packed::PackedSupports)
-    /// layout); on uniform shapes it stays header-free and the dense
-    /// kernels decode it in place, bit-identically to `Direct`.
+    /// layout); on uniform shapes it stays header-free, and the
+    /// monomial kernel decodes it in place, bit-identically to
+    /// `Direct`. Both layouts decode their keys through one
+    /// [`PackedGeometry`].
     Packed,
 }
 
@@ -79,6 +81,78 @@ impl PackedGeometry {
     /// Key-payload bytes for `total` monomials.
     pub fn key_bytes(&self, total: usize) -> usize {
         total * self.words_per_monomial * 8
+    }
+
+    /// Append one monomial's key words to `out`, little-endian: the
+    /// key of factor `j`, `(variable, exponent − 1)`, fills bits
+    /// `(j mod f)·w ..` of word `j / f`, where `f` is
+    /// [`factors_per_word`](Self::factors_per_word) and `w` the key
+    /// width.
+    pub fn pack(&self, factors: impl IntoIterator<Item = (usize, usize)>, out: &mut Vec<u8>) {
+        let mut words = vec![0u64; self.words_per_monomial];
+        for (j, (v, em1)) in factors.into_iter().enumerate() {
+            let key = v as u64 | ((em1 as u64) << self.bits_pos);
+            words[j / self.factors_per_word] |= key << self.key_shift(j);
+        }
+        for w in words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Bit offset of factor `j`'s key within its word.
+    #[inline]
+    fn key_shift(&self, j: usize) -> usize {
+        (j % self.factors_per_word) * (self.bits_pos + self.bits_exp)
+    }
+
+    /// The word of `keys` that holds factor `j` of monomial `g`: one
+    /// `u64` constant load, charged through the thread context.
+    #[inline]
+    fn load_key<T: DeviceValue>(
+        &self,
+        t: &mut ThreadCtx<'_, T>,
+        keys: ConstId,
+        g: usize,
+        j: usize,
+    ) -> u64 {
+        let word = t.cload_u64(
+            keys,
+            g * self.words_per_monomial + j / self.factors_per_word,
+        );
+        word >> self.key_shift(j)
+    }
+
+    /// Device-side read of factor `j` of monomial `g` from the key words
+    /// in `keys`: returns `(variable, exponent − 1)`. The word load plus
+    /// the key select and two field extracts, charged as 3 integer ops.
+    #[inline]
+    pub fn read_factor<T: DeviceValue>(
+        &self,
+        t: &mut ThreadCtx<'_, T>,
+        keys: ConstId,
+        g: usize,
+        j: usize,
+    ) -> (usize, usize) {
+        let key = self.load_key(t, keys, g, j);
+        t.iops(3);
+        let var = (key & ((1u64 << self.bits_pos) - 1)) as usize;
+        let em1 = ((key >> self.bits_pos) & ((1u64 << self.bits_exp) - 1)) as usize;
+        (var, em1)
+    }
+
+    /// Variable position of factor `j` of monomial `g` only: the word
+    /// load plus the key select and position mask (2 integer ops).
+    #[inline]
+    pub fn read_position<T: DeviceValue>(
+        &self,
+        t: &mut ThreadCtx<'_, T>,
+        keys: ConstId,
+        g: usize,
+        j: usize,
+    ) -> usize {
+        let key = self.load_key(t, keys, g, j);
+        t.iops(2);
+        (key & ((1u64 << self.bits_pos) - 1)) as usize
     }
 }
 
@@ -221,18 +295,9 @@ impl EncodedSupports {
             }
             EncodingKind::Packed => {
                 let geo = packed_geometry(shape.n, shape.d as usize, shape.k);
-                let mut keys =
-                    Vec::with_capacity(shape.total_monomials() * geo.words_per_monomial * 8);
+                let mut keys = Vec::with_capacity(geo.key_bytes(shape.total_monomials()));
                 for mon in flat.chunks(shape.k) {
-                    let mut words = vec![0u64; geo.words_per_monomial];
-                    for (j, &(v, em1)) in mon.iter().enumerate() {
-                        let key = v as u64 | ((em1 as u64) << geo.bits_pos);
-                        words[j / geo.factors_per_word] |=
-                            key << ((j % geo.factors_per_word) * (geo.bits_pos + geo.bits_exp));
-                    }
-                    for w in words {
-                        keys.extend_from_slice(&w.to_le_bytes());
-                    }
+                    geo.pack(mon.iter().copied(), &mut keys);
                 }
                 // Keys live in the `exponents` region; `positions` is a
                 // zero-length placeholder (free of an empty region is a
@@ -260,6 +325,13 @@ impl EncodedSupports {
     /// to [`ConstantMemory::free`] when it unloads the system.
     pub fn regions(&self) -> (ConstId, ConstId) {
         (self.positions, self.exponents)
+    }
+
+    /// The packed-key geometry of this shape (meaningful under
+    /// [`EncodingKind::Packed`]).
+    #[inline]
+    fn geometry(&self) -> PackedGeometry {
+        packed_geometry(self.shape.n, self.shape.d as usize, self.shape.k)
     }
 
     /// Device-side read of factor `j` (0-based) of monomial `g`:
@@ -293,20 +365,7 @@ impl EncodedSupports {
                 };
                 (var, em1)
             }
-            EncodingKind::Packed => {
-                let geo = packed_geometry(self.shape.n, self.shape.d as usize, self.shape.k);
-                let word = t.cload_u64(
-                    self.exponents,
-                    g * geo.words_per_monomial + j / geo.factors_per_word,
-                );
-                // Key select + two field extracts: charged as 3 integer
-                // ops on top of the word load.
-                t.iops(3);
-                let key = word >> ((j % geo.factors_per_word) * (geo.bits_pos + geo.bits_exp));
-                let var = (key & ((1u64 << geo.bits_pos) - 1)) as usize;
-                let em1 = ((key >> geo.bits_pos) & ((1u64 << geo.bits_exp) - 1)) as usize;
-                (var, em1)
-            }
+            EncodingKind::Packed => self.geometry().read_factor(t, self.exponents, g, j),
         }
     }
 
@@ -324,17 +383,7 @@ impl EncodedSupports {
             EncodingKind::Direct | EncodingKind::Compact => {
                 t.cload_u8(self.positions, g * self.shape.k + j) as usize
             }
-            EncodingKind::Packed => {
-                let geo = packed_geometry(self.shape.n, self.shape.d as usize, self.shape.k);
-                let word = t.cload_u64(
-                    self.exponents,
-                    g * geo.words_per_monomial + j / geo.factors_per_word,
-                );
-                // Key select + position mask.
-                t.iops(2);
-                let key = word >> ((j % geo.factors_per_word) * (geo.bits_pos + geo.bits_exp));
-                (key & ((1u64 << geo.bits_pos) - 1)) as usize
-            }
+            EncodingKind::Packed => self.geometry().read_position(t, self.exponents, g, j),
         }
     }
 }

@@ -26,7 +26,7 @@
 //! exactly.
 
 use polygpu_complex::{Complex, Real};
-use polygpu_polysys::{SystemEval, UniformShape};
+use polygpu_polysys::SystemEval;
 
 /// Unpack one point's summed outputs, `raw[base ..]` in combined
 /// polynomial order, into the values and the `rows × n` Jacobian.
@@ -46,19 +46,6 @@ pub(crate) fn unpack_eval<R: Real>(
     eval
 }
 
-/// Total length of the `Mons` array: `(rows·n + rows) · m`.
-#[inline]
-pub fn mons_len(shape: &UniformShape) -> usize {
-    shape.outputs() * shape.m
-}
-
-/// Number of *meaningful* (written) entries: `rows·m·(k+1)`. The rest
-/// stay zero.
-#[inline]
-pub fn mons_written(shape: &UniformShape) -> usize {
-    shape.total_monomials() * (shape.k + 1)
-}
-
 /// Combined-polynomial index of the system value `f_p`.
 #[inline]
 pub fn q_value(p: usize) -> usize {
@@ -73,11 +60,12 @@ pub fn q_deriv(rows: usize, p: usize, v: usize) -> usize {
     rows * (1 + v) + p
 }
 
-/// `Mons` element index for the `j`-th term of combined polynomial `q`.
+/// `Mons` element index for the `j`-th term of combined polynomial `q`
+/// among `outputs` combined polynomials.
 #[inline]
-pub fn term_slot(shape: &UniformShape, j: usize, q: usize) -> usize {
-    debug_assert!(j < shape.m && q < shape.outputs());
-    j * shape.outputs() + q
+pub fn term_slot(outputs: usize, j: usize, q: usize) -> usize {
+    debug_assert!(q < outputs);
+    j * outputs + q
 }
 
 /// Decompose a combined-polynomial index back into what it denotes —
@@ -106,19 +94,10 @@ pub fn decompose_q(rows: usize, q: usize) -> CombinedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygpu_polysys::UniformShape;
 
     fn shape() -> UniformShape {
         UniformShape::square(32, 22, 9, 2)
-    }
-
-    #[test]
-    fn paper_sizes() {
-        let s = shape();
-        // (n^2 + n) * m
-        assert_eq!(mons_len(&s), (32 * 32 + 32) * 22);
-        // n*m*(k+1) meaningful entries
-        assert_eq!(mons_written(&s), 32 * 22 * 10);
-        assert!(mons_written(&s) < mons_len(&s));
     }
 
     #[test]
@@ -174,7 +153,10 @@ mod tests {
         let s = shape();
         for j in 0..s.m {
             for q in 0..s.outputs() - 1 {
-                assert_eq!(term_slot(&s, j, q + 1), term_slot(&s, j, q) + 1);
+                assert_eq!(
+                    term_slot(s.outputs(), j, q + 1),
+                    term_slot(s.outputs(), j, q) + 1
+                );
             }
         }
     }
@@ -184,9 +166,9 @@ mod tests {
         // For one monomial (fixed j), different q are adjacent, but the
         // thread's k+1 writes go to q values n apart: the uncoalesced
         // side of the paper's §3.3 tradeoff.
-        let s = shape();
-        let a = term_slot(&s, 3, q_deriv(32, 5, 0));
-        let b = term_slot(&s, 3, q_deriv(32, 5, 1));
+        let outputs = shape().outputs();
+        let a = term_slot(outputs, 3, q_deriv(32, 5, 0));
+        let b = term_slot(outputs, 3, q_deriv(32, 5, 1));
         assert_eq!(b - a, 32);
     }
 }

@@ -73,7 +73,6 @@ impl PackedSupports {
             });
         }
         let geo = packed_geometry(shape.n, shape.d as usize, shape.max_k);
-        let width = geo.bits_pos + geo.bits_exp;
         let mut headers = Vec::with_capacity(4 * shape.total_monomials);
         let mut keys = Vec::with_capacity(geo.key_bytes(shape.total_monomials));
         for (p, poly) in system.polys().iter().enumerate() {
@@ -81,14 +80,10 @@ impl PackedSupports {
                 let factors = term.monomial.factors();
                 let header = factors.len() as u32 | ((p as u32) << 8) | ((j as u32) << 20);
                 headers.extend_from_slice(&header.to_le_bytes());
-                let mut words = vec![0u64; geo.words_per_monomial];
-                for (i, &(v, e)) in factors.iter().enumerate() {
-                    let key = v as u64 | (((e - 1) as u64) << geo.bits_pos);
-                    words[i / geo.factors_per_word] |= key << ((i % geo.factors_per_word) * width);
-                }
-                for w in words {
-                    keys.extend_from_slice(&w.to_le_bytes());
-                }
+                geo.pack(
+                    factors.iter().map(|&(v, e)| (v as usize, (e - 1) as usize)),
+                    &mut keys,
+                );
             }
         }
         let (headers, keys) = alloc_pair(constant, &headers, &keys)?;
@@ -130,8 +125,7 @@ impl PackedSupports {
     }
 
     /// Device-side read of factor `i` of monomial `g`: returns
-    /// `(variable, exponent − 1)`. One `u64` constant load plus the
-    /// key-select and two field extracts.
+    /// `(variable, exponent − 1)` ([`PackedGeometry::read_factor`]).
     #[inline]
     pub fn read_factor<T: DeviceValue>(
         &self,
@@ -139,19 +133,11 @@ impl PackedSupports {
         g: usize,
         i: usize,
     ) -> (usize, usize) {
-        let word = t.cload_u64(
-            self.keys,
-            g * self.geo.words_per_monomial + i / self.geo.factors_per_word,
-        );
-        t.iops(3);
-        let key =
-            word >> ((i % self.geo.factors_per_word) * (self.geo.bits_pos + self.geo.bits_exp));
-        let var = (key & ((1u64 << self.geo.bits_pos) - 1)) as usize;
-        let em1 = ((key >> self.geo.bits_pos) & ((1u64 << self.geo.bits_exp) - 1)) as usize;
-        (var, em1)
+        self.geo.read_factor(t, self.keys, g, i)
     }
 
-    /// Variable position of factor `i` of monomial `g` only.
+    /// Variable position of factor `i` of monomial `g` only
+    /// ([`PackedGeometry::read_position`]).
     #[inline]
     pub fn read_position<T: DeviceValue>(
         &self,
@@ -159,14 +145,7 @@ impl PackedSupports {
         g: usize,
         i: usize,
     ) -> usize {
-        let word = t.cload_u64(
-            self.keys,
-            g * self.geo.words_per_monomial + i / self.geo.factors_per_word,
-        );
-        t.iops(2);
-        let key =
-            word >> ((i % self.geo.factors_per_word) * (self.geo.bits_pos + self.geo.bits_exp));
-        (key & ((1u64 << self.geo.bits_pos) - 1)) as usize
+        self.geo.read_position(t, self.keys, g, i)
     }
 }
 

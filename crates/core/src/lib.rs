@@ -6,7 +6,7 @@
 //! Jacobian** with divergence-free SIMT kernels. The paper's three
 //! kernels run here as two launches:
 //!
-//! 1. [`kernels::BatchMonomialKernel`] — the paper's kernels 1 and 2 fused.
+//! 1. [`kernels::MonomialKernel`] — the paper's kernels 1 and 2 fused.
 //!    Each block builds the powers of its point's variables in shared
 //!    memory (§3.1, stage 1); each thread forms its monomial's common
 //!    factor `x^{a−1}` from that table in a register (§3.1, stage 2),
@@ -14,7 +14,7 @@
 //!    Speelpenning product in `3k − 6` multiplications, combined with
 //!    the common factor and coefficients (`5k − 4` per thread, §3.2).
 //!    The common factor never round-trips through global memory.
-//! 2. [`kernels::BatchSumKernel`] — kernel 3: branch-free summation over the
+//! 2. [`kernels::SumKernel`] — kernel 3: branch-free summation over the
 //!    zero-padded `Mons` layout with fully coalesced reads (§3.3).
 //!
 //! Fusing kernels 1 and 2 changes where a value waits, not what is
@@ -26,8 +26,9 @@
 //!
 //! One engine, [`batch::BatchGpuEvaluator`], owns device memory and
 //! runs the two launches per round trip, for uniform systems and — on
-//! packed exponent keys and the ragged kernel variants
-//! ([`kernels::sparse`]) — for ragged ones. The paper's single-point
+//! packed exponent keys with per-monomial headers — for ragged ones:
+//! both kernels read either kind of supports through
+//! [`layout::Supports`]. The paper's single-point
 //! [`pipeline::GpuEvaluator`] is that engine at capacity one, looped
 //! point by point. Both implement the same
 //! [`polygpu_polysys::SystemEvaluator`] interface as the CPU

@@ -38,7 +38,8 @@ pub struct GpuOptions {
     /// Support encoding in constant memory.
     pub encoding: EncodingKind,
     /// Form common factors without the shared power table (ablation
-    /// A1: the monomial kernel's table-free common-factor stage).
+    /// A1: the monomial kernel's table-free common-factor stage), for
+    /// uniform and ragged supports alike.
     pub from_scratch_cf: bool,
     /// Stream-overlap model for the batched engine: split each batch
     /// into this many chunks and schedule upload/kernels/download on a
